@@ -1,0 +1,197 @@
+"""The verification suites: each check compares computed values against the
+reference tables, a shape-Wilf claim, a bijection property or a per-board
+closed form, and reports a structured result with a ``pass`` flag.
+
+``run`` is shared by the ``verify`` command and the acceptance tests.
+"""
+
+from __future__ import annotations
+
+from . import families
+from .bijections import (
+    delta213,
+    delta213_inv,
+    delta321,
+    delta321_by_switch,
+    delta321_inv,
+)
+from .errors import MatchboardError
+from .model import kappa, kappa_inv
+from .patterns import Pattern
+from .reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
+
+__all__ = ["SUITES", "run"]
+
+
+def _suite_tables(max_n: int) -> list[dict]:
+    checks = []
+    for tau, row in TABLE_MATCHINGS.items():
+        top = min(max_n, len(row), families.DEFAULT_CAPS.matching)
+        got = [
+            families.count("matching", n, avoid=(tau,)).total
+            for n in range(1, top + 1)
+        ]
+        checks.append(
+            {
+                "name": f"matchings-{tau}",
+                "pass": tuple(got) == row[:top],
+                "got": got,
+                "want": list(row[:top]),
+            }
+        )
+    for tau, row in TABLE_PARTITIONS.items():
+        top = min(max_n, len(row) - 1, families.DEFAULT_CAPS.partition)
+        got = [
+            families.count("partition", n, avoid=(tau,)).total
+            for n in range(0, top + 1)
+        ]
+        checks.append(
+            {
+                "name": f"partitions-{tau}",
+                "pass": tuple(got) == row[: top + 1],
+                "got": got,
+                "want": list(row[: top + 1]),
+            }
+        )
+    for cls, row in TABLE_PAIR_CLASSES.items():
+        pair = sorted(families.CLASS_PAIRS[cls.split("_")[0]][0])
+        top = min(max_n, len(row), families.DEFAULT_CAPS.matching)
+        got = [
+            families.count("matching", n, avoid=tuple(pair)).total
+            for n in range(1, top + 1)
+        ]
+        checks.append(
+            {
+                "name": f"pair-class-{cls}",
+                "pass": tuple(got) == row[:top],
+                "got": got,
+                "want": list(row[:top]),
+            }
+        )
+    return checks
+
+
+def _suite_shape_wilf(max_n: int) -> list[dict]:
+    checks = []
+    n_eq = min(max_n, 4)
+    for a, b in (("123", "321"), ("123", "213"), ("231", "312")):
+        v = families.shape_wilf_check(a, b, n_eq)
+        checks.append({"name": f"singleton-{a}~{b}", "pass": v.equivalent})
+    first = families.CLASS_PAIRS["I"][0]
+    for other in families.CLASS_PAIRS["I"][1:]:
+        v = families.shape_wilf_check(tuple(sorted(first)), tuple(sorted(other)), n_eq)
+        checks.append(
+            {
+                "name": f"classI-{','.join(sorted(other))}",
+                "pass": v.equivalent,
+            }
+        )
+    if max_n >= 5:
+        v = families.shape_wilf_check(("123", "231"), ("123", "312"), 5)
+        totals_equal = all(
+            families.count("matching", n, avoid=("123", "231")).total
+            == families.count("matching", n, avoid=("123", "312")).total
+            for n in range(1, 6)
+        )
+        checks.append(
+            {
+                "name": "II-vs-III-separated-per-board",
+                "pass": (not v.equivalent) and v.n == 5 and totals_equal,
+                "board": v.border,
+                "counts": [v.count1, v.count2],
+            }
+        )
+    return checks
+
+
+def _suite_bijections(max_n: int) -> list[dict]:
+    from .patterns import placement_avoids
+
+    top = min(max_n, 4)
+    checks = []
+    ok_round = True
+    for n in range(1, top + 1):
+        for m in families.matchings(n):
+            if kappa_inv(kappa(m)) != m:
+                ok_round = False
+    checks.append({"name": "kappa-roundtrip", "pass": ok_round})
+    ok_switch = ok_inv = ok_image = True
+    for n in range(1, top + 1):
+        for board in families.boards(n):
+            below = {
+                d.steps
+                for d in families.dyck_paths(n)
+                if all(x <= y for x, y in zip(d.heights, board.border.heights))
+            }
+            img321 = set()
+            img213 = set()
+            for p in families.placements_on_board(board):
+                if placement_avoids(p, (Pattern((3, 2, 1)),)):
+                    pair = delta321(p)
+                    if delta321_by_switch(p) != pair:
+                        ok_switch = False
+                    if delta321_inv(pair).rook_rows != p.rook_rows:
+                        ok_inv = False
+                    img321.add(pair.bottom.steps)
+                if placement_avoids(p, (Pattern((2, 1, 3)),)):
+                    pair = delta213(p)
+                    if delta213_inv(pair).rook_rows != p.rook_rows:
+                        ok_inv = False
+                    img213.add(pair.bottom.steps)
+            if img321 != below or img213 != below:
+                ok_image = False
+    checks.append({"name": "delta321-equals-switch", "pass": ok_switch})
+    checks.append({"name": "delta-inverses", "pass": ok_inv})
+    checks.append({"name": "delta-images-cover-pairs", "pass": ok_image})
+    ok_fp = True
+    for tau in ("321", "213"):
+        for n in range(0, top + 1):
+            for k in range(0, top + 1):
+                if n + k > top + 1:
+                    continue
+                if families.count_fixed_point_class(
+                    n, k, tau
+                ) != families.pair_count_ending_south(n, k):
+                    ok_fp = False
+    checks.append({"name": "fixed-point-classes", "pass": ok_fp})
+    return checks
+
+
+def _suite_boards(cls: str, max_n: int) -> list[dict]:
+    n = min(max_n, 5)
+    if cls == "classI":
+        verdict = families.classI_board_formula_check(n)
+    else:
+        verdict = families.classIV_board_formula_check(n)
+    return [
+        {
+            "name": f"{cls}-board-formula",
+            "pass": verdict.ok,
+            "failures": [list(f) for f in verdict.failures[:5]],
+        }
+    ]
+
+
+SUITES = {
+    "tables": _suite_tables,
+    "shape-wilf": _suite_shape_wilf,
+    "bijections": _suite_bijections,
+    "classI": lambda max_n: _suite_boards("classI", max_n),
+    "classIV": lambda max_n: _suite_boards("classIV", max_n),
+}
+
+
+def run(suite: str, max_n: int) -> list[dict]:
+    """Checks of one suite, or of every suite for ``"all"``, each tagged
+    with its suite name."""
+    if suite != "all" and suite not in SUITES:
+        raise MatchboardError(f"unknown suite {suite!r}")
+    if max_n < 1:
+        raise MatchboardError(f"max-n must be at least 1, got {max_n}")
+    names = list(SUITES) if suite == "all" else [suite]
+    results = []
+    for name in names:
+        for check in SUITES[name](max_n):
+            check["suite"] = name
+            results.append(check)
+    return results

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 import time
 
-from . import __version__, families, formulas
+from . import __version__, checks, families, formulas
 from .bijections import (
+    NoncrossingPathPair,
     chi,
     delta213,
     delta213_inv,
@@ -27,10 +26,8 @@ from .bijections import (
     kappa_prime,
     pi_labeling,
 )
-from .errors import MatchboardError, ResourceCapError
+from .errors import MatchboardError, ParseError, ResourceCapError
 from .model import (
-    DyckPath,
-    FerrersBoard,
     Matching,
     RookPlacement,
     SetPartition,
@@ -38,10 +35,7 @@ from .model import (
     kappa_inv,
     partition_to_matching,
 )
-from .patterns import Pattern, parse_pattern_set
-from .reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
-
-CACHE_ENV = "MATCHBOARD_CACHE"
+from .patterns import parse_pattern_set
 
 
 # ---------------------------------------------------------------------------
@@ -83,132 +77,56 @@ def _emit(payload: dict, fmt: str) -> None:
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _manifest(command: str, params: dict, started: float, cache_hits: int) -> None:
+def _manifest(command: str, params: dict, started: float) -> None:
     manifest = {
         "command": command,
         "parameters": _stringify(params),
         "version": __version__,
         "wall_time_ms": round((time.monotonic() - started) * 1000, 1),
-        "cache_hits": cache_hits,
     }
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# sequence cache (optional, keyed by family/avoid/n/k)
+# subcommands: each returns (payload, ok)
 
 
-class _Cache:
-    def __init__(self):
-        self.path = os.environ.get(CACHE_ENV)
-        self.data: dict = {}
-        self.hits = 0
-        if self.path and os.path.exists(self.path):
-            try:
-                with open(self.path) as fh:
-                    self.data = json.load(fh)
-            except (OSError, ValueError):
-                self.data = {}
-
-    def key(self, family: str, avoid, n: int, k) -> str:
-        return f"{family}|{','.join(avoid)}|{n}|{'' if k is None else k}"
-
-    def get(self, key: str):
-        if self.path is None:
-            return None
-        value = self.data.get(key)
-        if value is not None:
-            self.hits += 1
-            return int(value)
-        return None
-
-    def put(self, key: str, value: int) -> None:
-        if self.path is None:
-            return
-        self.data[key] = str(value)
-
-    def spot_check(self, recompute) -> None:
-        """Recompute one random cached entry and fail loudly on mismatch."""
-        if self.path is None or not self.data:
-            return
-        key = random.choice(sorted(self.data))
-        fresh = recompute(key)
-        if fresh is not None and str(fresh) != self.data[key]:
-            raise MatchboardError(
-                f"cache entry {key!r} is stale: {self.data[key]} != {fresh}"
-            )
-
-    def save(self) -> None:
-        if self.path is None:
-            return
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.data, fh, sort_keys=True, indent=0)
-        os.replace(tmp, self.path)
-
-
-def _recompute_key(key: str):
-    try:
-        family, avoid_text, n_text, k_text = key.split("|")
-        avoid = tuple(t for t in avoid_text.split(",") if t)
-        k = int(k_text) if k_text else None
-        return families.count(family, int(n_text), k=k, avoid=avoid).total
-    except MatchboardError:
-        return None
-    except ValueError:
-        return None
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_count(args) -> tuple[dict, int]:
+def cmd_count(args) -> tuple[dict, bool]:
     avoid: tuple[str, ...] = ()
     if args.avoid:
         avoid = tuple(sorted(p.to_text() for p in parse_pattern_set(args.avoid)))
-    cache = _Cache()
-    table = None
-    total = None
-    key = cache.key(args.family, avoid, args.n, args.k)
-    if not args.by_shape and args.stat is None:
-        total = cache.get(key)
-    if total is None:
-        table = families.count(
-            args.family,
-            args.n,
-            k=args.k,
-            avoid=avoid,
-            stats=args.stat == "valleys",
-            by_shape=args.by_shape,
-        )
-        total = table.total
-        cache.put(key, total)
-    cache.spot_check(_recompute_key)
-    cache.save()
+    table = families.count(
+        args.family,
+        args.n,
+        k=args.k,
+        avoid=avoid,
+        stats=args.stat == "valleys",
+        by_shape=args.by_shape,
+    )
     payload = {
         "family": args.family,
         "n": args.n,
         "k": args.k,
         "avoid": list(avoid),
-        "total": total,
+        "total": table.total,
     }
-    if table is not None and table.by_valleys is not None:
+    if table.by_valleys is not None:
         payload["by_valleys"] = table.by_valleys
-    if table is not None and table.by_shape is not None:
+    if table.by_shape is not None:
         payload["by_shape"] = [
             {"border": b, "count": c} for b, c in sorted(table.by_shape.items())
         ]
-    return payload, cache.hits
+    return payload, True
 
 
-def cmd_series(args) -> dict:
+def cmd_series(args) -> tuple[dict, bool]:
     coeffs = formulas.coefficients(args.formula, args.order)
-    return {
+    payload = {
         "formula": args.formula,
         "order": args.order,
         "coefficients": list(coeffs),
     }
+    return payload, True
 
 
 def cmd_cross_check(args) -> tuple[dict, bool]:
@@ -217,207 +135,53 @@ def cmd_cross_check(args) -> tuple[dict, bool]:
     return report, ok
 
 
-def _suite_tables(max_n: int) -> list[dict]:
-    checks = []
-    for tau, row in TABLE_MATCHINGS.items():
-        top = min(max_n, len(row), families.DEFAULT_CAPS.matching)
-        got = [
-            families.count("matching", n, avoid=(tau,)).total
-            for n in range(1, top + 1)
-        ]
-        checks.append(
-            {
-                "name": f"matchings-{tau}",
-                "pass": tuple(got) == row[:top],
-                "got": got,
-                "want": list(row[:top]),
-            }
-        )
-    for tau, row in TABLE_PARTITIONS.items():
-        top = min(max_n, len(row) - 1, families.DEFAULT_CAPS.partition)
-        got = [
-            families.count("partition", n, avoid=(tau,)).total
-            for n in range(0, top + 1)
-        ]
-        checks.append(
-            {
-                "name": f"partitions-{tau}",
-                "pass": tuple(got) == row[: top + 1],
-                "got": got,
-                "want": list(row[: top + 1]),
-            }
-        )
-    for cls, row in TABLE_PAIR_CLASSES.items():
-        pair = sorted(families.CLASS_PAIRS[cls.split("_")[0]][0])
-        top = min(max_n, len(row), families.DEFAULT_CAPS.matching)
-        got = [
-            families.count("matching", n, avoid=tuple(pair)).total
-            for n in range(1, top + 1)
-        ]
-        checks.append(
-            {
-                "name": f"pair-class-{cls}",
-                "pass": tuple(got) == row[:top],
-                "got": got,
-                "want": list(row[:top]),
-            }
-        )
-    return checks
-
-
-def _suite_shape_wilf(max_n: int) -> list[dict]:
-    checks = []
-    n_eq = min(max_n, 4)
-    for a, b in (("123", "321"), ("123", "213"), ("231", "312")):
-        v = families.shape_wilf_check(a, b, n_eq)
-        checks.append({"name": f"singleton-{a}~{b}", "pass": v.equivalent})
-    first = families.CLASS_PAIRS["I"][0]
-    for other in families.CLASS_PAIRS["I"][1:]:
-        v = families.shape_wilf_check(tuple(sorted(first)), tuple(sorted(other)), n_eq)
-        checks.append(
-            {
-                "name": f"classI-{','.join(sorted(other))}",
-                "pass": v.equivalent,
-            }
-        )
-    if max_n >= 5:
-        v = families.shape_wilf_check(("123", "231"), ("123", "312"), 5)
-        totals_equal = all(
-            families.count("matching", n, avoid=("123", "231")).total
-            == families.count("matching", n, avoid=("123", "312")).total
-            for n in range(1, 6)
-        )
-        checks.append(
-            {
-                "name": "II-vs-III-separated-per-board",
-                "pass": (not v.equivalent) and v.n == 5 and totals_equal,
-                "board": v.border,
-                "counts": [v.count1, v.count2],
-            }
-        )
-    return checks
-
-
-def _suite_bijections(max_n: int) -> list[dict]:
-    from .patterns import placement_avoids
-
-    top = min(max_n, 4)
-    checks = []
-    ok_round = True
-    for n in range(1, top + 1):
-        for m in families.matchings(n):
-            if kappa_inv(kappa(m)) != m:
-                ok_round = False
-    checks.append({"name": "kappa-roundtrip", "pass": ok_round})
-    ok_switch = ok_inv = ok_image = True
-    for n in range(1, top + 1):
-        for board in families.boards(n):
-            below = {
-                d.steps
-                for d in families.dyck_paths(n)
-                if all(x <= y for x, y in zip(d.heights, board.border.heights))
-            }
-            img321 = set()
-            img213 = set()
-            for p in families.placements_on_board(board):
-                if placement_avoids(p, (Pattern((3, 2, 1)),)):
-                    pair = delta321(p)
-                    if delta321_by_switch(p) != pair:
-                        ok_switch = False
-                    if delta321_inv(pair).rook_rows != p.rook_rows:
-                        ok_inv = False
-                    img321.add(pair.bottom.steps)
-                if placement_avoids(p, (Pattern((2, 1, 3)),)):
-                    pair = delta213(p)
-                    if delta213_inv(pair).rook_rows != p.rook_rows:
-                        ok_inv = False
-                    img213.add(pair.bottom.steps)
-            if img321 != below or img213 != below:
-                ok_image = False
-    checks.append({"name": "delta321-equals-switch", "pass": ok_switch})
-    checks.append({"name": "delta-inverses", "pass": ok_inv})
-    checks.append({"name": "delta-images-cover-pairs", "pass": ok_image})
-    ok_fp = True
-    for tau in ("321", "213"):
-        for n in range(0, top + 1):
-            for k in range(0, top + 1):
-                if n + k > top + 1:
-                    continue
-                if families.count_fixed_point_class(
-                    n, k, tau
-                ) != families.pair_count_ending_south(n, k):
-                    ok_fp = False
-    checks.append({"name": "fixed-point-classes", "pass": ok_fp})
-    return checks
-
-
-def _suite_boards(cls: str, max_n: int) -> list[dict]:
-    n = min(max_n, 5)
-    if cls == "classI":
-        verdict = families.classI_board_formula_check(n)
-    else:
-        verdict = families.classIV_board_formula_check(n)
-    return [
-        {
-            "name": f"{cls}-board-formula",
-            "pass": verdict.ok,
-            "failures": [list(f) for f in verdict.failures[:5]],
-        }
-    ]
-
-
 def cmd_verify(args) -> tuple[dict, bool]:
-    suites = {
-        "tables": lambda: _suite_tables(args.max_n),
-        "shape-wilf": lambda: _suite_shape_wilf(args.max_n),
-        "bijections": lambda: _suite_bijections(args.max_n),
-        "classI": lambda: _suite_boards("classI", args.max_n),
-        "classIV": lambda: _suite_boards("classIV", args.max_n),
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    checks = []
-    for name in names:
-        for check in suites[name]():
-            check["suite"] = name
-            checks.append(check)
-    ok = all(c["pass"] for c in checks)
-    return {"suite": args.suite, "max_n": args.max_n, "checks": checks, "pass": ok}, ok
+    results = checks.run(args.suite, args.max_n)
+    ok = all(c["pass"] for c in results)
+    return {"suite": args.suite, "max_n": args.max_n, "checks": results, "pass": ok}, ok
 
 
+def _parse_permutation(text: str) -> tuple[int, ...]:
+    """One-line notation, e.g. ``6,5,1,4,3,2``."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ParseError(f"bad permutation {text!r}") from None
+
+
+# map name -> (parser of --input, map)
 _MAPS = {
-    "kappa": (Matching, kappa),
-    "kappa-inv": (RookPlacement, kappa_inv),
-    "partition-to-matching": (SetPartition, partition_to_matching),
-    "delta321": (RookPlacement, delta321),
-    "delta321-switch": (RookPlacement, delta321_by_switch),
-    "delta213": (RookPlacement, delta213),
-    "pi": (RookPlacement, pi_labeling),
+    "kappa": (Matching.from_text, kappa),
+    "kappa-inv": (RookPlacement.from_text, kappa_inv),
+    "partition-to-matching": (SetPartition.from_text, partition_to_matching),
+    "delta321": (RookPlacement.from_text, delta321),
+    "delta321-switch": (RookPlacement.from_text, delta321_by_switch),
+    "delta321-inv": (NoncrossingPathPair.from_text, delta321_inv),
+    "delta213": (RookPlacement.from_text, delta213),
+    "delta213-inv": (NoncrossingPathPair.from_text, delta213_inv),
+    "pi": (RookPlacement.from_text, pi_labeling),
+    "chi": (_parse_permutation, chi),
 }
 
 
-def cmd_apply(args) -> dict:
-    name = args.map
-    if name in _MAPS:
-        parser, fn = _MAPS[name]
-        result = fn(parser.from_text(args.input))
-    elif name == "delta213-inv":
-        from .bijections import NoncrossingPathPair
-
-        result = delta213_inv(NoncrossingPathPair.from_text(args.input))
-    elif name == "delta321-inv":
-        from .bijections import NoncrossingPathPair
-
-        result = delta321_inv(NoncrossingPathPair.from_text(args.input))
-    elif name == "kappa-prime":
+def cmd_apply(args) -> tuple[dict, bool]:
+    if args.map == "kappa-prime":
         if not args.pattern:
             raise MatchboardError("kappa-prime needs --pattern 321 or 213")
         result = kappa_prime(Matching.from_text(args.input), args.pattern)
-    elif name == "chi":
-        perm = tuple(int(t) for t in args.input.split(","))
-        result = chi(perm)
     else:
-        raise MatchboardError(f"unknown map {name!r}")
-    return {"map": name, "input": args.input, "output": result.to_text()}
+        parse, fn = _MAPS[args.map]
+        result = fn(parse(args.input))
+    return {"map": args.map, "input": args.input, "output": result.to_text()}, True
+
+
+_COMMANDS = {
+    "count": cmd_count,
+    "series": cmd_series,
+    "cross-check": cmd_cross_check,
+    "verify": cmd_verify,
+    "apply": cmd_apply,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--max-n", type=int, required=True)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument(
-        "--suite",
-        required=True,
-        choices=("tables", "shape-wilf", "bijections", "classI", "classIV", "all"),
-    )
+    v.add_argument("--suite", required=True, choices=(*checks.SUITES, "all"))
     v.add_argument("--max-n", type=int, default=5)
 
     a = sub.add_parser("apply", help="apply a named map to one object")
-    a.add_argument(
-        "--map",
-        required=True,
-        choices=sorted(
-            list(_MAPS)
-            + ["delta213-inv", "delta321-inv", "kappa-prime", "chi"]
-        ),
-    )
+    a.add_argument("--map", required=True, choices=sorted([*_MAPS, "kappa-prime"]))
     a.add_argument("--input", required=True)
     a.add_argument("--pattern", default=None)
     return parser
@@ -478,23 +231,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     started = time.monotonic()
-    cache_hits = 0
     try:
-        if args.command == "count":
-            payload, cache_hits = cmd_count(args)
-            code = 0
-        elif args.command == "series":
-            payload = cmd_series(args)
-            code = 0
-        elif args.command == "cross-check":
-            payload, ok = cmd_cross_check(args)
-            code = 0 if ok else 1
-        elif args.command == "verify":
-            payload, ok = cmd_verify(args)
-            code = 0 if ok else 1
-        else:
-            payload = cmd_apply(args)
-            code = 0
+        payload, ok = _COMMANDS[args.command](args)
     except ResourceCapError as e:
         sys.stderr.write(f"error: {e}\n")
         return 3
@@ -502,8 +240,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return 2
     _emit(payload, args.format)
-    _manifest(args.command, vars(args), started, cache_hits)
-    return code
+    _manifest(args.command, vars(args), started)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -460,6 +460,9 @@ FAMILY_NAMES = (
     "labeled-L-peak",
 )
 
+# the families that take a number k of fixed points or final south steps
+_K_FAMILIES = ("pair-nk", "matching-fp")
+
 _LABELED = {
     "labeled-L": LabeledPathClass.L,
     "labeled-K": LabeledPathClass.K,
@@ -542,11 +545,16 @@ def count(
 ) -> CountTable:
     """Exact count of a family, optionally filtered by a pattern set and
     broken down by valley statistic or board shape."""
+    if k is not None:
+        if family not in _K_FAMILIES:
+            raise InvalidObjectError(f"family {family!r} takes no k")
+        if k < 0:
+            raise InvalidObjectError(f"k must be nonnegative, got {k}")
     pats = _as_patterns(avoid)
     avoid_texts = tuple(p.to_text() for p in pats)
     all_len3 = bool(pats) and all(len(p.perm) == 3 for p in pats)
 
-    if family == "matching" and all_len3 and k is None:
+    if family == "matching" and all_len3:
         _check_cap("matching", n, caps.matching)
         bad = mask_for(pats)
         profile = border_mask_profile(n)
@@ -566,7 +574,7 @@ def count(
             by_shape=dict(sorted(shapes.items())) if by_shape else None,
         )
 
-    if family == "placement" and all_len3 and k is None:
+    if family == "placement" and all_len3:
         # placements on boards of F_n correspond to matchings shape by shape
         table = count("matching", n, avoid=pats, stats=stats, by_shape=True, caps=caps)
         return CountTable(
@@ -575,7 +583,7 @@ def count(
             by_shape=table.by_shape if by_shape else None,
         )
 
-    if family == "partition" and all_len3 and k is None:
+    if family == "partition" and all_len3:
         _check_cap("partition", n, caps.partition)
         bad = mask_for(pats)
         total = sum(

@@ -1,13 +1,15 @@
 """Named coefficient-sequence producers, one per counting sequence.
 
-Each formula id has a documented primary computation route, an independent
-secondary route where one exists, and a designated brute-force oracle from
+``FORMULAS`` maps each formula id to its routes: a primary computation, an
+independent secondary route where one exists, and a brute-force oracle from
 the families module.  ``cross_check`` compares formula output against the
 oracle for every n within the enumeration caps.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -23,12 +25,13 @@ from .series import (
     fe_iterate,
     narayana_series,
     partition_transform,
-    poly_eval,
     substitution_sum,
 )
 
 __all__ = [
+    "FORMULAS",
     "FORMULA_IDS",
+    "Formula",
     "ORDER_CAP",
     "coefficients",
     "secondary_coefficients",
@@ -42,26 +45,6 @@ __all__ = [
     "classII_III_cubic",
     "returns_valleys_series",
 ]
-
-FORMULA_IDS = (
-    "m312",
-    "p312",
-    "maps",
-    "s1342",
-    "s3124",
-    "classI_m",
-    "classI_p",
-    "classII_III_m",
-    "classII_III_p",
-    "classIV_m",
-    "classIV_p",
-    "classIV_exact",
-    "classV_m",
-    "catalan_v",
-    "dyck_rv",
-    "gouyou_m123",
-    "dnk_pairs",
-)
 
 ORDER_CAP = 30
 
@@ -81,6 +64,11 @@ def _rational(num_coeffs, den_coeffs, order: int) -> TruncSeries:
     num = TruncSeries.from_coeffs(num_coeffs, order)
     den = TruncSeries.from_coeffs(den_coeffs, order)
     return num / den
+
+
+def _sequence(s: TruncSeries, order: int) -> TruncSeries:
+    """1 / (1 - z s): sequences of blocks counted by s."""
+    return (1 - s.shift(1).trunc(order)).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +234,7 @@ def _kx0_closed(order: int) -> TruncSeries:
 
 def _s3124_series(order: int) -> TruncSeries:
     kx0 = fe_iterate("K_peak", order).subs_zero("u").to_trunc()
-    return (1 - kx0.shift(1).trunc(order)).inverse()
+    return _sequence(kx0, order)
 
 
 def returns_valleys_series(order: int) -> AuxSeries:
@@ -270,157 +258,186 @@ def returns_valleys_series(order: int) -> AuxSeries:
 # the id table
 
 
-def _ints(s: TruncSeries) -> tuple[int, ...]:
-    out = []
-    for c in s.coeffs:
+def _ints(seq) -> tuple[int, ...]:
+    """The coefficients of a series, or a sequence, as a tuple of ints."""
+    coeffs = seq.coeffs if isinstance(seq, TruncSeries) else seq
+    for c in coeffs:
         if isinstance(c, Fraction):
             raise SeriesError(f"non-integer coefficient {c}")
-        out.append(c)
-    return tuple(out)
+    return tuple(coeffs)
+
+
+def _maps_product(order: int) -> tuple[int, ...]:
+    return tuple(
+        2 * 3**n * factorial(2 * n) // (factorial(n) * factorial(n + 2))
+        for n in range(order + 1)
+    )
+
+
+def _classIV_p_closed(order: int) -> TruncSeries:
+    den = TruncSeries.from_coeffs([1, -1], order) * TruncSeries.from_coeffs(
+        [1, -10, 31, -30, 1], order
+    )
+    return TruncSeries.from_coeffs([1, -10, 32, -37, 12], order) / den
+
+
+def _classIV_closed(order: int) -> tuple[int, ...]:
+    return (1,) + tuple((5 ** (n - 1) + 1) // 2 for n in range(1, order + 1))
+
+
+def _catalan_closed(order: int) -> TruncSeries:
+    # (1 - sqrt(1 - 4z)) / 2z
+    s = TruncSeries.from_coeffs([1, -4], order + 1).sqrt()
+    return (1 - s).unshift(1) / 2
+
+
+def _gouyou_determinant(order: int) -> tuple[int, ...]:
+    return tuple(
+        _catalan(n) * _catalan(n + 2) - _catalan(n + 1) ** 2
+        for n in range(order + 1)
+    )
+
+
+def _counted(family: str, *avoid: str):
+    """Oracle: brute-force count of the family avoiding the patterns."""
+    return lambda n, caps: families.count(family, n, avoid=avoid, caps=caps).total
+
+
+def _maps_oracle(n: int, caps) -> int:
+    return sum(
+        1
+        for lp in families.labeled_paths(n, LabeledPathClass.K)
+        if lp.labels[0] == 0
+    )
+
+
+def _dyck_oracle(n: int, caps) -> int:
+    return sum(1 for _ in families.dyck_paths(n))
+
+
+@dataclass(frozen=True)
+class Formula:
+    """The routes to one sequence.  ``primary(order)`` and
+    ``secondary(order)`` give c_0..c_order, as a series or a sequence;
+    ``oracle(n, caps)`` gives c_n by brute force.  ``secondary`` is None
+    when no independent second route exists."""
+
+    primary: Callable[[int], TruncSeries | tuple[int, ...]]
+    secondary: Callable[[int], TruncSeries | tuple[int, ...]] | None
+    oracle: Callable[[int, families.Caps], int]
+
+
+FORMULAS: dict[str, Formula] = {
+    "m312": Formula(
+        _m312_closed,
+        lambda order: _sequence(_K0(order), order),
+        _counted("matching", "312"),
+    ),
+    "p312": Formula(
+        _p312_closed,
+        lambda order: partition_transform(valley_marked_m312(order), order),
+        _counted("partition", "312"),
+    ),
+    "maps": Formula(_maps_product, _K0, _maps_oracle),
+    "s1342": Formula(
+        _s1342_closed,
+        lambda order: _sequence(_kx0_closed(order), order),
+        _counted("permutation", "1342"),
+    ),
+    "s3124": Formula(_s3124_series, _s1342_closed, _counted("permutation", "3124")),
+    "classI_m": Formula(
+        _classI_m_closed,
+        lambda order: valley_marked_classI(order).subs("v", 1).to_trunc(),
+        _counted("matching", "123", "213"),
+    ),
+    "classI_p": Formula(
+        _classI_p_closed,
+        lambda order: partition_transform(valley_marked_classI(order), order),
+        _counted("partition", "123", "213"),
+    ),
+    "classII_III_m": Formula(
+        lambda order: valley_marked_classII_III(order).subs("v", 1).to_trunc(),
+        lambda order: _sequence(
+            algebraic_solve(classII_III_cubic(order, 1), 1, order), order
+        ),
+        _counted("matching", "123", "231"),
+    ),
+    "classII_III_p": Formula(
+        lambda order: partition_transform(valley_marked_classII_III(order), order),
+        _classII_III_p_closed,
+        _counted("partition", "123", "231"),
+    ),
+    "classIV_m": Formula(
+        lambda order: _rational([1, -5, 2], [1, -6, 5], order),
+        lambda order: valley_marked_classIV(order).subs("v", 1).to_trunc(),
+        _counted("matching", "123", "321"),
+    ),
+    "classIV_p": Formula(
+        _classIV_p_closed,
+        lambda order: partition_transform(valley_marked_classIV(order), order),
+        _counted("partition", "123", "321"),
+    ),
+    "classIV_exact": Formula(
+        _classIV_closed,
+        lambda order: coefficients("classIV_m", order),
+        _counted("matching", "123", "321"),
+    ),
+    # no second closed route; the residual of the functional equation is
+    # the independent check
+    "classV_m": Formula(_classV_series, None, _counted("matching", "213", "321")),
+    "catalan_v": Formula(catalan_series, _catalan_closed, _dyck_oracle),
+    "dyck_rv": Formula(
+        lambda order: (
+            returns_valleys_series(order).subs("t", 1).subs("v", 1).to_trunc()
+        ),
+        catalan_series,
+        _dyck_oracle,
+    ),
+    "gouyou_m123": Formula(
+        _gouyou_determinant,
+        lambda order: coefficients("dnk_pairs", order),
+        _counted("matching", "123"),
+    ),
+    "dnk_pairs": Formula(
+        lambda order: tuple(
+            families.pair_count_ending_south(n, 0) for n in range(order + 1)
+        ),
+        lambda order: coefficients("gouyou_m123", order),
+        _counted("pair"),
+    ),
+}
+
+FORMULA_IDS = tuple(FORMULAS)
+
+
+def _formula(formula_id: str) -> Formula:
+    try:
+        return FORMULAS[formula_id]
+    except KeyError:
+        raise SeriesError(f"unknown formula id {formula_id!r}") from None
 
 
 @lru_cache(maxsize=None)
 def coefficients(formula_id: str, order: int) -> tuple[int, ...]:
     """Primary-route coefficient sequence c_0..c_order for a formula id."""
     _check_order(order)
-    if formula_id == "m312":
-        return _ints(_m312_closed(order))
-    if formula_id == "p312":
-        return _ints(_p312_closed(order))
-    if formula_id == "maps":
-        return tuple(
-            2 * 3**n * factorial(2 * n) // (factorial(n) * factorial(n + 2))
-            for n in range(order + 1)
-        )
-    if formula_id == "s1342":
-        return _ints(_s1342_closed(order))
-    if formula_id == "s3124":
-        return _ints(_s3124_series(order))
-    if formula_id == "classI_m":
-        return _ints(_classI_m_closed(order))
-    if formula_id == "classI_p":
-        return _ints(_classI_p_closed(order))
-    if formula_id == "classII_III_m":
-        return _ints(
-            valley_marked_classII_III(order).subs("v", 1).to_trunc()
-        )
-    if formula_id == "classII_III_p":
-        return _ints(partition_transform(valley_marked_classII_III(order), order))
-    if formula_id == "classIV_m":
-        return _ints(_rational([1, -5, 2], [1, -6, 5], order))
-    if formula_id == "classIV_p":
-        den = TruncSeries.from_coeffs([1, -1], order) * TruncSeries.from_coeffs(
-            [1, -10, 31, -30, 1], order
-        )
-        return _ints(TruncSeries.from_coeffs([1, -10, 32, -37, 12], order) / den)
-    if formula_id == "classIV_exact":
-        return (1,) + tuple((5 ** (n - 1) + 1) // 2 for n in range(1, order + 1))
-    if formula_id == "classV_m":
-        return _ints(_classV_series(order))
-    if formula_id == "catalan_v":
-        return _ints(catalan_series(order))
-    if formula_id == "dyck_rv":
-        return _ints(
-            returns_valleys_series(order).subs("t", 1).subs("v", 1).to_trunc()
-        )
-    if formula_id == "gouyou_m123":
-        return tuple(
-            _catalan(n) * _catalan(n + 2) - _catalan(n + 1) ** 2
-            for n in range(order + 1)
-        )
-    if formula_id == "dnk_pairs":
-        return tuple(
-            families.pair_count_ending_south(n, 0) for n in range(order + 1)
-        )
-    raise SeriesError(f"unknown formula id {formula_id!r}")
+    return _ints(_formula(formula_id).primary(order))
 
 
 @lru_cache(maxsize=None)
 def secondary_coefficients(formula_id: str, order: int) -> tuple[int, ...]:
-    """Independent second route for each id, used for route-agreement
-    checks."""
+    """Second route for each id, used for route-agreement checks; an id
+    without one returns its primary sequence."""
     _check_order(order)
-    if formula_id == "m312":
-        k0 = _K0(order)
-        return _ints((1 - k0.shift(1).trunc(order)).inverse())
-    if formula_id == "p312":
-        return _ints(partition_transform(valley_marked_m312(order), order))
-    if formula_id == "maps":
-        return _ints(_K0(order))
-    if formula_id == "s1342":
-        kx0 = _kx0_closed(order)
-        return _ints((1 - kx0.shift(1).trunc(order)).inverse())
-    if formula_id == "s3124":
-        return _ints(_s1342_closed(order))
-    if formula_id == "classI_m":
-        return _ints(valley_marked_classI(order).subs("v", 1).to_trunc())
-    if formula_id == "classI_p":
-        return _ints(partition_transform(valley_marked_classI(order), order))
-    if formula_id == "classII_III_m":
-        H = algebraic_solve(classII_III_cubic(order, 1), 1, order)
-        return _ints((1 - H.shift(1).trunc(order)).inverse())
-    if formula_id == "classII_III_p":
-        return _ints(_classII_III_p_closed(order))
-    if formula_id == "classIV_m":
-        return _ints(valley_marked_classIV(order).subs("v", 1).to_trunc())
-    if formula_id == "classIV_p":
-        return _ints(partition_transform(valley_marked_classIV(order), order))
-    if formula_id == "classIV_exact":
-        return coefficients("classIV_m", order)
-    if formula_id == "classV_m":
-        # no second closed route; the residual of the functional equation
-        # is the independent check
-        return coefficients("classV_m", order)
-    if formula_id == "catalan_v":
-        s = TruncSeries.from_coeffs([1, -4], order + 1).sqrt()
-        return _ints((1 - s).unshift(1) / 2)
-    if formula_id == "dyck_rv":
-        return _ints(catalan_series(order))
-    if formula_id == "gouyou_m123":
-        return coefficients("dnk_pairs", order)
-    if formula_id == "dnk_pairs":
-        return coefficients("gouyou_m123", order)
-    raise SeriesError(f"unknown formula id {formula_id!r}")
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-
-_ORACLE_AVOID = {
-    "m312": ("matching", ("312",)),
-    "p312": ("partition", ("312",)),
-    "classI_m": ("matching", ("123", "213")),
-    "classI_p": ("partition", ("123", "213")),
-    "classII_III_m": ("matching", ("123", "231")),
-    "classII_III_p": ("partition", ("123", "231")),
-    "classIV_m": ("matching", ("123", "321")),
-    "classIV_p": ("partition", ("123", "321")),
-    "classIV_exact": ("matching", ("123", "321")),
-    "classV_m": ("matching", ("213", "321")),
-    "gouyou_m123": ("matching", ("123",)),
-}
+    secondary = _formula(formula_id).secondary
+    if secondary is None:
+        return coefficients(formula_id, order)
+    return _ints(secondary(order))
 
 
 def oracle_value(formula_id: str, n: int, caps=families.DEFAULT_CAPS) -> int:
     """Brute-force value matching coefficient n of the formula."""
-    if formula_id in _ORACLE_AVOID:
-        family, avoid = _ORACLE_AVOID[formula_id]
-        return families.count(family, n, avoid=avoid, caps=caps).total
-    if formula_id == "maps":
-        total = 0
-        for lp in families.labeled_paths(n, LabeledPathClass.K):
-            if lp.labels[0] == 0:
-                total += 1
-        return total
-    if formula_id == "s1342":
-        return families.count("permutation", n, avoid=("1342",), caps=caps).total
-    if formula_id == "s3124":
-        return families.count("permutation", n, avoid=("3124",), caps=caps).total
-    if formula_id in ("catalan_v", "dyck_rv"):
-        return sum(1 for _ in families.dyck_paths(n))
-    if formula_id == "dnk_pairs":
-        return families.count("pair", n, caps=caps).total
-    raise SeriesError(f"unknown formula id {formula_id!r}")
+    return _formula(formula_id).oracle(n, caps)
 
 
 def cross_check(formula_id: str, n_max: int, caps=families.DEFAULT_CAPS) -> dict:

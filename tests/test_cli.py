@@ -1,4 +1,4 @@
-"""Command-line interface behavior: output shape, exit codes, cache."""
+"""Command-line interface behavior: output shape and exit codes."""
 
 import json
 
@@ -180,30 +180,23 @@ class TestCsvFormat:
         assert any(line == "total,15" for line in lines)
 
 
-class TestCache:
-    def test_round_trip(self, tmp_path, monkeypatch, capsys):
-        cache = tmp_path / "cache.json"
-        monkeypatch.setenv("MATCHBOARD_CACHE", str(cache))
-        code, out, err = run(
-            capsys, "count", "--family", "matching", "--n", "4", "--avoid", "123"
-        )
-        assert code == 0
-        assert json.loads(err)["cache_hits"] == 0
-        assert cache.exists()
-        code, out, err = run(
-            capsys, "count", "--family", "matching", "--n", "4", "--avoid", "123"
-        )
-        assert code == 0
-        assert json.loads(out)["total"] == "84"
-        assert json.loads(err)["cache_hits"] == 1
+# malformed argv that must give a usage error, never a traceback or a
+# silently ignored option
+MALFORMED = [
+    ("apply", "--map", "chi", "--input", "a,b"),
+    ("apply", "--map", "chi", "--input", "1,,2"),
+    ("apply", "--map", "chi", "--input="),
+    ("count", "--family", "matching", "--n", "3", "--k", "1"),
+    ("count", "--family", "matching-fp", "--n", "3", "--k", "-1"),
+    ("count", "--family", "pair-nk", "--n", "2", "--k", "-1"),
+    ("verify", "--suite", "tables", "--max-n", "0"),
+    ("verify", "--suite", "all", "--max-n", "-3"),
+]
 
-    def test_stale_cache_detected(self, tmp_path, monkeypatch, capsys):
-        cache = tmp_path / "cache.json"
-        # the stale entry is the only one, so the spot check must pick it
-        cache.write_text(json.dumps({"matching|123|4|": "85"}))
-        monkeypatch.setenv("MATCHBOARD_CACHE", str(cache))
-        code, _, err = run(
-            capsys, "count", "--family", "matching", "--n", "4", "--avoid", "123"
-        )
-        assert code == 2
-        assert "stale" in err
+
+@pytest.mark.parametrize("argv", MALFORMED, ids="_".join)
+def test_malformed_argv_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert any(line.startswith("error:") for line in err.splitlines())

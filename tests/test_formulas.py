@@ -7,6 +7,7 @@ import pytest
 from matchboard.errors import SeriesError
 from matchboard.formulas import (
     FORMULA_IDS,
+    FORMULAS,
     ORDER_CAP,
     classII_III_cubic,
     coefficients,
@@ -18,6 +19,8 @@ from matchboard.formulas import (
 )
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 from matchboard.series import TruncSeries, algebraic_solve, catalan_series, poly_eval
+
+TWO_ROUTE_IDS = tuple(fid for fid, f in FORMULAS.items() if f.secondary is not None)
 
 
 class TestPrimaryRoutes:
@@ -62,8 +65,12 @@ class TestPrimaryRoutes:
 
 class TestSecondaryRoutes:
     def test_agreement_order_20(self):
-        for fid in FORMULA_IDS:
+        for fid in TWO_ROUTE_IDS:
             assert coefficients(fid, 20) == secondary_coefficients(fid, 20), fid
+
+    def test_only_classV_lacks_a_second_route(self):
+        # comparing a primary route with itself would pass vacuously
+        assert set(FORMULA_IDS) - set(TWO_ROUTE_IDS) == {"classV_m"}
 
 
 class TestClosedFormIdentities:
