@@ -1,15 +1,16 @@
 """Exhaustive generators and counting oracles for every object family.
 
-Counting of length-3 avoidance classes goes through per-family "profiles":
-one sweep over a family records, for each object, the bitmask of length-3
-patterns it contains (and the board border for matchings), after which any
-avoidance query, valley histogram, or per-board count is a dictionary sum.
+Matchings, placements and partitions avoiding length-3 patterns are counted
+by ``_scan``, which reads the arc diagram from left to right and keeps, for
+each pair of open arcs, where the arcs that closed over both of them had
+opened.  Per-board counts and valley histograms come from the border words
+it reports.  Every other count enumerates the family; the generators and the
+avoidance tests in ``patterns`` remain the brute-force oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, permutations as iter_permutations, product
 from math import comb
 
@@ -25,8 +26,6 @@ from .errors import InvalidObjectError, PatternViolationError, ResourceCapError
 from .model import DyckPath, FerrersBoard, LabeledDyckPath, Matching, RookPlacement, SetPartition
 from .patterns import (
     Pattern,
-    length3_mask,
-    mask_for,
     matching_avoids,
     partition_avoids,
     perm_contains,
@@ -58,8 +57,6 @@ __all__ = [
     "e2_pairs",
     "a2_pairs",
     "b2_pairs",
-    "border_mask_profile",
-    "partition_mask_profile",
     "valley_histogram",
     "count_fixed_point_class",
     "pair_count_ending_south",
@@ -165,29 +162,22 @@ def matchings_with_fixed_points(n: int, k: int):
             yield Matching(arcs, fps)
 
 
-def _partition_arc_blocks(n: int):
-    """Yield (blocks, arcs) over restricted-growth assignments of [n]."""
+def set_partitions(n: int):
+    """All partitions of [n], by restricted-growth assignment."""
 
-    def rec(v: int, blocks: list[list[int]], arcs: list[tuple[int, int]]):
+    def rec(v: int, blocks: list[list[int]]):
         if v > n:
-            yield tuple(tuple(b) for b in blocks), tuple(arcs)
+            yield SetPartition(tuple(tuple(b) for b in blocks))
             return
         for b in blocks:
-            arcs.append((b[-1], v))
             b.append(v)
-            yield from rec(v + 1, blocks, arcs)
+            yield from rec(v + 1, blocks)
             b.pop()
-            arcs.pop()
         blocks.append([v])
-        yield from rec(v + 1, blocks, arcs)
+        yield from rec(v + 1, blocks)
         blocks.pop()
 
-    yield from rec(1, [], [])
-
-
-def set_partitions(n: int):
-    for blocks, _ in _partition_arc_blocks(n):
-        yield SetPartition(blocks)
+    yield from rec(1, [])
 
 
 def placements_on_board(board: FerrersBoard):
@@ -376,34 +366,82 @@ def b2_pairs(n: int):
 
 
 # ---------------------------------------------------------------------------
-# profiles and counting
+# counting
 
 
-def _border_of_arcs(arcs, size: int) -> str:
-    openers = {i for i, _ in arcs}
-    return "".join("E" if v in openers else "S" for v in range(1, size + 1))
+# _FORMED[x_first][p]: the pattern formed when open arc x closes while open
+# arc y stays open, by an arc that closed while both were open and whose
+# opener sat before (p=0), between (p=1) or after (p=2) their openers;
+# x_first says that x opened before y.
+_FORMED = {
+    True: ((3, 2, 1), (2, 3, 1), (2, 1, 3)),
+    False: ((3, 1, 2), (1, 3, 2), (1, 2, 3)),
+}
 
 
-@lru_cache(maxsize=None)
-def border_mask_profile(n: int) -> dict[str, dict[int, int]]:
-    """border -> pattern mask -> number of matchings (equivalently, of
-    placements on that board via the opener/closer bijection)."""
-    out: dict[str, dict[int, int]] = {}
-    for arcs in _matching_arcs(n):
-        border = _border_of_arcs(arcs, 2 * n)
-        mask = length3_mask(arcs)
-        inner = out.setdefault(border, {})
-        inner[mask] = inner.get(mask, 0) + 1
-    return out
+def _scan(n: int, pats, partition: bool = False, by_border: bool = False) -> dict[str, int]:
+    """Number of matchings of [2n], or partitions of [n], whose arcs avoid
+    the length-3 patterns, by border word (E at an opener, S at a closer;
+    the only key is "" without by_border and for partitions).
 
+    The vertices are read left to right.  A state is one row per open arc,
+    in opener order; row j holds, for each i < j, the set of positions p of
+    the arcs that closed while i and j were both open, less the positions
+    that can complete no avoided pattern, so that equal states merge.
+    """
+    if any(len(p.perm) != 3 for p in pats):
+        raise InvalidObjectError("the scan counts length-3 patterns only")
+    avoided = {p.perm for p in pats}
+    refused = {
+        first: sum(1 << p for p, t in enumerate(row) if t in avoided)
+        for first, row in _FORMED.items()
+    }
+    keep = refused[True] | refused[False]
+    before, between, after = 1 & keep, 2 & keep, 4 & keep
 
-@lru_cache(maxsize=None)
-def partition_mask_profile(n: int) -> dict[int, int]:
-    """pattern mask -> number of partitions of [n]."""
-    out: dict[int, int] = {}
-    for _, arcs in _partition_arc_blocks(n):
-        mask = length3_mask(arcs)
-        out[mask] = out.get(mask, 0) + 1
+    def close(state, a):
+        """The state once arc a closes, or None if that forms an avoided
+        pattern."""
+        for y, row in enumerate(state):
+            if y < a and state[a][y] & refused[False] or y > a and row[a] & refused[True]:
+                return None
+        return tuple(
+            tuple(b | after for b in row) if j < a
+            else tuple(b | between for b in row[:a]) + tuple(b | before for b in row[a + 1:])
+            for j, row in enumerate(state)
+            if j != a
+        )
+
+    def moves(state):
+        closed = [s for s in (close(state, a) for a in range(len(state))) if s is not None]
+        if partition:
+            # a vertex closes at most one arc, then may open one
+            for s in [state] + closed:
+                yield "", s
+                yield "", s + ((0,) * len(s),)
+        else:
+            yield "E", state + ((0,) * len(state),)
+            for s in closed:
+                yield "S", s
+
+    out: dict[str, int] = {}
+
+    def walk(word: str, states: dict, left: int) -> None:
+        if not left:
+            if () in states:
+                out[word] = states[()]
+            return
+        buckets: dict[str, dict] = {}
+        for state, c in states.items():
+            for letter, s in moves(state):
+                # each open arc still needs a vertex of its own to close at
+                if len(s) < left:
+                    bucket = buckets.setdefault(letter if by_border else "", {})
+                    bucket[s] = bucket.get(s, 0) + c
+        for letter in list(buckets):
+            walk(word + letter, buckets.pop(letter), left - 1)
+
+    walk("", {(): 1}, n if partition else 2 * n)
     return out
 
 
@@ -554,42 +592,23 @@ def count(
     avoid_texts = tuple(p.to_text() for p in pats)
     all_len3 = bool(pats) and all(len(p.perm) == 3 for p in pats)
 
-    if family == "matching" and all_len3:
+    if all_len3 and family in ("matching", "placement", "partition"):
+        if family == "partition":
+            _check_cap("partition", n, caps.partition)
+            total = sum(_scan(n, pats, partition=True).values())
+            return CountTable(family, n, k, avoid_texts, total)
+        # placements on the boards of F_n correspond to matchings shape by shape
         _check_cap("matching", n, caps.matching)
-        bad = mask_for(pats)
-        profile = border_mask_profile(n)
-        total = 0
+        shapes = _scan(n, pats, by_border=stats or by_shape)
         valleys: dict[int, int] = {}
-        shapes: dict[str, int] = {}
-        for border, inner in profile.items():
-            c = sum(cnt for mask, cnt in inner.items() if mask & bad == 0)
-            if c:
-                total += c
-                v = _border_valleys(border)
-                valleys[v] = valleys.get(v, 0) + c
-                shapes[border] = shapes.get(border, 0) + c
+        for border, c in shapes.items():
+            v = _border_valleys(border)
+            valleys[v] = valleys.get(v, 0) + c
         return CountTable(
-            family, n, k, avoid_texts, total,
+            family, n, k, avoid_texts, sum(shapes.values()),
             by_valleys=dict(sorted(valleys.items())) if stats else None,
             by_shape=dict(sorted(shapes.items())) if by_shape else None,
         )
-
-    if family == "placement" and all_len3:
-        # placements on boards of F_n correspond to matchings shape by shape
-        table = count("matching", n, avoid=pats, stats=stats, by_shape=True, caps=caps)
-        return CountTable(
-            family, n, k, avoid_texts, table.total,
-            by_valleys=table.by_valleys,
-            by_shape=table.by_shape if by_shape else None,
-        )
-
-    if family == "partition" and all_len3:
-        _check_cap("partition", n, caps.partition)
-        bad = mask_for(pats)
-        total = sum(
-            cnt for mask, cnt in partition_mask_profile(n).items() if mask & bad == 0
-        )
-        return CountTable(family, n, k, avoid_texts, total)
 
     # generic route
     items = _gen_unsorted(family, n, k, caps)
@@ -726,11 +745,8 @@ class ShapeWilfVerdict:
 def _board_counts(n: int, pats: tuple[Pattern, ...], caps: Caps) -> dict[str, int]:
     """border -> number of placements on that board avoiding the patterns."""
     _check_cap("matching", n, caps.matching)
-    bad = mask_for(pats)
-    out = {}
-    for border, inner in border_mask_profile(n).items():
-        out[border] = sum(cnt for mask, cnt in inner.items() if mask & bad == 0)
-    return out
+    counts = _scan(n, pats, by_border=True)
+    return {d.steps: counts.get(d.steps, 0) for d in dyck_paths(n)}
 
 
 def shape_wilf_check(tau1, tau2, n_max: int, caps: Caps = DEFAULT_CAPS) -> ShapeWilfVerdict:

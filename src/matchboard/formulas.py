@@ -16,7 +16,7 @@ from math import comb, factorial
 
 from . import families
 from .bijections import LabeledPathClass
-from .errors import SeriesError
+from .errors import ResourceCapError, SeriesError
 from .series import (
     AuxSeries,
     TruncSeries,
@@ -304,15 +304,15 @@ def _counted(family: str, *avoid: str):
 
 
 def _maps_oracle(n: int, caps) -> int:
+    if n > caps.labeled:
+        raise ResourceCapError(
+            f"labeled path size {n} exceeds the configured cap {caps.labeled}"
+        )
     return sum(
         1
         for lp in families.labeled_paths(n, LabeledPathClass.K)
         if lp.labels[0] == 0
     )
-
-
-def _dyck_oracle(n: int, caps) -> int:
-    return sum(1 for _ in families.dyck_paths(n))
 
 
 @dataclass(frozen=True)
@@ -385,13 +385,13 @@ FORMULAS: dict[str, Formula] = {
     # no second closed route; the residual of the functional equation is
     # the independent check
     "classV_m": Formula(_classV_series, None, _counted("matching", "213", "321")),
-    "catalan_v": Formula(catalan_series, _catalan_closed, _dyck_oracle),
+    "catalan_v": Formula(catalan_series, _catalan_closed, _counted("dyck")),
     "dyck_rv": Formula(
         lambda order: (
             returns_valleys_series(order).subs("t", 1).subs("v", 1).to_trunc()
         ),
         catalan_series,
-        _dyck_oracle,
+        _counted("dyck"),
     ),
     "gouyou_m123": Formula(
         _gouyou_determinant,
@@ -443,9 +443,12 @@ def oracle_value(formula_id: str, n: int, caps=families.DEFAULT_CAPS) -> int:
 def cross_check(formula_id: str, n_max: int, caps=families.DEFAULT_CAPS) -> dict:
     """Compare the formula against its oracle for n = 0..n_max."""
     seq = coefficients(formula_id, n_max)
+    # largest n first, so that a request past a cap fails before any of the
+    # smaller enumerations run
+    oracle = {n: oracle_value(formula_id, n, caps=caps) for n in range(n_max, -1, -1)}
     results = []
     for n in range(n_max + 1):
-        got = oracle_value(formula_id, n, caps=caps)
+        got = oracle[n]
         results.append(
             {
                 "n": n,

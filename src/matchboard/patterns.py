@@ -24,8 +24,6 @@ __all__ = [
     "matching_avoids",
     "partition_avoids",
     "find_arc_occurrence",
-    "length3_mask",
-    "mask_for",
     "lis_labels",
     "lis_length",
     "parse_pattern_set",
@@ -61,7 +59,6 @@ class Pattern:
 S3_PATTERNS = tuple(
     Pattern(p) for p in [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
 )
-_S3_INDEX = {p.perm: i for i, p in enumerate(S3_PATTERNS)}
 
 
 def parse_pattern_set(text: str) -> frozenset[Pattern]:
@@ -163,36 +160,6 @@ def partition_avoids(p: SetPartition, t) -> bool:
     singleton blocks contribute no arcs."""
     pats = _as_pattern_tuple(t)
     return all(find_arc_occurrence(p.arcs, pat) is None for pat in pats)
-
-
-def length3_mask(arcs) -> int:
-    """Bitmask over S3_PATTERNS of the length-3 patterns occurring among the
-    arcs.  Used by the counting layer to answer many avoidance queries from
-    one sweep."""
-    arcs = sorted(arcs)
-    mask = 0
-    for (a1, b1), (a2, b2), (a3, b3) in combinations(arcs, 3):
-        if a3 >= b1 or a3 >= b2 or a3 >= b3:
-            continue
-        # openers a1 < a2 < a3 all precede the closers, so the closer ranks
-        # determine the induced pattern
-        r1 = 1 + (b1 > b2) + (b1 > b3)
-        r2 = 1 + (b2 > b1) + (b2 > b3)
-        r3 = 1 + (b3 > b1) + (b3 > b2)
-        mask |= 1 << _S3_INDEX[(4 - r1, 4 - r2, 4 - r3)]
-        if mask == 63:
-            return mask
-    return mask
-
-
-def mask_for(patterns) -> int:
-    """Bitmask of a set of length-3 patterns, for use with length3_mask."""
-    mask = 0
-    for p in patterns:
-        if len(p.perm) != 3:
-            raise InvalidObjectError(f"mask_for needs length-3 patterns, got {p.perm}")
-        mask |= 1 << _S3_INDEX[p.perm]
-    return mask
 
 
 def lis_length(perm) -> int:

@@ -200,3 +200,19 @@ def test_malformed_argv_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert any(line.startswith("error:") for line in err.splitlines())
+
+
+# requests past an enumeration cap, which must raise rather than run on
+OVER_CAP = [
+    ("cross-check", "--formula", "maps", "--max-n", "8"),
+    ("cross-check", "--formula", "catalan_v", "--max-n", "13"),
+    ("count", "--family", "matching", "--n", "9", "--avoid", "132"),
+    ("count", "--family", "partition", "--n", "12", "--avoid", "123"),
+]
+
+
+@pytest.mark.parametrize("argv", OVER_CAP, ids="_".join)
+def test_over_cap_is_resource_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert any(line.startswith("error:") for line in err.splitlines())

@@ -61,7 +61,7 @@ class TestCount:
                 assert count("partition", n, avoid=[pat]).total == seq[n]
 
     def test_profile_route_equals_generic(self):
-        # the mask-profile fast path must agree with direct filtering
+        # the scan must agree with direct filtering
         for avoid in (["123"], ["132"], ["213", "321"], ["123", "231"]):
             fast = count("matching", 4, avoid=avoid)
             slow_total = sum(
@@ -202,10 +202,13 @@ class TestFixedPointClasses:
 
 class TestPartitionReconstruction:
     def test_rebuild_from_valley_histograms(self):
-        for pat in ("312", "123", "132"):
-            for n in range(0, 8):
-                want = count("partition", n, avoid=[pat]).total
-                assert partition_count_via_matchings(n, [pat]) == want
+        avoids = [["312"], ["123"], ["132"]] + [
+            ["123", "213"], ["123", "231"], ["123", "312"], ["123", "321"], ["213", "321"],
+        ]
+        for avoid in avoids:
+            for n in range(0, 9):
+                want = count("partition", n, avoid=avoid).total
+                assert partition_count_via_matchings(n, avoid) == want, (avoid, n)
 
 
 class TestValleyHistogram:

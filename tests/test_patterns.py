@@ -1,19 +1,20 @@
 """Pattern containment on permutations, placements, and arc diagrams."""
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from matchboard.errors import InvalidObjectError, ParseError
-from matchboard.model import Matching, RookPlacement, SetPartition
+from matchboard.families import count, matchings, set_partitions
+from matchboard.model import Matching, RookPlacement, SetPartition, statistics
 from matchboard.patterns import (
     S3_PATTERNS,
     Pattern,
     find_arc_occurrence,
-    length3_mask,
     lis_labels,
     lis_length,
-    mask_for,
     matching_avoids,
     parse_pattern_set,
     partition_avoids,
@@ -109,26 +110,46 @@ class TestArcOccurrence:
         assert not matching_avoids(m, Pattern((2, 1)))
 
 
-class TestLength3Mask:
-    def test_against_direct_search(self):
-        rng = random.Random(21)
-        for _ in range(40):
-            n = rng.randrange(1, 7)
-            verts = list(range(1, 2 * n + 1))
-            rng.shuffle(verts)
-            arcs = tuple(
-                tuple(sorted(verts[2 * i : 2 * i + 2])) for i in range(n)
-            )
-            mask = length3_mask(arcs)
-            for i, t in enumerate(S3_PATTERNS):
-                found = find_arc_occurrence(arcs, t) is not None
-                assert bool(mask >> i & 1) == found
+class TestScanAgainstBruteForce:
+    """The counting scan against enumeration and direct search, for every
+    nonempty set of length-3 patterns."""
 
-    def test_mask_for(self):
-        assert mask_for([S3_PATTERNS[0]]) == 1
-        assert mask_for(S3_PATTERNS) == 63
-        with pytest.raises(InvalidObjectError):
-            mask_for([Pattern((2, 1))])
+    SUBSETS = [
+        frozenset(sub)
+        for r in range(1, 7)
+        for sub in combinations([t.to_text() for t in S3_PATTERNS], r)
+    ]
+
+    @staticmethod
+    def _contained(arcs) -> frozenset[str]:
+        return frozenset(
+            t.to_text() for t in S3_PATTERNS if find_arc_occurrence(arcs, t) is not None
+        )
+
+    def test_matchings_per_board_and_valleys(self):
+        for n in range(0, 7):
+            # (contained patterns, border, valleys) -> number of matchings
+            seen = Counter(
+                (self._contained(m.arcs), m.shape.steps, statistics(m).valleys)
+                for m in matchings(n)
+            )
+            for avoid in self.SUBSETS:
+                shapes, valleys = Counter(), Counter()
+                for (found, border, v), c in seen.items():
+                    if not found & avoid:
+                        shapes[border] += c
+                        valleys[v] += c
+                table = count("matching", n, avoid=sorted(avoid), by_shape=True, stats=True)
+                assert table.by_shape == dict(shapes), (n, avoid)
+                assert table.by_valleys == dict(valleys), (n, avoid)
+                assert table.total == sum(shapes.values())
+
+    def test_partitions(self):
+        for n in range(0, 9):
+            seen = Counter(self._contained(p.arcs) for p in set_partitions(n))
+            for avoid in self.SUBSETS:
+                want = sum(c for found, c in seen.items() if not found & avoid)
+                assert count("partition", n, avoid=sorted(avoid)).total == want, (n, avoid)
 
 
 class TestPlacementAvoids:
