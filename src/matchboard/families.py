@@ -500,6 +500,9 @@ FAMILY_NAMES = (
 
 # the families that take a number k of fixed points or final south steps
 _K_FAMILIES = ("pair-nk", "matching-fp")
+# the families whose objects carry a board border, which valleys and shapes
+# are read from
+_BORDER_FAMILIES = ("matching", "matching-fp", "placement", "placement-minimal")
 
 _LABELED = {
     "labeled-L": LabeledPathClass.L,
@@ -582,12 +585,17 @@ def count(
     caps: Caps = DEFAULT_CAPS,
 ) -> CountTable:
     """Exact count of a family, optionally filtered by a pattern set and
-    broken down by valley statistic or board shape."""
+    broken down by valley statistic or board shape; only the families in
+    ``_BORDER_FAMILIES`` have a breakdown."""
     if k is not None:
         if family not in _K_FAMILIES:
             raise InvalidObjectError(f"family {family!r} takes no k")
         if k < 0:
             raise InvalidObjectError(f"k must be nonnegative, got {k}")
+    if (stats or by_shape) and family not in _BORDER_FAMILIES:
+        raise InvalidObjectError(
+            f"family {family!r} has no board border to break down by"
+        )
     pats = _as_patterns(avoid)
     avoid_texts = tuple(p.to_text() for p in pats)
     all_len3 = bool(pats) and all(len(p.perm) == 3 for p in pats)
@@ -633,17 +641,15 @@ def count(
                 continue
         total += 1
         if stats or by_shape:
-            border = None
             if isinstance(obj, Matching):
                 border = obj.shape.steps
-            elif isinstance(obj, RookPlacement):
+            else:
                 border = obj.board.border.steps
-            if border is not None:
-                if stats:
-                    v = _border_valleys(border)
-                    valleys[v] = valleys.get(v, 0) + 1
-                if by_shape:
-                    shapes[border] = shapes.get(border, 0) + 1
+            if stats:
+                v = _border_valleys(border)
+                valleys[v] = valleys.get(v, 0) + 1
+            if by_shape:
+                shapes[border] = shapes.get(border, 0) + 1
     return CountTable(
         family, n, k, avoid_texts, total,
         by_valleys=dict(sorted(valleys.items())) if stats else None,

@@ -18,8 +18,7 @@ from . import families
 from .bijections import LabeledPathClass
 from .errors import ResourceCapError, SeriesError
 from .series import (
-    AuxSeries,
-    TruncSeries,
+    Series,
     algebraic_solve,
     catalan_series,
     fe_iterate,
@@ -60,13 +59,13 @@ def _catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _rational(num_coeffs, den_coeffs, order: int) -> TruncSeries:
-    num = TruncSeries.from_coeffs(num_coeffs, order)
-    den = TruncSeries.from_coeffs(den_coeffs, order)
+def _rational(num_coeffs, den_coeffs, order: int) -> Series:
+    num = Series.from_coeffs(num_coeffs, order)
+    den = Series.from_coeffs(den_coeffs, order)
     return num / den
 
 
-def _sequence(s: TruncSeries, order: int) -> TruncSeries:
+def _sequence(s: Series, order: int) -> Series:
     """1 / (1 - z s): sequences of blocks counted by s."""
     return (1 - s.shift(1).trunc(order)).inverse()
 
@@ -75,98 +74,98 @@ def _sequence(s: TruncSeries, order: int) -> TruncSeries:
 # closed forms and derived series
 
 
-def _m312_closed(order: int) -> TruncSeries:
+def _m312_closed(order: int) -> Series:
     # 54z / (1 + 36z - (1-12z)^(3/2))
-    s = TruncSeries.from_coeffs([1, -12], order + 1)
-    den = 1 + TruncSeries.z(order + 1) * 36 - s * s.sqrt()
-    num = TruncSeries.z(order + 1) * 54
+    s = Series.from_coeffs([1, -12], order + 1)
+    den = 1 + Series.z(order + 1) * 36 - s * s.sqrt()
+    num = Series.z(order + 1) * 54
     return (num.unshift(1)) / (den.unshift(1))
 
 
-def _K0(order: int) -> TruncSeries:
-    return fe_iterate("K_Ll", order).subs_zero("u").to_trunc()
+def _K0(order: int) -> Series:
+    return fe_iterate("K_Ll", order).subs_zero("u").drop_variable("u")
 
 
-def valley_marked_m312(order: int) -> AuxSeries:
+def valley_marked_m312(order: int) -> Series:
     """L(v,z): 312-avoiding matchings by size (z) and valleys (v)."""
     K0 = fe_iterate("K_Llv", order).subs_zero("u").drop_variable("u")
-    v = AuxSeries.var("v", ("v",), order)
-    zK0 = K0.mul_z().trunc(order)
+    v = Series.var("v", ("v",), order)
+    zK0 = K0.shift(1).trunc(order)
     return 1 + zK0 * (1 - v * zK0).inverse()
 
 
-def polHz_polynomials(order: int) -> list[TruncSeries]:
+def polHz_polynomials(order: int) -> list[Series]:
     """The cubic (ascending in B) satisfied by the 312-avoiding partition
     series."""
     p3 = (
-        TruncSeries.from_coeffs([-1, 1], order)
-        * TruncSeries.from_coeffs([1, -2, 5], order) ** 2
+        Series.from_coeffs([-1, 1], order)
+        * Series.from_coeffs([1, -2, 5], order) ** 2
     )
     return [
-        TruncSeries.from_coeffs([1, -4, 23, -9], order),
-        TruncSeries.from_coeffs([-3, 13, -64, 60, -9], order),
-        TruncSeries.from_coeffs([3, -14, 59, -85, 54, -9], order),
+        Series.from_coeffs([1, -4, 23, -9], order),
+        Series.from_coeffs([-3, 13, -64, 60, -9], order),
+        Series.from_coeffs([3, -14, 59, -85, 54, -9], order),
         p3,
     ]
 
 
-def _p312_closed(order: int) -> TruncSeries:
+def _p312_closed(order: int) -> Series:
     # R is the simple-root branch of 4z^2 R^3 + (3z^2-4z) R^2
     # + (3z^2-6z+1) R - z^2; the partition series is a rational
     # expression in R
     R = algebraic_solve(
         [
-            TruncSeries.from_coeffs([0, 0, -1], order),
-            TruncSeries.from_coeffs([1, -6, 3], order),
-            TruncSeries.from_coeffs([0, -4, 3], order),
-            TruncSeries.from_coeffs([0, 0, 4], order),
+            Series.from_coeffs([0, 0, -1], order),
+            Series.from_coeffs([1, -6, 3], order),
+            Series.from_coeffs([0, -4, 3], order),
+            Series.from_coeffs([0, 0, 4], order),
         ],
         0,
         order,
     )
-    z3 = TruncSeries.z(order) ** 3
-    c2 = z3 * TruncSeries.from_coeffs([3, -26, 7, 12], order) * 4
-    c1 = (TruncSeries.z(order) ** 2) * TruncSeries.from_coeffs(
+    z3 = Series.z(order) ** 3
+    c2 = z3 * Series.from_coeffs([3, -26, 7, 12], order) * 4
+    c1 = (Series.z(order) ** 2) * Series.from_coeffs(
         [-12, 81, 50, -179, 48], order
     )
-    c0 = TruncSeries.from_coeffs([3, -19, 73, -168, 270, -211, 48], order)
+    c0 = Series.from_coeffs([3, -19, 73, -168, 270, -211, 48], order)
     den = (
-        TruncSeries.from_coeffs([1, -1], order)
-        * TruncSeries.from_coeffs([3, -7], order)
-        * TruncSeries.from_coeffs([1, -2, 5], order) ** 2
+        Series.from_coeffs([1, -1], order)
+        * Series.from_coeffs([3, -7], order)
+        * Series.from_coeffs([1, -2, 5], order) ** 2
     )
     return (c2 * R * R + c1 * R + c0) / den
 
 
-def _classI_m_closed(order: int) -> TruncSeries:
-    s = TruncSeries.from_coeffs([1, -8], order).sqrt()
+def _classI_m_closed(order: int) -> Series:
+    s = Series.from_coeffs([1, -8], order).sqrt()
     return (s + 3).inverse() * 4
 
 
-def valley_marked_classI(order: int) -> AuxSeries:
+def valley_marked_classI(order: int) -> Series:
     """A1(v,z) = (1 + z(1-v)C(v,2z)) / (1 - vzC(v,2z))."""
     C2 = narayana_series(order).scale_z(2)
-    v = AuxSeries.var("v", ("v",), order)
-    zC2 = C2.mul_z().trunc(order)
+    v = Series.var("v", ("v",), order)
+    zC2 = C2.shift(1).trunc(order)
     return (1 + (1 - v) * zC2) * (1 - v * zC2).inverse()
 
 
-def _classI_p_closed(order: int) -> TruncSeries:
-    s = TruncSeries.from_coeffs([1, -6, 1], order).sqrt()
-    num = TruncSeries.from_coeffs([2, -3, 1], order) - TruncSeries.z(order) * s
-    den = TruncSeries.from_coeffs([1, -3, 3], order) * 2
+def _classI_p_closed(order: int) -> Series:
+    s = Series.from_coeffs([1, -6, 1], order).sqrt()
+    num = Series.from_coeffs([2, -3, 1], order) - Series.z(order) * s
+    den = Series.from_coeffs([1, -3, 3], order) * 2
     return num / den
 
 
-def valley_marked_classII_III(order: int) -> AuxSeries:
+def valley_marked_classII_III(order: int) -> Series:
     """A2(v,z): {123,231}-avoiding matchings by size and valleys."""
     K0 = fe_iterate("K_lt2", order).subs_zero("u").drop_variable("u")
-    v = AuxSeries.var("v", ("v",), order)
-    zK0 = K0.mul_z().trunc(order)
+    v = Series.var("v", ("v",), order)
+    zK0 = K0.shift(1).trunc(order)
     return 1 + zK0 * (1 - v * zK0).inverse()
 
 
-def classII_III_cubic(order: int, v_value) -> list[TruncSeries]:
+def classII_III_cubic(order: int, v_value) -> list[Series]:
     """Coefficients (ascending in H) of the cubic satisfied by the
     valley-marked height-below-2 kernel, at a fixed rational v.
 
@@ -175,8 +174,8 @@ def classII_III_cubic(order: int, v_value) -> list[TruncSeries]:
     and leaves 0 = D + z(1-v)C*D + z^2*W^2*C - H*D^2.
     """
     v = Fraction(v_value)
-    C = narayana_series(order).subs("v", v).to_trunc()
-    z = TruncSeries.z(order)
+    C = narayana_series(order).subs("v", v).drop_variable("v")
+    z = Series.z(order)
     a = 1 - z + z * v - z * v * C
     b = -v
     d0 = a + z * (1 - v) * C * a + z * z * ((1 - v) ** 2) * C
@@ -186,23 +185,23 @@ def classII_III_cubic(order: int, v_value) -> list[TruncSeries]:
     return [d0, d1, d2, d3]
 
 
-def _classII_III_p_closed(order: int) -> TruncSeries:
+def _classII_III_p_closed(order: int) -> Series:
     # 1 + z(1-z) / ((1-z)^2 - z*Hsub), with Hsub the diagonal substitution
     # of the valley-marked kernel
     H = fe_iterate("K_lt2", order).subs_zero("u").drop_variable("u")
     Hsub = substitution_sum(H, order, extra_denominator=0)
-    z = TruncSeries.z(order)
-    one_minus = TruncSeries.from_coeffs([1, -1], order)
+    z = Series.z(order)
+    one_minus = Series.from_coeffs([1, -1], order)
     return 1 + (z * one_minus) / (one_minus * one_minus - z * Hsub)
 
 
-def valley_marked_classIV(order: int, u_value: int = 2) -> AuxSeries:
+def valley_marked_classIV(order: int, u_value: int = 2) -> Series:
     """Q at the given u: boards of height below 5 weighted u^eta, by size
     and valleys, via four nested return decompositions."""
-    v = AuxSeries.var("v", ("v",), order)
-    z = AuxSeries.lift(TruncSeries.z(order), ("v",))
+    v = Series.var("v", ("v",), order)
+    z = Series.z(order)
 
-    def T(x: AuxSeries) -> AuxSeries:
+    def T(x: Series) -> Series:
         return 1 + x * (1 - v.trunc(x.order) * x).inverse()
 
     t1 = T(z)
@@ -211,46 +210,40 @@ def valley_marked_classIV(order: int, u_value: int = 2) -> AuxSeries:
     return T((z * t3).trunc(order))
 
 
-def _classV_series(order: int) -> TruncSeries:
-    g = fe_iterate("G_classV", 2 * order).subs_zero("t").subs_zero("u").to_trunc()
+def _classV_series(order: int) -> Series:
+    g = fe_iterate("G_classV", 2 * order).subs_zero("t").subs_zero("u")
+    g = g.drop_variable("t").drop_variable("u")
     for m in range(1, 2 * order + 1, 2):
         if g[m] != 0:
             raise SeriesError(f"odd coefficient z^{m} of G(0,0,z) is nonzero")
-    return TruncSeries.from_coeffs([g[2 * n] for n in range(order + 1)], order)
+    return Series.from_coeffs([g[2 * n] for n in range(order + 1)], order)
 
 
-def _s1342_closed(order: int) -> TruncSeries:
-    s = TruncSeries.from_coeffs([1, -8], order + 1)
-    den = TruncSeries.from_coeffs([1, 20, -8], order + 1) - s * s.sqrt()
-    num = TruncSeries.z(order + 1) * 32
+def _s1342_closed(order: int) -> Series:
+    s = Series.from_coeffs([1, -8], order + 1)
+    den = Series.from_coeffs([1, 20, -8], order + 1) - s * s.sqrt()
+    num = Series.z(order + 1) * 32
     return num.unshift(1) / den.unshift(1)
 
 
-def _kx0_closed(order: int) -> TruncSeries:
-    s = TruncSeries.from_coeffs([1, -8], order + 2)
-    num = TruncSeries.from_coeffs([-1, 12, 8], order + 2) + s * s.sqrt()
+def _kx0_closed(order: int) -> Series:
+    s = Series.from_coeffs([1, -8], order + 2)
+    num = Series.from_coeffs([-1, 12, 8], order + 2) + s * s.sqrt()
     return num.unshift(2) / 32
 
 
-def _s3124_series(order: int) -> TruncSeries:
-    kx0 = fe_iterate("K_peak", order).subs_zero("u").to_trunc()
+def _s3124_series(order: int) -> Series:
+    kx0 = fe_iterate("K_peak", order).subs_zero("u").drop_variable("u")
     return _sequence(kx0, order)
 
 
-def returns_valleys_series(order: int) -> AuxSeries:
+def returns_valleys_series(order: int) -> Series:
     """Border paths counted by returns (t) and valleys (v):
     (1 + t(1-v)zC(v,z)) / (1 - tvzC(v,z))."""
-    C = AuxSeries.from_dicts(
-        ("t", "v"),
-        [
-            {(0, k): c for (k,), c in dict(p).items()}
-            for p in narayana_series(order).coeffs
-        ],
-        order,
-    )
-    t = AuxSeries.var("t", ("t", "v"), order)
-    v = AuxSeries.var("v", ("t", "v"), order)
-    zC = C.mul_z().trunc(order)
+    C = narayana_series(order).widen(("t", "v"))
+    t = Series.var("t", ("t", "v"), order)
+    v = Series.var("v", ("t", "v"), order)
+    zC = C.shift(1).trunc(order)
     return (1 + t * (1 - v) * zC) * (1 - t * v * zC).inverse()
 
 
@@ -260,11 +253,11 @@ def returns_valleys_series(order: int) -> AuxSeries:
 
 def _ints(seq) -> tuple[int, ...]:
     """The coefficients of a series, or a sequence, as a tuple of ints."""
-    coeffs = seq.coeffs if isinstance(seq, TruncSeries) else seq
+    coeffs = tuple(seq)
     for c in coeffs:
         if isinstance(c, Fraction):
             raise SeriesError(f"non-integer coefficient {c}")
-    return tuple(coeffs)
+    return coeffs
 
 
 def _maps_product(order: int) -> tuple[int, ...]:
@@ -274,20 +267,20 @@ def _maps_product(order: int) -> tuple[int, ...]:
     )
 
 
-def _classIV_p_closed(order: int) -> TruncSeries:
-    den = TruncSeries.from_coeffs([1, -1], order) * TruncSeries.from_coeffs(
+def _classIV_p_closed(order: int) -> Series:
+    den = Series.from_coeffs([1, -1], order) * Series.from_coeffs(
         [1, -10, 31, -30, 1], order
     )
-    return TruncSeries.from_coeffs([1, -10, 32, -37, 12], order) / den
+    return Series.from_coeffs([1, -10, 32, -37, 12], order) / den
 
 
 def _classIV_closed(order: int) -> tuple[int, ...]:
     return (1,) + tuple((5 ** (n - 1) + 1) // 2 for n in range(1, order + 1))
 
 
-def _catalan_closed(order: int) -> TruncSeries:
+def _catalan_closed(order: int) -> Series:
     # (1 - sqrt(1 - 4z)) / 2z
-    s = TruncSeries.from_coeffs([1, -4], order + 1).sqrt()
+    s = Series.from_coeffs([1, -4], order + 1).sqrt()
     return (1 - s).unshift(1) / 2
 
 
@@ -322,8 +315,8 @@ class Formula:
     ``oracle(n, caps)`` gives c_n by brute force.  ``secondary`` is None
     when no independent second route exists."""
 
-    primary: Callable[[int], TruncSeries | tuple[int, ...]]
-    secondary: Callable[[int], TruncSeries | tuple[int, ...]] | None
+    primary: Callable[[int], Series | tuple[int, ...]]
+    secondary: Callable[[int], Series | tuple[int, ...]] | None
     oracle: Callable[[int, families.Caps], int]
 
 
@@ -347,7 +340,7 @@ FORMULAS: dict[str, Formula] = {
     "s3124": Formula(_s3124_series, _s1342_closed, _counted("permutation", "3124")),
     "classI_m": Formula(
         _classI_m_closed,
-        lambda order: valley_marked_classI(order).subs("v", 1).to_trunc(),
+        lambda order: valley_marked_classI(order).subs("v", 1).drop_variable("v"),
         _counted("matching", "123", "213"),
     ),
     "classI_p": Formula(
@@ -356,7 +349,7 @@ FORMULAS: dict[str, Formula] = {
         _counted("partition", "123", "213"),
     ),
     "classII_III_m": Formula(
-        lambda order: valley_marked_classII_III(order).subs("v", 1).to_trunc(),
+        lambda order: valley_marked_classII_III(order).subs("v", 1).drop_variable("v"),
         lambda order: _sequence(
             algebraic_solve(classII_III_cubic(order, 1), 1, order), order
         ),
@@ -369,7 +362,7 @@ FORMULAS: dict[str, Formula] = {
     ),
     "classIV_m": Formula(
         lambda order: _rational([1, -5, 2], [1, -6, 5], order),
-        lambda order: valley_marked_classIV(order).subs("v", 1).to_trunc(),
+        lambda order: valley_marked_classIV(order).subs("v", 1).drop_variable("v"),
         _counted("matching", "123", "321"),
     ),
     "classIV_p": Formula(
@@ -388,7 +381,9 @@ FORMULAS: dict[str, Formula] = {
     "catalan_v": Formula(catalan_series, _catalan_closed, _counted("dyck")),
     "dyck_rv": Formula(
         lambda order: (
-            returns_valleys_series(order).subs("t", 1).subs("v", 1).to_trunc()
+            returns_valleys_series(order)
+            .subs("t", 1).drop_variable("t")
+            .subs("v", 1).drop_variable("v")
         ),
         catalan_series,
         _counted("dyck"),

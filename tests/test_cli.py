@@ -189,6 +189,9 @@ MALFORMED = [
     ("count", "--family", "matching", "--n", "3", "--k", "1"),
     ("count", "--family", "matching-fp", "--n", "3", "--k", "-1"),
     ("count", "--family", "pair-nk", "--n", "2", "--k", "-1"),
+    ("count", "--family", "partition", "--n", "3", "--avoid", "123", "--stat", "valleys"),
+    ("count", "--family", "partition", "--n", "3", "--avoid", "1234", "--by-shape"),
+    ("count", "--family", "pair-nk", "--n", "2", "--k", "1", "--stat", "valleys"),
     ("verify", "--suite", "tables", "--max-n", "0"),
     ("verify", "--suite", "all", "--max-n", "-3"),
 ]
