@@ -164,11 +164,6 @@ class FerrersBoard:
                 y -= 1
         return tuple(out)
 
-    @cached_property
-    def row_lengths(self) -> tuple[int, ...]:
-        heights = self.column_heights
-        return tuple(sum(1 for h in heights if h >= r) for r in range(1, self.n + 1))
-
     def contains(self, col: int, row: int) -> bool:
         return 1 <= col <= self.n and 1 <= row <= self.column_heights[col - 1]
 
@@ -354,10 +349,6 @@ class SetPartition:
     @property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, int], ...]:

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from itertools import accumulate, product
+from math import lcm, prod
+from operator import add, mul
 
 from .errors import DivisibilityError, SeriesError
 
@@ -54,17 +56,105 @@ def _pacc(target: dict, src: dict, scale=1) -> None:
             del target[k]
 
 
-def _pmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = tuple(map(add, ka, kb))
-            v = out.get(k, 0) + ca * cb
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+# Products go through Kronecker substitution.  Each polynomial is packed into
+# one int: the coefficient of an exponent tuple fills a fixed-width slot of a
+# mixed-radix grid whose axes are long enough that no sum of exponents carries
+# into the next axis, so one big-int multiply does a whole polynomial product
+# and a sum of products is a sum of ints.  A slot is wide enough for the
+# largest coefficient the products can give, plus a sign bit; unpacking adds
+# 2^(w-1) to every slot so that each reads back as an unsigned field.
+# Rational coefficients are scaled to integers by the lcm of their
+# denominators.  A coefficient with no variables is the grid with no axes:
+# one slot, and the product is one scalar multiply.
+
+
+def _pack(p: dict, strides, width: int, den: int) -> int:
+    """den * p as one int: the coefficient of key k in the slot at
+    sum(k * strides), each slot ``width`` bytes wide."""
+    size = width * (sum(map(mul, map(max, zip(*p)), strides)) + 1) if p else 0
+    pos = bytearray(size)
+    neg = bytearray(size)
+    for k, c in p.items():
+        at = width * sum(map(mul, k, strides))
+        c = c.numerator * (den // c.denominator)
+        if c > 0:
+            pos[at : at + width] = c.to_bytes(width, "little")
+        else:
+            neg[at : at + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(x: int, dims, width: int, den: int) -> dict:
+    """The polynomial packed in x over the grid ``dims``, divided by den;
+    each slot holds a value of absolute value below 2^(8*width - 1)."""
+    # |x| >= 2^(8*width*s - 1) when s is the highest nonzero slot
+    slots = min(prod(dims), x.bit_length() // (8 * width) + 1)
+    zero = bytes(width - 1) + b"\x80"  # the bias 2^(8*width - 1)
+    half = 1 << (8 * width - 1)
+    buf = (x + int.from_bytes(zero * slots, "little")).to_bytes(
+        width * slots, "little"
+    )
+    out = {}
+    for at, k in zip(range(0, width * slots, width), product(*map(range, dims))):
+        digit = buf[at : at + width]
+        if digit != zero:
+            c = int.from_bytes(digit, "little") - half
+            out[k] = c if den == 1 else _norm(Fraction(c, den))
     return out
+
+
+def _aligned(xs: list, ys: list, lo: int, hi: int):
+    """For m = lo .. hi, the xs[i] and the ys[m - i] over the valid i, as
+    two aligned lists."""
+    rys = ys[::-1]
+    top = len(ys) - 1
+    for m in range(lo, hi + 1):
+        a, b = max(0, m - top), min(m + 1, len(xs))
+        yield xs[a:b], rys[top - m + a : top - m + b]
+
+
+def _convolve(xs, ys, lo: int, hi: int) -> list[dict]:
+    """The z^lo .. z^hi coefficients of (sum xs[i] z^i) * (sum ys[j] z^j),
+    for coefficient polynomials over one variable set; each polynomial is
+    packed once, onto one grid."""
+    xs, ys = list(xs[: hi + 1]), list(ys[: hi + 1])
+    if not any(xs) or not any(ys):
+        return [{} for _ in range(lo, hi + 1)]
+    dx = lcm(*(c.denominator for p in xs for c in p.values()))
+    dy = lcm(*(c.denominator for p in ys for c in p.values()))
+    mx = [int(max(map(abs, p.values()), default=0) * dx) for p in xs]
+    my = [int(max(map(abs, p.values()), default=0) * dy) for p in ys]
+    # an output slot sums at most min(len x, len y) terms of each product;
+    # every operand is packed too, whether an output uses it or not
+    lx, ly = list(map(len, xs)), list(map(len, ys))
+    bands = (
+        sum(map(mul, map(mul, a, b), map(min, la, lb)))
+        for (a, b), (la, lb) in zip(_aligned(mx, my, lo, hi), _aligned(lx, ly, lo, hi))
+    )
+    width = max(*mx, *my, *bands).bit_length() // 8 + 1  # room for a sign bit
+    # per axis, the grid holds the degree of each xs[i] plus the highest
+    # degree among ys[0 .. hi - i]
+    nvars = len(next(iter(next(p for p in xs if p))))
+
+    def degrees(p: dict) -> tuple:
+        return tuple(map(max, zip(*p))) if p else (0,) * nvars
+
+    def widest(a, b) -> tuple:
+        return tuple(map(max, a, b))
+
+    rising = list(accumulate(map(degrees, ys), widest))
+    top = (0,) * nvars
+    for i, p in enumerate(xs):
+        if p:
+            top = widest(top, map(add, degrees(p), rising[min(hi - i, len(ys) - 1)]))
+    dims = [t + 1 for t in top]
+    strides = [prod(dims[a + 1 :]) for a in range(nvars)]
+    px = [_pack(p, strides, width, dx) for p in xs]
+    py = [_pack(p, strides, width, dy) for p in ys]
+    return [
+        _unpack(sum(map(mul, a, b)), dims, width, dx * dy)
+        for a, b in _aligned(px, py, lo, hi)
+    ]
 
 
 def _pshift(p: dict, axis: int, k: int = 1) -> dict:
@@ -276,14 +366,7 @@ class Series:
             return NotImplemented
         a, b = pair
         n = min(a.order, b.order)
-        out = [{} for _ in range(n + 1)]
-        for i, pa in enumerate(a.coeffs[: n + 1]):
-            if not pa:
-                continue
-            for j in range(n + 1 - i):
-                if b.coeffs[j]:
-                    _pacc(out[i + j], _pmul(pa, b.coeffs[j]))
-        return Series(a.variables, n, out)
+        return Series(a.variables, n, _convolve(a.coeffs, b.coeffs, 0, n))
 
     __rmul__ = __mul__
 
@@ -294,16 +377,14 @@ class Series:
             raise SeriesError(
                 "inverse requires a constant (variable-free) nonzero z^0 term"
             )
-        # a unit is its own inverse, which keeps integer series in integers
-        inv0 = c0[zero] if c0[zero] in (1, -1) else Fraction(1, 1) / c0[zero]
-        out = [{zero: inv0}]
-        for n in range(1, self.order + 1):
-            acc: dict = {}
-            for i in range(1, n + 1):
-                if self.coeffs[i]:
-                    _pacc(acc, _pmul(self.coeffs[i], out[n - i]))
-            out.append(_pscale(acc, -inv0))
-        return Series(self.variables, self.order, out)
+        # Newton iteration y <- y - y(self*y - 1) doubles the known orders;
+        # self*y - 1 vanishes below them, so only the new orders are formed
+        y = [{zero: _norm(Fraction(1, 1) / c0[zero])}]
+        while len(y) <= self.order:
+            known, new = len(y), min(2 * len(y) - 1, self.order)
+            err = [{}] * known + _convolve(self.coeffs, y, known, new)
+            y += [_pscale(p, -1) for p in _convolve(y, err, known, new)]
+        return Series(self.variables, self.order, y)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -441,9 +522,7 @@ def narayana_series(order: int) -> Series:
     C(v,z) with C = 1 + zC + vzC(C-1)."""
     C = [{(0,): 1}]
     for n in range(1, order + 1):
-        conv: dict = {}
-        for i in range(n):
-            _pacc(conv, _pmul(C[i], C[n - 1 - i]))
+        conv = _convolve(C, C, n - 1, n - 1)[0]
         cn = dict(C[n - 1])
         diff = dict(conv)
         _pacc(diff, C[n - 1], -1)
@@ -522,9 +601,7 @@ def _fe_K_Ll(order: int) -> Series:
     K = [{(0,): 1}]
     A = [_bracket(K[0])]
     for n in range(1, order + 1):
-        kn: dict = {}
-        for i in range(n):
-            _pacc(kn, _pmul(K[i], A[n - 1 - i]))
+        kn = _convolve(K, A, n - 1, n - 1)[0]
         K.append(kn)
         A.append(_bracket(kn))
     return Series(("u",), order, K)
@@ -535,9 +612,7 @@ def _fe_K_Llv(order: int) -> Series:
     A = [_bracket(K[0])]
     B = [_marked(K[0], 0)]
     for n in range(1, order + 1):
-        kn: dict = {}
-        for i in range(n):
-            _pacc(kn, _pmul(B[i], A[n - 1 - i]))
+        kn = _convolve(B, A, n - 1, n - 1)[0]
         K.append(kn)
         A.append(_bracket(kn))
         B.append(_marked(kn, n))
@@ -559,11 +634,8 @@ def _fe_K_lt2(order: int) -> Series:
     E = [middle(K[0], C[0])]
     F = [_marked(K0[0], 0)]
     for n in range(1, order + 1):
-        kn: dict = {}
-        for i in range(n):
-            j = n - 1 - i
-            _pacc(kn, _pmul(C[i], D[j]))
-            _pacc(kn, _pmul(E[i], F[j]))
+        kn = _convolve(C, D, n - 1, n - 1)[0]
+        _pacc(kn, _convolve(E, F, n - 1, n - 1)[0])
         K.append(kn)
         k0 = {k: c for k, c in kn.items() if k[0] == 0}
         K0.append(k0)
@@ -587,9 +659,7 @@ def _fe_K_peak(order: int) -> Series:
     K = [{(0,): 1}]
     A = [bracket(K[0], 0)]
     for n in range(1, order + 1):
-        kn: dict = {}
-        for i in range(n):
-            _pacc(kn, _pmul(K[i], A[n - 1 - i]))
+        kn = _convolve(K, A, n - 1, n - 1)[0]
         K.append(kn)
         A.append(bracket(kn, n))
     return Series(("u",), order, K)

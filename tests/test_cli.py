@@ -112,6 +112,18 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["pass"] is True
 
+    def test_tables_reach_the_published_length(self, capsys):
+        # the matching rows run to n=10, past the default matching cap of 8
+        code, out, _ = run(capsys, "verify", "--suite", "tables", "--max-n", "10")
+        assert code == 0
+        checks = [
+            c for c in json.loads(out)["checks"] if c["name"].startswith("matchings-")
+        ]
+        assert len(checks) == 3
+        for check in checks:
+            assert len(check["got"]) == len(check["want"]) == 10, check["name"]
+            assert check["pass"] is True
+
     def test_board_suites(self, capsys):
         for suite in ("classI", "classIV"):
             code, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "4")

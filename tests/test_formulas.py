@@ -64,9 +64,12 @@ class TestPrimaryRoutes:
 
 
 class TestSecondaryRoutes:
-    def test_agreement_order_20(self):
+    def test_agreement_at_order_cap(self):
+        # the p312 secondary route solves K_Llv through ORDER_CAP
         for fid in TWO_ROUTE_IDS:
-            assert coefficients(fid, 20) == secondary_coefficients(fid, 20), fid
+            assert coefficients(fid, ORDER_CAP) == secondary_coefficients(
+                fid, ORDER_CAP
+            ), fid
 
     def test_only_classV_lacks_a_second_route(self):
         # comparing a primary route with itself would pass vacuously

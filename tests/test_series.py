@@ -2,13 +2,17 @@
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchboard.errors import DivisibilityError, SeriesError
 from matchboard.series import (
     FE_NAMES,
     Series,
+    _convolve,
     algebraic_solve,
     catalan_series,
     fe_iterate,
@@ -62,10 +66,101 @@ class TestArithmetic:
             assert (s.sqrt() ** 2 - s).is_zero()
 
 
-class TestAlgebraProperties:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
+def _pmul_oracle(a: dict, b: dict) -> dict:
+    """The dict double loop that the packed product replaced."""
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(map(add, ka, kb))
+            v = out.get(k, 0) + ca * cb
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
+    return out
 
+
+def _convolve_oracle(xs, ys, lo, hi):
+    out = []
+    for m in range(lo, hi + 1):
+        acc: dict = {}
+        for i, x in enumerate(xs):
+            if 0 <= m - i < len(ys):
+                for k, c in _pmul_oracle(x, ys[m - i]).items():
+                    acc[k] = acc.get(k, 0) + c
+        out.append({k: c for k, c in acc.items() if c})
+    return out
+
+
+def _polys(nvars: int):
+    """Polynomials in nvars variables: small, huge (past 2^128), negative
+    and rational coefficients, and the empty polynomial."""
+    value = (
+        st.integers(-3, 3)
+        | st.integers(-(2**140), 2**140)
+        | st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    ).filter(bool)
+    key = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(key, value, max_size=6)
+
+
+def _assert_normalized(poly: dict) -> None:
+    # a cancelled key is absent, and an integral value is an int
+    for c in poly.values():
+        assert c != 0
+        assert type(c) is int or c.denominator != 1
+
+
+class TestPackedProduct:
+    @given(st.integers(0, 3).flatmap(lambda v: st.tuples(_polys(v), _polys(v))))
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_double_loop(self, ab):
+        a, b = ab
+        (got,) = _convolve([a], [b], 0, 0)
+        assert got == _pmul_oracle(a, b)
+        _assert_normalized(got)
+
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda v: st.tuples(
+                st.lists(_polys(v), max_size=4), st.lists(_polys(v), max_size=4)
+            )
+        ),
+        st.integers(0, 4),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_convolution_matches_double_loop(self, xy, lo, span):
+        xs, ys = xy
+        got = _convolve(xs, ys, lo, lo + span)
+        assert got == _convolve_oracle(xs, ys, lo, lo + span)
+        for poly in got:
+            _assert_normalized(poly)
+
+    def test_slot_holds_a_sum_of_many_products(self):
+        # the middle slot sums eight products of 2^126: three bits more than
+        # one product needs
+        a = {(i,): 2**63 for i in range(8)}
+        b = {(i,): -(2**63) for i in range(8)}
+        (got,) = _convolve([a], [b], 0, 0)
+        assert got == _pmul_oracle(a, b)
+        assert got[(7,)] == -(2**129)
+
+    def test_cancellation_leaves_no_key(self):
+        # (1 + u)(1 - u) = 1 - u^2, and a*b - a*b summed in one band is 0
+        one_plus = {(0,): 1, (1,): 1}
+        one_minus = {(0,): 1, (1,): -1}
+        assert _convolve([one_plus], [one_minus], 0, 0) == [{(0,): 1, (2,): -1}]
+        a = {(0, 1): Fraction(1, 3), (2, 0): -(2**130)}
+        b = {(1, 1): 7, (0, 0): Fraction(-5, 2)}
+        neg_b = {k: -c for k, c in b.items()}
+        assert _convolve([a, a], [b, neg_b], 1, 1) == [{}]
+        # 2/3 times 3/2 is the int 1
+        (unit,) = _convolve([{(): Fraction(2, 3)}], [{(): Fraction(3, 2)}], 0, 0)
+        assert unit == {(): 1} and type(unit[()]) is int
+
+
+class TestAlgebraProperties:
     coeff = st.integers(min_value=-9, max_value=9)
     plain = st.lists(coeff, min_size=1, max_size=8).map(
         lambda cs: Series.from_coeffs(cs, 10)
