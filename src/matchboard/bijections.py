@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .errors import InvalidObjectError, ParseError, PatternViolationError
 from .model import (
@@ -20,10 +19,9 @@ from .model import (
     LabeledDyckPath,
     Matching,
     RookPlacement,
-    gamma_restriction,
     kappa,
 )
-from .patterns import Pattern, find_arc_occurrence, lis_labels, perm_contains
+from .patterns import Pattern, find_arc_occurrence, lis_labels, offending_vertex
 
 __all__ = [
     "NoncrossingPathPair",
@@ -42,7 +40,6 @@ __all__ = [
     "diagonal_property",
     "zero_condition",
     "peak_property",
-    "e2_member",
     "a2_member",
     "check_fixed_point_class",
 ]
@@ -91,14 +88,13 @@ class NoncrossingPathPair:
 
 
 def _require_avoiding(p: RookPlacement, pattern: Pattern, map_name: str) -> None:
-    for v in p.board.border.peak_indices():
-        perm = gamma_restriction(p, v)
-        if perm_contains(perm, pattern):
-            raise PatternViolationError(
-                f"{map_name} needs a {pattern.to_text()}-avoiding placement; "
-                f"the restriction at border vertex V_{v} contains it",
-                vertices=(v,),
-            )
+    v = offending_vertex(p, pattern)
+    if v is not None:
+        raise PatternViolationError(
+            f"{map_name} needs a {pattern.to_text()}-avoiding placement; "
+            f"the restriction at border vertex V_{v} contains it",
+            vertices=(v,),
+        )
 
 
 def j_sequence(p: RookPlacement) -> tuple[int, ...]:
@@ -128,30 +124,39 @@ def delta321_by_switch(p: RookPlacement) -> NoncrossingPathPair:
     return NoncrossingPathPair(DyckPath("".join(flipped)), p.board.border)
 
 
-@lru_cache(maxsize=None)
-def _delta321_table(top_steps: str) -> dict[str, tuple[int, ...]]:
-    # forward images of every 321-avoiding placement on the board
-    from .families import placements_on_board
-
-    board = FerrersBoard(DyckPath(top_steps))
-    table: dict[str, tuple[int, ...]] = {}
-    for p in placements_on_board(board):
-        try:
-            pair = delta321(p)
-        except PatternViolationError:
-            continue
-        table[pair.bottom.steps] = p.rook_rows
-    return table
-
-
 def delta321_inv(pair: NoncrossingPathPair) -> RookPlacement:
-    """Inverse of delta321, realized as a per-board lookup of the forward
-    map over all 321-avoiding placements."""
-    table = _delta321_table(pair.top.steps)
-    rows = table.get(pair.bottom.steps)
-    if rows is None:
-        raise InvalidObjectError(f"{pair.to_text()} is not a delta321 image")
-    return RookPlacement(FerrersBoard(pair.top), rows)
+    """Inverse of delta321 by Fomin's backward local rules for growth
+    diagrams (see Krattenthaler, Adv. Appl. Math. 2006).
+
+    The h rooks under border vertex V_i have RSK shape (l, h - l): their
+    longest increasing sequence is l = (h + j)/2, where h and j are the
+    heights of the top and bottom paths at V_i, and two rows suffice because
+    the rooks avoid 321.  The cells are visited by column from right to
+    left, each column from top to bottom, so the shapes lam, mu, nu at the
+    NE, NW and SE corners of a cell are known and fix the shape rho at its
+    SW corner and whether the cell holds a rook.
+    """
+    shape = {}
+    for v, h, j in zip(pair.top.vertices, pair.top.heights, pair.bottom.heights):
+        l = (h + j) // 2
+        shape[v] = (l, h - l)
+    board = FerrersBoard(pair.top)
+    rook_rows = [0] * board.n
+    for c in range(board.n, 0, -1):
+        for r in range(board.column_heights[c - 1], 0, -1):
+            lam, mu, nu = shape[c, r], shape[c - 1, r], shape[c, r - 1]
+            if mu != nu:
+                rho = (min(mu[0], nu[0]), min(mu[1], nu[1]))
+            elif lam == mu:
+                rho = mu
+            elif lam[0] > mu[0]:
+                # lam adds a box in row 1: the cell holds a rook
+                rook_rows[c - 1] = r
+                rho = mu
+            else:
+                rho = (mu[0] - 1, mu[1])
+            shape[c - 1, r - 1] = rho
+    return RookPlacement(board, tuple(rook_rows))
 
 
 def minimal_board(rook_rows) -> FerrersBoard:
@@ -315,21 +320,6 @@ class LabeledPathClass(Enum):
         if self is LabeledPathClass.K_PEAK:
             return in_k and peak_property(lp)
         return in_l and peak_property(lp)
-
-
-def e2_member(pair: NoncrossingPathPair) -> bool:
-    """Bottom heights forced by top heights below 5: h in {1,3} forces j=1,
-    h in {0,4} forces j=0, h=2 allows j in {0,2}."""
-    for j, h in zip(pair.bottom.heights, pair.top.heights):
-        if h >= 5:
-            return False
-        if h in (1, 3) and j != 1:
-            return False
-        if h in (0, 4) and j != 0:
-            return False
-        if h == 2 and j not in (0, 2):
-            return False
-    return True
 
 
 def a2_member(pair: NoncrossingPathPair) -> bool:

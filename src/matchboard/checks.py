@@ -28,7 +28,8 @@ __all__ = ["SUITES", "run"]
 def _table_check(name: str, family: str, avoid, row, first: int, max_n: int) -> dict:
     """Counts from n = first to max_n, or to the end of the published row,
     against that row.  The cap of the family is the row's last n, so the
-    check is never clipped at the default caps."""
+    check is never clipped at the default caps; a check clipped at the end
+    of the row says so in ``published_to``."""
     last = first + len(row) - 1
     top = min(max_n, last)
     caps = replace(families.DEFAULT_CAPS, **{family: last})
@@ -37,7 +38,10 @@ def _table_check(name: str, family: str, avoid, row, first: int, max_n: int) -> 
         for n in range(first, top + 1)
     ]
     want = list(row[: top + 1 - first])
-    return {"name": name, "pass": got == want, "got": got, "want": want}
+    check = {"name": name, "pass": got == want, "got": got, "want": want}
+    if max_n > last:
+        check["published_to"] = last
+    return check
 
 
 def _suite_tables(max_n: int) -> list[dict]:

@@ -23,7 +23,15 @@ from .bijections import (
     chi,
 )
 from .errors import InvalidObjectError, PatternViolationError, ResourceCapError
-from .model import DyckPath, FerrersBoard, LabeledDyckPath, Matching, RookPlacement, SetPartition
+from .model import (
+    DyckPath,
+    FerrersBoard,
+    LabeledDyckPath,
+    Matching,
+    RookPlacement,
+    SetPartition,
+    statistics,
+)
 from .patterns import (
     Pattern,
     matching_avoids,
@@ -40,7 +48,6 @@ __all__ = [
     "BoardFormulaVerdict",
     "FAMILY_NAMES",
     "CLASS_PAIRS",
-    "gen",
     "count",
     "dyck_paths",
     "boards",
@@ -445,20 +452,6 @@ def _scan(n: int, pats, partition: bool = False, by_border: bool = False) -> dic
     return out
 
 
-def _border_valleys(border: str) -> int:
-    return border.count("SE")
-
-
-def _border_returns(border: str) -> int:
-    d = 0
-    out = 0
-    for ch in border:
-        d += 1 if ch == "E" else -1
-        if ch == "S" and d == 0:
-            out += 1
-    return out
-
-
 def _as_patterns(avoid) -> tuple[Pattern, ...]:
     out = []
     for item in avoid:
@@ -514,7 +507,7 @@ _LABELED = {
 }
 
 
-def _gen_unsorted(family: str, n: int, k: int | None, caps: Caps):
+def _generate(family: str, n: int, k: int | None, caps: Caps):
     if family == "matching":
         _check_cap("matching", n, caps.matching)
         return matchings(n)
@@ -561,20 +554,6 @@ def _gen_unsorted(family: str, n: int, k: int | None, caps: Caps):
     raise InvalidObjectError(f"unknown family {family!r}")
 
 
-def _canonical_text(obj) -> str:
-    if isinstance(obj, tuple):
-        return repr(obj)
-    return obj.to_text()
-
-
-def gen(family: str, n: int, k: int | None = None, caps: Caps = DEFAULT_CAPS):
-    """Stream a family in a deterministic order (lexicographic by canonical
-    text encoding)."""
-    items = list(_gen_unsorted(family, n, k, caps))
-    items.sort(key=_canonical_text)
-    return iter(items)
-
-
 def count(
     family: str,
     n: int,
@@ -610,7 +589,7 @@ def count(
         shapes = _scan(n, pats, by_border=stats or by_shape)
         valleys: dict[int, int] = {}
         for border, c in shapes.items():
-            v = _border_valleys(border)
+            v = statistics(DyckPath(border)).valleys
             valleys[v] = valleys.get(v, 0) + c
         return CountTable(
             family, n, k, avoid_texts, sum(shapes.values()),
@@ -619,7 +598,7 @@ def count(
         )
 
     # generic route
-    items = _gen_unsorted(family, n, k, caps)
+    items = _generate(family, n, k, caps)
     total = 0
     valleys: dict[int, int] = {}
     shapes: dict[str, int] = {}
@@ -641,15 +620,12 @@ def count(
                 continue
         total += 1
         if stats or by_shape:
-            if isinstance(obj, Matching):
-                border = obj.shape.steps
-            else:
-                border = obj.board.border.steps
+            path = obj.shape if isinstance(obj, Matching) else obj.board.border
             if stats:
-                v = _border_valleys(border)
+                v = statistics(path).valleys
                 valleys[v] = valleys.get(v, 0) + 1
             if by_shape:
-                shapes[border] = shapes.get(border, 0) + 1
+                shapes[path.steps] = shapes.get(path.steps, 0) + 1
     return CountTable(
         family, n, k, avoid_texts, total,
         by_valleys=dict(sorted(valleys.items())) if stats else None,
@@ -783,7 +759,7 @@ def classI_board_formula_check(n_max: int, caps: Caps = DEFAULT_CAPS) -> BoardFo
         for pair in CLASS_PAIRS["I"]:
             pats = _as_patterns(pair)
             for border, got in _board_counts(n, pats, caps).items():
-                want = 2 ** (n - _border_returns(border))
+                want = 2 ** (n - statistics(DyckPath(border)).returns)
                 if got != want:
                     failures.append((",".join(sorted(pair)), border, got, want))
     return BoardFormulaVerdict(not failures, tuple(failures))
@@ -791,8 +767,6 @@ def classI_board_formula_check(n_max: int, caps: Caps = DEFAULT_CAPS) -> BoardFo
 
 def classIV_board_formula_check(n_max: int, caps: Caps = DEFAULT_CAPS) -> BoardFormulaVerdict:
     """Per board, the {123,321} count is 2^eta below height 5 and 0 above."""
-    from .model import statistics
-
     pats = _as_patterns(("123", "321"))
     failures = []
     for n in range(1, n_max + 1):

@@ -164,9 +164,6 @@ class FerrersBoard:
                 y -= 1
         return tuple(out)
 
-    def contains(self, col: int, row: int) -> bool:
-        return 1 <= col <= self.n and 1 <= row <= self.column_heights[col - 1]
-
 
 @dataclass(frozen=True)
 class RookPlacement:
@@ -201,11 +198,6 @@ class RookPlacement:
 
     def rooks(self) -> tuple[tuple[int, int], ...]:
         return tuple((c, r) for c, r in enumerate(self.rook_rows, start=1))
-
-    @property
-    def perm(self) -> tuple[int, ...]:
-        """The placement read as a permutation (column -> row)."""
-        return self.rook_rows
 
     def to_text(self) -> str:
         rooks = ",".join(str(r) for r in self.rook_rows)
@@ -260,18 +252,6 @@ class Matching:
     def size(self) -> int:
         return 2 * len(self.arcs) + len(self.fixed_points)
 
-    @property
-    def is_perfect(self) -> bool:
-        return not self.fixed_points
-
-    def partner(self, v: int) -> int | None:
-        for i, j in self.arcs:
-            if v == i:
-                return j
-            if v == j:
-                return i
-        return None
-
     @cached_property
     def shape(self) -> DyckPath:
         """Border path read off the opener/closer word, fixed points skipped."""
@@ -283,14 +263,6 @@ class Matching:
             if v not in fixed
         ]
         return DyckPath("".join(steps))
-
-    def without_fixed_points(self) -> "Matching":
-        """Remove fixed points and relabel the remaining vertices 1..2n."""
-        if not self.fixed_points:
-            return self
-        kept = sorted(v for i, j in self.arcs for v in (i, j))
-        relabel = {v: idx for idx, v in enumerate(kept, start=1)}
-        return Matching(tuple((relabel[i], relabel[j]) for i, j in self.arcs))
 
     def to_text(self) -> str:
         arc_part = "".join(f"({i},{j})" for i, j in self.arcs)

@@ -21,6 +21,7 @@ __all__ = [
     "S3_PATTERNS",
     "perm_contains",
     "placement_avoids",
+    "offending_vertex",
     "matching_avoids",
     "partition_avoids",
     "find_arc_occurrence",
@@ -48,7 +49,8 @@ class Pattern:
     @classmethod
     def from_text(cls, text: str) -> "Pattern":
         text = text.strip()
-        if not text.isdigit():
+        # str.isdigit alone accepts digits such as "²" that int() refuses
+        if not (text.isascii() and text.isdigit()):
             raise ParseError(f"bad pattern {text!r}")
         try:
             return cls(tuple(int(ch) for ch in text))
@@ -102,6 +104,12 @@ def placement_avoids(p: RookPlacement, t, all_vertices: bool = False) -> bool:
     of the patterns.  By default only peak vertices are tested, since every
     other restriction embeds in a peak's; all_vertices=True forces the
     direct definition."""
+    return offending_vertex(p, t, all_vertices) is None
+
+
+def offending_vertex(p: RookPlacement, t, all_vertices: bool = False) -> int | None:
+    """Index of the first border vertex (a peak, unless all_vertices) whose
+    restriction contains one of the patterns, or None when there is none."""
     pats = _as_pattern_tuple(t)
     if all_vertices:
         vertex_ids = range(2 * p.n + 1)
@@ -110,8 +118,8 @@ def placement_avoids(p: RookPlacement, t, all_vertices: bool = False) -> bool:
     for v in vertex_ids:
         perm = gamma_restriction(p, v)
         if any(perm_contains(perm, pat) for pat in pats):
-            return False
-    return True
+            return v
+    return None
 
 
 def _as_pattern_tuple(t) -> tuple[Pattern, ...]:

@@ -4,7 +4,6 @@ import pytest
 
 from matchboard.bijections import (
     LabeledPathClass,
-    NoncrossingPathPair,
     a2_member,
     board_minimal,
     check_fixed_point_class,
@@ -15,7 +14,6 @@ from matchboard.bijections import (
     delta321_by_switch,
     delta321_inv,
     diagonal_property,
-    e2_member,
     j_sequence,
     kappa_prime,
     minimal_board,
@@ -26,6 +24,7 @@ from matchboard.bijections import (
 from matchboard.errors import InvalidObjectError, PatternViolationError
 from matchboard.families import (
     boards,
+    dyck_paths,
     labeled_paths,
     matchings_with_fixed_points,
     noncrossing_pairs,
@@ -53,6 +52,13 @@ def _pairs_under(board):
     return {pr.to_text() for pr in noncrossing_pairs(board.n) if pr.top.steps == top}
 
 
+def _delta321_lookup(board):
+    """Bottom path -> placement over the forward images of every 321-avoiding
+    placement on the board: the per-board lookup that delta321_inv replaced,
+    kept as its oracle."""
+    return {delta321(p).bottom.steps: p for p in _avoiding(board, Pattern((3, 2, 1)))}
+
+
 class TestDelta321:
     def test_worked_example(self):
         p = RookPlacement.from_text("border:EEESESSEESSS;rooks:5,1,6,4,3,2")
@@ -69,8 +75,9 @@ class TestDelta321:
 
     def test_rejects_non_avoiding(self):
         p = RookPlacement.from_text("border:EEESSS;rooks:3,2,1")
-        with pytest.raises(PatternViolationError):
+        with pytest.raises(PatternViolationError) as info:
             delta321(p)
+        assert info.value.vertices == (3,)  # the peak of the square board
 
     def test_bijection_onto_pairs(self):
         # injective on each board, image exactly the pairs below its border
@@ -84,11 +91,18 @@ class TestDelta321:
                     assert delta321_inv(pair) == p
                 assert set(images) == _pairs_under(board)
 
-    def test_inverse_rejects_non_image(self):
-        pair = NoncrossingPathPair(DyckPath("ESES"), DyckPath("EESS"))
-        delta321_inv(pair)  # fine: every pair under EESS is an image
-        pair2 = NoncrossingPathPair.from_text("bottom:ESES;top:ESES")
-        assert delta321_inv(pair2).rook_rows == (2, 1)
+    def test_inverse_equals_lookup_oracle(self):
+        # every pair under a board is an image, and the growth rules rebuild
+        # the placement the lookup finds
+        for n in range(0, 6):
+            for top in dyck_paths(n):
+                lookup = _delta321_lookup(FerrersBoard(top))
+                pairs = [pr for pr in noncrossing_pairs(n) if pr.top == top]
+                assert sorted(lookup) == sorted(pr.bottom.steps for pr in pairs)
+                for pair in pairs:
+                    p = delta321_inv(pair)
+                    assert p == lookup[pair.bottom.steps]
+                    assert delta321(p) == pair
 
 
 class TestDelta213:
@@ -190,12 +204,6 @@ class TestRestrictedImages:
                     if pr.top == board.border and a2_member(pr)
                 }
                 assert images == expected
-
-    def test_e2_membership_predicate(self):
-        pair = NoncrossingPathPair.from_text("bottom:ESES;top:EESS")
-        assert e2_member(pair)
-        tall = DyckPath("E" * 5 + "S" * 5)
-        assert not e2_member(NoncrossingPathPair(tall, tall))
 
 
 def _e2_of(board):

@@ -111,18 +111,22 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["pass"] is True
+        assert not any("published_to" in c for c in payload["checks"])
 
     def test_tables_reach_the_published_length(self, capsys):
-        # the matching rows run to n=10, past the default matching cap of 8
+        # the matching rows run to n=10, past the default matching cap of 8;
+        # the pair-class rows end at 7 and say so
         code, out, _ = run(capsys, "verify", "--suite", "tables", "--max-n", "10")
         assert code == 0
-        checks = [
-            c for c in json.loads(out)["checks"] if c["name"].startswith("matchings-")
-        ]
-        assert len(checks) == 3
-        for check in checks:
+        checks = json.loads(out)["checks"]
+        matching = [c for c in checks if c["name"].startswith("matchings-")]
+        assert len(matching) == 3
+        for check in matching:
             assert len(check["got"]) == len(check["want"]) == 10, check["name"]
             assert check["pass"] is True
+        for check in checks:
+            clipped = check["name"].startswith("pair-class-")
+            assert check.get("published_to") == ("7" if clipped else None), check["name"]
 
     def test_board_suites(self, capsys):
         for suite in ("classI", "classIV"):
@@ -204,6 +208,8 @@ MALFORMED = [
     ("count", "--family", "partition", "--n", "3", "--avoid", "123", "--stat", "valleys"),
     ("count", "--family", "partition", "--n", "3", "--avoid", "1234", "--by-shape"),
     ("count", "--family", "pair-nk", "--n", "2", "--k", "1", "--stat", "valleys"),
+    ("count", "--family", "matching", "--n", "3", "--avoid", "1²3"),
+    ("apply", "--map", "delta321-inv", "--input", "bottom:EESS;top:ESES"),
     ("verify", "--suite", "tables", "--max-n", "0"),
     ("verify", "--suite", "all", "--max-n", "-3"),
 ]

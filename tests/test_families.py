@@ -10,9 +10,15 @@ from matchboard.families import (
     classIV_board_formula_check,
     count,
     count_fixed_point_class,
-    gen,
+    dyck_paths,
+    matchings,
+    minimal_placements,
+    noncrossing_pairs,
     pair_count_ending_south,
     partition_count_via_matchings,
+    permutations,
+    placements,
+    set_partitions,
     shape_wilf_check,
     valley_histogram,
 )
@@ -21,32 +27,32 @@ from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PART
 
 class TestGen:
     def test_deterministic_order(self):
-        first = [m.to_text() for m in gen("matching", 3)]
-        second = [m.to_text() for m in gen("matching", 3)]
+        first = [m.to_text() for m in matchings(3)]
+        second = [m.to_text() for m in matchings(3)]
         assert first == second == sorted(first)
         assert len(first) == 15
 
     def test_sizes(self):
-        assert sum(1 for _ in gen("dyck", 4)) == 14
-        assert sum(1 for _ in gen("partition", 4)) == 15
-        assert sum(1 for _ in gen("permutation", 4)) == 24
-        assert sum(1 for _ in gen("placement", 3)) == 15
-        assert sum(1 for _ in gen("pair", 3)) == 14
-        assert sum(1 for _ in gen("placement-minimal", 4)) == 24
+        assert sum(1 for _ in dyck_paths(4)) == 14
+        assert sum(1 for _ in set_partitions(4)) == 15
+        assert sum(1 for _ in permutations(4)) == 24
+        assert sum(1 for _ in placements(3)) == 15
+        assert sum(1 for _ in noncrossing_pairs(3)) == 14
+        assert sum(1 for _ in minimal_placements(4)) == 24
 
     def test_unknown_family(self):
         with pytest.raises(InvalidObjectError):
-            list(gen("widget", 3))
+            count("widget", 3)
 
     def test_k_required(self):
         with pytest.raises(InvalidObjectError):
-            list(gen("pair-nk", 3))
+            count("pair-nk", 3)
 
     def test_caps(self):
         tight = Caps(matching=4)
         with pytest.raises(ResourceCapError):
-            list(gen("matching", 5, caps=tight))
-        list(gen("matching", 4, caps=tight))
+            count("matching", 5, caps=tight)
+        assert count("matching", 4, caps=tight).total == 105
 
 
 class TestCount:
@@ -66,7 +72,7 @@ class TestCount:
             fast = count("matching", 4, avoid=avoid)
             slow_total = sum(
                 1
-                for m in gen("matching", 4)
+                for m in matchings(4)
                 if _matching_ok(m, avoid)
             )
             assert fast.total == slow_total

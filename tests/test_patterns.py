@@ -154,9 +154,9 @@ class TestScanAgainstBruteForce:
 
 class TestPlacementAvoids:
     def test_peak_scan_equals_full_scan(self):
-        from matchboard.families import gen
+        from matchboard.families import placements
 
-        for p in gen("placement", 4):
+        for p in placements(4):
             for t in S3_PATTERNS:
                 assert placement_avoids(p, t) == placement_avoids(
                     p, t, all_vertices=True
