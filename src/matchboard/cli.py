@@ -26,13 +26,14 @@ from .bijections import (
     kappa_prime,
     pi_labeling,
 )
-from .errors import MatchboardError, ParseError, ResourceCapError
+from .errors import MatchboardError, ResourceCapError
 from .model import (
     Matching,
     RookPlacement,
     SetPartition,
     kappa,
     kappa_inv,
+    parse_int_list,
     partition_to_matching,
 )
 from .patterns import parse_pattern_set
@@ -143,10 +144,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
 
 def _parse_permutation(text: str) -> tuple[int, ...]:
     """One-line notation, e.g. ``6,5,1,4,3,2``."""
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise ParseError(f"bad permutation {text!r}") from None
+    return parse_int_list(text, f"permutation {text!r}")
 
 
 # map name -> (parser of --input, map)

@@ -10,7 +10,8 @@ avoidance tests in ``patterns`` remain the brute-force oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from itertools import combinations, permutations as iter_permutations, product
 from math import comb
 
@@ -18,7 +19,6 @@ from .bijections import (
     LabeledPathClass,
     NoncrossingPathPair,
     a2_member,
-    board_minimal,
     check_fixed_point_class,
     chi,
 )
@@ -32,13 +32,7 @@ from .model import (
     SetPartition,
     statistics,
 )
-from .patterns import (
-    Pattern,
-    matching_avoids,
-    partition_avoids,
-    perm_contains,
-    placement_avoids,
-)
+from .patterns import Pattern, find_arc_occurrence, perm_contains, placement_avoids
 
 __all__ = [
     "Caps",
@@ -128,26 +122,9 @@ def boards(n: int):
         yield FerrersBoard(d)
 
 
-def _matching_arcs(n: int):
-    """Arc tuples of all perfect matchings of [2n], openers increasing."""
-
-    def rec(free: tuple[int, ...]):
-        if not free:
-            yield ()
-            return
-        v = free[0]
-        for idx in range(1, len(free)):
-            arc = (v, free[idx])
-            rest = free[1:idx] + free[idx + 1:]
-            for tail in rec(rest):
-                yield (arc,) + tail
-
-    yield from rec(tuple(range(1, 2 * n + 1)))
-
-
 def matchings(n: int):
-    for arcs in _matching_arcs(n):
-        yield Matching(arcs)
+    """All perfect matchings of [2n]."""
+    return matchings_with_fixed_points(n, 0)
 
 
 def matchings_with_fixed_points(n: int, k: int):
@@ -470,88 +447,78 @@ class CountTable:
     by_shape: dict[str, int] | None = None
 
 
-FAMILY_NAMES = (
-    "matching",
-    "partition",
-    "permutation",
-    "dyck",
-    "board",
-    "placement",
-    "placement-minimal",
-    "pair",
-    "pair-nk",
-    "matching-fp",
-    "pair-a2",
-    "pair-b2",
-    "labeled-L",
-    "labeled-K",
-    "labeled-K-lt2",
-    "labeled-L-lt3",
-    "labeled-K-peak",
-    "labeled-L-peak",
-)
+def _arcs_avoid(obj, pats) -> bool:
+    return all(find_arc_occurrence(obj.arcs, p) is None for p in pats)
 
-# the families that take a number k of fixed points or final south steps
-_K_FAMILIES = ("pair-nk", "matching-fp")
-# the families whose objects carry a board border, which valleys and shapes
-# are read from
-_BORDER_FAMILIES = ("matching", "matching-fp", "placement", "placement-minimal")
 
-_LABELED = {
-    "labeled-L": LabeledPathClass.L,
-    "labeled-K": LabeledPathClass.K,
-    "labeled-K-lt2": LabeledPathClass.K_LT2,
-    "labeled-L-lt3": LabeledPathClass.L_LT3,
-    "labeled-K-peak": LabeledPathClass.K_PEAK,
-    "labeled-L-peak": LabeledPathClass.L_PEAK,
+def _perm_avoids(perm, pats) -> bool:
+    return not any(perm_contains(perm, p) for p in pats)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What ``count`` knows of one family.  The callables look the layer
+    functions up by name when called, so a wrapper bound over a module
+    attribute (the benchmark's layer trace) sees every call."""
+
+    cap: str  # the Caps field that limits n, or n + k for a family with k
+    label: str  # what the cap error calls the objects
+    generate: Callable  # (n, k) -> the objects
+    takes_k: bool = False
+    # the _scan that counts length-3 pattern sets: "matching" or "partition"
+    scan: str | None = None
+    avoids: Callable | None = None  # (object, patterns) -> bool, if filterable
+    border: Callable | None = None  # object -> its board border, for breakdowns
+
+
+def _labeled(cls: LabeledPathClass) -> _Family:
+    return _Family("labeled", "labeled path", lambda n, k: labeled_paths(n, cls))
+
+
+_FAMILIES = {
+    "matching": _Family(
+        "matching", "matching", lambda n, k: matchings(n),
+        scan="matching", avoids=_arcs_avoid, border=lambda m: m.shape,
+    ),
+    "partition": _Family(
+        "partition", "partition", lambda n, k: set_partitions(n),
+        scan="partition", avoids=_arcs_avoid,
+    ),
+    "permutation": _Family(
+        "permutation", "permutation", lambda n, k: permutations(n), avoids=_perm_avoids
+    ),
+    "dyck": _Family("dyck", "path", lambda n, k: dyck_paths(n)),
+    "board": _Family("dyck", "board", lambda n, k: boards(n)),
+    # placements on the boards of F_n correspond to matchings shape by shape
+    "placement": _Family(
+        "matching", "placement", lambda n, k: placements(n), scan="matching",
+        avoids=lambda p, pats: placement_avoids(p, pats),
+        border=lambda p: p.board.border,
+    ),
+    "placement-minimal": _Family(
+        "permutation", "permutation", lambda n, k: minimal_placements(n),
+        avoids=lambda p, pats: placement_avoids(p, pats),
+        border=lambda p: p.board.border,
+    ),
+    "pair": _Family("pair", "path pair", lambda n, k: noncrossing_pairs(n)),
+    "pair-nk": _Family(
+        "pair", "path pair", lambda n, k: pairs_ending_south(n, k), takes_k=True
+    ),
+    "matching-fp": _Family(
+        "matching", "matching", lambda n, k: matchings_with_fixed_points(n, k),
+        takes_k=True, avoids=_arcs_avoid, border=lambda m: m.shape,
+    ),
+    "pair-a2": _Family("pair", "path pair", lambda n, k: a2_pairs(n)),
+    "pair-b2": _Family("b2_steps", "lattice path", lambda n, k: b2_pairs(n)),
+    "labeled-L": _labeled(LabeledPathClass.L),
+    "labeled-K": _labeled(LabeledPathClass.K),
+    "labeled-K-lt2": _labeled(LabeledPathClass.K_LT2),
+    "labeled-L-lt3": _labeled(LabeledPathClass.L_LT3),
+    "labeled-K-peak": _labeled(LabeledPathClass.K_PEAK),
+    "labeled-L-peak": _labeled(LabeledPathClass.L_PEAK),
 }
 
-
-def _generate(family: str, n: int, k: int | None, caps: Caps):
-    if family == "matching":
-        _check_cap("matching", n, caps.matching)
-        return matchings(n)
-    if family == "partition":
-        _check_cap("partition", n, caps.partition)
-        return set_partitions(n)
-    if family == "permutation":
-        _check_cap("permutation", n, caps.permutation)
-        return permutations(n)
-    if family == "dyck":
-        _check_cap("path", n, caps.dyck)
-        return dyck_paths(n)
-    if family == "board":
-        _check_cap("board", n, caps.dyck)
-        return boards(n)
-    if family == "placement":
-        _check_cap("placement", n, caps.matching)
-        return placements(n)
-    if family == "placement-minimal":
-        _check_cap("permutation", n, caps.permutation)
-        return minimal_placements(n)
-    if family == "pair":
-        _check_cap("path pair", n, caps.pair)
-        return noncrossing_pairs(n)
-    if family == "pair-nk":
-        if k is None:
-            raise InvalidObjectError("family pair-nk needs a value for k")
-        _check_cap("path pair", n + k, caps.pair)
-        return pairs_ending_south(n, k)
-    if family == "matching-fp":
-        if k is None:
-            raise InvalidObjectError("family matching-fp needs a value for k")
-        _check_cap("matching", n + k, caps.matching)
-        return matchings_with_fixed_points(n, k)
-    if family == "pair-a2":
-        _check_cap("path pair", n, caps.pair)
-        return a2_pairs(n)
-    if family == "pair-b2":
-        _check_cap("lattice path", n, caps.b2_steps)
-        return b2_pairs(n)
-    if family in _LABELED:
-        _check_cap("labeled path", n, caps.labeled)
-        return labeled_paths(n, _LABELED[family])
-    raise InvalidObjectError(f"unknown family {family!r}")
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def count(
@@ -564,70 +531,45 @@ def count(
     caps: Caps = DEFAULT_CAPS,
 ) -> CountTable:
     """Exact count of a family, optionally filtered by a pattern set and
-    broken down by valley statistic or board shape; only the families in
-    ``_BORDER_FAMILIES`` have a breakdown."""
+    broken down by valley statistic or board shape; only the families whose
+    objects carry a board border have a breakdown."""
+    row = _FAMILIES.get(family)
+    if row is None:
+        raise InvalidObjectError(f"unknown family {family!r}")
     if k is not None:
-        if family not in _K_FAMILIES:
+        if not row.takes_k:
             raise InvalidObjectError(f"family {family!r} takes no k")
         if k < 0:
             raise InvalidObjectError(f"k must be nonnegative, got {k}")
-    if (stats or by_shape) and family not in _BORDER_FAMILIES:
+    if (stats or by_shape) and row.border is None:
         raise InvalidObjectError(
             f"family {family!r} has no board border to break down by"
         )
     pats = _as_patterns(avoid)
-    avoid_texts = tuple(p.to_text() for p in pats)
-    all_len3 = bool(pats) and all(len(p.perm) == 3 for p in pats)
+    if row.takes_k and k is None:
+        raise InvalidObjectError(f"family {family} needs a value for k")
+    _check_cap(row.label, n + (k or 0), getattr(caps, row.cap))
+    if pats and row.avoids is None:
+        raise InvalidObjectError(
+            f"family {family!r} does not support pattern filtering"
+        )
 
-    if all_len3 and family in ("matching", "placement", "partition"):
-        if family == "partition":
-            _check_cap("partition", n, caps.partition)
-            total = sum(_scan(n, pats, partition=True).values())
-            return CountTable(family, n, k, avoid_texts, total)
-        # placements on the boards of F_n correspond to matchings shape by shape
-        _check_cap("matching", n, caps.matching)
-        shapes = _scan(n, pats, by_border=stats or by_shape)
-        valleys: dict[int, int] = {}
+    breakdown = stats or by_shape
+    if row.scan and pats and all(len(p.perm) == 3 for p in pats):
+        shapes = _scan(n, pats, partition=row.scan == "partition", by_border=breakdown)
+    else:
+        shapes = {}
+        for obj in row.generate(n, k):
+            if not pats or row.avoids(obj, pats):
+                border = row.border(obj).steps if breakdown else ""
+                shapes[border] = shapes.get(border, 0) + 1
+    valleys: dict[int, int] = {}
+    if stats:
         for border, c in shapes.items():
             v = statistics(DyckPath(border)).valleys
             valleys[v] = valleys.get(v, 0) + c
-        return CountTable(
-            family, n, k, avoid_texts, sum(shapes.values()),
-            by_valleys=dict(sorted(valleys.items())) if stats else None,
-            by_shape=dict(sorted(shapes.items())) if by_shape else None,
-        )
-
-    # generic route
-    items = _generate(family, n, k, caps)
-    total = 0
-    valleys: dict[int, int] = {}
-    shapes: dict[str, int] = {}
-    for obj in items:
-        if pats:
-            if isinstance(obj, Matching):
-                ok = matching_avoids(obj, pats)
-            elif isinstance(obj, SetPartition):
-                ok = partition_avoids(obj, pats)
-            elif isinstance(obj, RookPlacement):
-                ok = placement_avoids(obj, pats)
-            elif isinstance(obj, tuple) and family == "permutation":
-                ok = not any(perm_contains(obj, p) for p in pats)
-            else:
-                raise InvalidObjectError(
-                    f"family {family!r} does not support pattern filtering"
-                )
-            if not ok:
-                continue
-        total += 1
-        if stats or by_shape:
-            path = obj.shape if isinstance(obj, Matching) else obj.board.border
-            if stats:
-                v = statistics(path).valleys
-                valleys[v] = valleys.get(v, 0) + 1
-            if by_shape:
-                shapes[path.steps] = shapes.get(path.steps, 0) + 1
     return CountTable(
-        family, n, k, avoid_texts, total,
+        family, n, k, tuple(p.to_text() for p in pats), sum(shapes.values()),
         by_valleys=dict(sorted(valleys.items())) if stats else None,
         by_shape=dict(sorted(shapes.items())) if by_shape else None,
     )

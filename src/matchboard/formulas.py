@@ -40,7 +40,6 @@ __all__ = [
     "valley_marked_classI",
     "valley_marked_classII_III",
     "valley_marked_classIV",
-    "polHz_polynomials",
     "classII_III_cubic",
     "returns_valleys_series",
 ]
@@ -82,31 +81,22 @@ def _m312_closed(order: int) -> Series:
     return (num.unshift(1)) / (den.unshift(1))
 
 
-def _K0(order: int) -> Series:
-    return fe_iterate("K_Ll", order).subs_zero("u").drop_variable("u")
+def _at_u0(name: str, order: int) -> Series:
+    """K(u=0) of a functional equation, as a series without u."""
+    return fe_iterate(name, order).subs_zero("u").drop_variable("u")
 
 
-def valley_marked_m312(order: int) -> Series:
-    """L(v,z): 312-avoiding matchings by size (z) and valleys (v)."""
-    K0 = fe_iterate("K_Llv", order).subs_zero("u").drop_variable("u")
+def _valley_marked(name: str, order: int) -> Series:
+    """1 + zK0 / (1 - vzK0), with K0 = K(u=0) of the equation."""
+    K0 = _at_u0(name, order)
     v = Series.var("v", ("v",), order)
     zK0 = K0.shift(1).trunc(order)
     return 1 + zK0 * (1 - v * zK0).inverse()
 
 
-def polHz_polynomials(order: int) -> list[Series]:
-    """The cubic (ascending in B) satisfied by the 312-avoiding partition
-    series."""
-    p3 = (
-        Series.from_coeffs([-1, 1], order)
-        * Series.from_coeffs([1, -2, 5], order) ** 2
-    )
-    return [
-        Series.from_coeffs([1, -4, 23, -9], order),
-        Series.from_coeffs([-3, 13, -64, 60, -9], order),
-        Series.from_coeffs([3, -14, 59, -85, 54, -9], order),
-        p3,
-    ]
+def valley_marked_m312(order: int) -> Series:
+    """L(v,z): 312-avoiding matchings by size (z) and valleys (v)."""
+    return _valley_marked("K_Llv", order)
 
 
 def _p312_closed(order: int) -> Series:
@@ -159,10 +149,7 @@ def _classI_p_closed(order: int) -> Series:
 
 def valley_marked_classII_III(order: int) -> Series:
     """A2(v,z): {123,231}-avoiding matchings by size and valleys."""
-    K0 = fe_iterate("K_lt2", order).subs_zero("u").drop_variable("u")
-    v = Series.var("v", ("v",), order)
-    zK0 = K0.shift(1).trunc(order)
-    return 1 + zK0 * (1 - v * zK0).inverse()
+    return _valley_marked("K_lt2", order)
 
 
 def classII_III_cubic(order: int, v_value) -> list[Series]:
@@ -188,7 +175,7 @@ def classII_III_cubic(order: int, v_value) -> list[Series]:
 def _classII_III_p_closed(order: int) -> Series:
     # 1 + z(1-z) / ((1-z)^2 - z*Hsub), with Hsub the diagonal substitution
     # of the valley-marked kernel
-    H = fe_iterate("K_lt2", order).subs_zero("u").drop_variable("u")
+    H = _at_u0("K_lt2", order)
     Hsub = substitution_sum(H, order, extra_denominator=0)
     z = Series.z(order)
     one_minus = Series.from_coeffs([1, -1], order)
@@ -233,8 +220,7 @@ def _kx0_closed(order: int) -> Series:
 
 
 def _s3124_series(order: int) -> Series:
-    kx0 = fe_iterate("K_peak", order).subs_zero("u").drop_variable("u")
-    return _sequence(kx0, order)
+    return _sequence(_at_u0("K_peak", order), order)
 
 
 def returns_valleys_series(order: int) -> Series:
@@ -323,7 +309,7 @@ class Formula:
 FORMULAS: dict[str, Formula] = {
     "m312": Formula(
         _m312_closed,
-        lambda order: _sequence(_K0(order), order),
+        lambda order: _sequence(_at_u0("K_Ll", order), order),
         _counted("matching", "312"),
     ),
     "p312": Formula(
@@ -331,7 +317,7 @@ FORMULAS: dict[str, Formula] = {
         lambda order: partition_transform(valley_marked_m312(order), order),
         _counted("partition", "312"),
     ),
-    "maps": Formula(_maps_product, _K0, _maps_oracle),
+    "maps": Formula(_maps_product, lambda order: _at_u0("K_Ll", order), _maps_oracle),
     "s1342": Formula(
         _s1342_closed,
         lambda order: _sequence(_kx0_closed(order), order),

@@ -14,6 +14,7 @@ vertices are 1-indexed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +33,23 @@ __all__ = [
     "partition_to_matching",
     "statistics",
     "gamma_restriction",
+    "parse_int_list",
 ]
+
+_INT = re.compile(r"-?[0-9]+")
+
+
+def parse_int_list(text: str, what: str, empty: bool = False) -> tuple[int, ...]:
+    """The integers of a comma-separated field, read exactly as ``to_text``
+    writes them: each item is ASCII ``-?[0-9]+`` and none is empty.  An
+    empty field is no items when ``empty`` is set, for the one field that
+    ``to_text`` writes empty; otherwise it is bad, as is any other item."""
+    if empty and not text:
+        return ()
+    items = text.split(",")
+    if not all(_INT.fullmatch(t) for t in items):
+        raise ParseError(f"bad {what}")
+    return tuple(int(t) for t in items)
 
 
 @dataclass(frozen=True)
@@ -210,10 +227,7 @@ class RookPlacement:
             raise ParseError(f"bad placement encoding {text!r}")
         border = DyckPath.from_text(parts[0][len("border:"):])
         rook_part = parts[1][len("rooks:"):]
-        try:
-            rooks = tuple(int(tok) for tok in rook_part.split(",") if tok.strip())
-        except ValueError as e:
-            raise ParseError(f"bad rook list {rook_part!r}") from e
+        rooks = parse_int_list(rook_part, f"rook list {rook_part!r}", empty=True)
         try:
             return cls(FerrersBoard(border), rooks)
         except InvalidObjectError as e:
@@ -279,10 +293,7 @@ class Matching:
         if "fp:" in text:
             arc_part, _, fp_part = text.partition("fp:")
             arc_part = arc_part.rstrip(";")
-            try:
-                fps = tuple(int(tok) for tok in fp_part.split(",") if tok.strip())
-            except ValueError as e:
-                raise ParseError(f"bad fixed-point list in {text!r}") from e
+            fps = parse_int_list(fp_part, f"fixed-point list in {text!r}")
         arcs = []
         rest = arc_part
         while rest:
@@ -291,11 +302,10 @@ class Matching:
             body, close, rest = rest[1:].partition(")")
             if not close:
                 raise ParseError(f"unbalanced parentheses in {text!r}")
-            try:
-                i, j = (int(tok) for tok in body.split(","))
-            except ValueError as e:
-                raise ParseError(f"bad arc ({body}) in {text!r}") from e
-            arcs.append((i, j))
+            arc = parse_int_list(body, f"arc ({body}) in {text!r}")
+            if len(arc) != 2:
+                raise ParseError(f"bad arc ({body}) in {text!r}")
+            arcs.append(arc)
         try:
             return cls(tuple(arcs), fps)
         except InvalidObjectError as e:
@@ -343,10 +353,7 @@ class SetPartition:
             body, close, rest = rest[1:].partition("}")
             if not close:
                 raise ParseError(f"unbalanced braces in {text!r}")
-            try:
-                blocks.append(tuple(int(tok) for tok in body.split(",") if tok.strip()))
-            except ValueError as e:
-                raise ParseError(f"bad block {{{body}}} in {text!r}") from e
+            blocks.append(parse_int_list(body, f"block {{{body}}} in {text!r}"))
         try:
             return cls(tuple(blocks))
         except InvalidObjectError as e:
@@ -382,10 +389,7 @@ class LabeledDyckPath:
         steps, sep, label_part = text.strip().partition(";")
         if not sep:
             raise ParseError(f"bad labeled path encoding {text!r}")
-        try:
-            labels = tuple(int(tok) for tok in label_part.split(","))
-        except ValueError as e:
-            raise ParseError(f"bad label list {label_part!r}") from e
+        labels = parse_int_list(label_part, f"label list {label_part!r}")
         try:
             return cls(DyckPath.from_text(steps), labels)
         except InvalidObjectError as e:

@@ -581,7 +581,27 @@ def algebraic_solve(polys, seed, order: int | None = None) -> Series:
 # functional equation solvers (one new z-order per pass)
 
 
-def _bracket(kj: dict) -> dict:
+def _solve(variables, terms, order: int) -> Series:
+    """K through z^order from K_0 = 1 and K_n = the sum over the terms
+    (f, g) of [z^(n-1)] F*G, where F_j = f(K_j, j) and G_j = g(K_j, j)."""
+    K = [{(0,) * len(variables): 1}]
+    sides = [([f(K[0], 0)], [g(K[0], 0)]) for f, g in terms]
+    for n in range(1, order + 1):
+        kn: dict = {}
+        for xs, ys in sides:
+            _pacc(kn, _convolve(xs, ys, n - 1, n - 1)[0])
+        K.append(kn)
+        for (f, g), (xs, ys) in zip(terms, sides):
+            xs.append(f(kn, n))
+            ys.append(g(kn, n))
+    return Series(variables, order, K)
+
+
+def _same(kj: dict, j: int) -> dict:
+    return kj
+
+
+def _bracket(kj: dict, j: int) -> dict:
     """z^j coefficient of 2K + uK + (K - K|u=0)/u, with u on axis 0."""
     out = _pscale(kj, 2)
     _pacc(out, _pshift(kj, 0))
@@ -597,72 +617,33 @@ def _marked(kj: dict, j: int) -> dict:
     return out
 
 
-def _fe_K_Ll(order: int) -> Series:
-    K = [{(0,): 1}]
-    A = [_bracket(K[0])]
-    for n in range(1, order + 1):
-        kn = _convolve(K, A, n - 1, n - 1)[0]
-        K.append(kn)
-        A.append(_bracket(kn))
-    return Series(("u",), order, K)
+def _peak_bracket(kj: dict, j: int) -> dict:
+    """z^j coefficient of K + u(K - 1) + (K - 1) + (K - K|u=0)/u."""
+    out = dict(kj)
+    km1 = dict(kj)
+    if j == 0:
+        _pacc(km1, {(0,): 1}, -1)
+    _pacc(out, _pshift(km1, 0))
+    _pacc(out, km1)
+    _pacc(out, _pdown(kj, 0))
+    return out
 
 
-def _fe_K_Llv(order: int) -> Series:
-    K = [{(0, 0): 1}]
-    A = [_bracket(K[0])]
-    B = [_marked(K[0], 0)]
-    for n in range(1, order + 1):
-        kn = _convolve(B, A, n - 1, n - 1)[0]
-        K.append(kn)
-        A.append(_bracket(kn))
-        B.append(_marked(kn, n))
-    return Series(("u", "v"), order, K)
-
-
-def _fe_K_lt2(order: int) -> Series:
+def _lt2_terms(order: int):
+    """The terms of K = 1 + zC(vK - v + 1) + z(K + (K - K0)/u + uC)(vK0 - v + 1),
+    with C the Narayana series and K0 = K|u=0."""
     C = narayana_series(order).widen(("u", "v")).coeffs
 
-    def middle(kj: dict, cj: dict) -> dict:
+    def middle(kj: dict, j: int) -> dict:
         out = dict(kj)
         _pacc(out, _pdown(kj, 0))
-        _pacc(out, _pshift(cj, 0))
+        _pacc(out, _pshift(C[j], 0))
         return out
 
-    K = [{(0, 0): 1}]
-    K0 = [dict(K[0])]
-    D = [_marked(K[0], 0)]
-    E = [middle(K[0], C[0])]
-    F = [_marked(K0[0], 0)]
-    for n in range(1, order + 1):
-        kn = _convolve(C, D, n - 1, n - 1)[0]
-        _pacc(kn, _convolve(E, F, n - 1, n - 1)[0])
-        K.append(kn)
-        k0 = {k: c for k, c in kn.items() if k[0] == 0}
-        K0.append(k0)
-        D.append(_marked(kn, n))
-        E.append(middle(kn, C[n]))
-        F.append(_marked(k0, n))
-    return Series(("u", "v"), order, K)
+    def marked_at_u0(kj: dict, j: int) -> dict:
+        return _marked({k: c for k, c in kj.items() if k[0] == 0}, j)
 
-
-def _fe_K_peak(order: int) -> Series:
-    def bracket(kj: dict, j: int) -> dict:
-        out = dict(kj)
-        km1 = dict(kj)
-        if j == 0:
-            _pacc(km1, {(0,): 1}, -1)
-        _pacc(out, _pshift(km1, 0))
-        _pacc(out, km1)
-        _pacc(out, _pdown(kj, 0))
-        return out
-
-    K = [{(0,): 1}]
-    A = [bracket(K[0], 0)]
-    for n in range(1, order + 1):
-        kn = _convolve(K, A, n - 1, n - 1)[0]
-        K.append(kn)
-        A.append(bracket(kn, n))
-    return Series(("u",), order, K)
+    return [(lambda kj, j: C[j], _marked), (middle, marked_at_u0)]
 
 
 def _fe_G_classV(order: int) -> Series:
@@ -690,41 +671,46 @@ def _fe_G_classV(order: int) -> Series:
     return Series(("t", "u"), order, G)
 
 
-FE_NAMES = ("K_Ll", "K_Llv", "K_lt2", "K_peak", "G_classV")
-
-_FE_SOLVERS = {
-    "K_Ll": _fe_K_Ll,
-    "K_Llv": _fe_K_Llv,
-    "K_lt2": _fe_K_lt2,
-    "K_peak": _fe_K_peak,
-    "G_classV": _fe_G_classV,
+# name -> (solver of order, degree bound): within(n, k) holds for every
+# exponent tuple k of the z^n coefficient
+_FE = {
+    "K_Ll": (
+        lambda order: _solve(("u",), [(_same, _bracket)], order),
+        lambda n, k: k[0] <= n,
+    ),
+    "K_Llv": (
+        lambda order: _solve(("u", "v"), [(_marked, _bracket)], order),
+        lambda n, k: k[0] <= n and k[1] <= max(n - 1, 0),
+    ),
+    "K_lt2": (
+        lambda order: _solve(("u", "v"), _lt2_terms(order), order),
+        lambda n, k: k[0] <= n and k[1] <= max(n - 1, 0),
+    ),
+    "K_peak": (
+        lambda order: _solve(("u",), [(_same, _peak_bracket)], order),
+        lambda n, k: k[0] <= n,
+    ),
+    "G_classV": (_fe_G_classV, lambda n, k: k[0] <= n and k[1] <= k[0]),
 }
 
-
-def _check_degree_caps(name: str, sol: Series) -> None:
-    for n, poly in enumerate(sol.coeffs):
-        for k in poly:
-            if name in ("K_Ll", "K_peak"):
-                ok = k[0] <= n
-            elif name in ("K_Llv", "K_lt2"):
-                ok = k[0] <= n and k[1] <= max(n - 1, 0)
-            else:
-                ok = k[0] <= n and k[1] <= k[0]
-            if not ok:
-                raise SeriesError(
-                    f"{name}: z^{n} coefficient exceeds its degree cap at {k}"
-                )
+FE_NAMES = tuple(_FE)
 
 
 @lru_cache(maxsize=None)
 def fe_iterate(name: str, order: int) -> Series:
     """Solve one of the built-in functional equations through z^order."""
-    if name not in _FE_SOLVERS:
+    if name not in _FE:
         raise SeriesError(f"unknown functional equation {name!r}")
     if order < 0:
         raise SeriesError("order must be nonnegative")
-    sol = _FE_SOLVERS[name](order)
-    _check_degree_caps(name, sol)
+    solve, within = _FE[name]
+    sol = solve(order)
+    for n, poly in enumerate(sol.coeffs):
+        for k in poly:
+            if not within(n, k):
+                raise SeriesError(
+                    f"{name}: z^{n} coefficient exceeds its degree cap at {k}"
+                )
     return sol
 
 

@@ -210,6 +210,13 @@ MALFORMED = [
     ("count", "--family", "pair-nk", "--n", "2", "--k", "1", "--stat", "valleys"),
     ("count", "--family", "matching", "--n", "3", "--avoid", "1²3"),
     ("apply", "--map", "delta321-inv", "--input", "bottom:EESS;top:ESES"),
+    # integer fields read only what to_text writes
+    ("apply", "--map", "kappa", "--input", "(\u0661,\u0662)"),
+    ("apply", "--map", "kappa-inv", "--input", "border:EESS;rooks:2,,1"),
+    ("apply", "--map", "partition-to-matching", "--input", "{1,,2}"),
+    ("apply", "--map", "kappa-prime", "--input", "(1,4)(3,6);fp:2,,5", "--pattern", "321"),
+    # a family without a pattern test
+    ("count", "--family", "dyck", "--n", "3", "--avoid", "123"),
     ("verify", "--suite", "tables", "--max-n", "0"),
     ("verify", "--suite", "all", "--max-n", "-3"),
 ]
@@ -229,6 +236,8 @@ OVER_CAP = [
     ("cross-check", "--formula", "catalan_v", "--max-n", "13"),
     ("count", "--family", "matching", "--n", "9", "--avoid", "132"),
     ("count", "--family", "partition", "--n", "12", "--avoid", "123"),
+    ("count", "--family", "pair-nk", "--n", "8", "--k", "3"),  # the cap is on n + k
+    ("count", "--family", "placement", "--n", "9", "--avoid", "123"),
 ]
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from matchboard.errors import InvalidObjectError, ResourceCapError
 from matchboard.families import (
+    FAMILY_NAMES,
     Caps,
     b2_pairs,
     classI_board_formula_check,
@@ -23,6 +24,28 @@ from matchboard.families import (
     valley_histogram,
 )
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
+
+# count(family, 3) for every family, with k = 1 for the two that take k
+TOTALS_AT_3 = {
+    ("matching", None): 15,
+    ("partition", None): 5,
+    ("permutation", None): 6,
+    ("dyck", None): 5,
+    ("board", None): 5,
+    ("placement", None): 15,
+    ("placement-minimal", None): 6,
+    ("pair", None): 14,
+    ("pair-nk", 1): 84,
+    ("matching-fp", 1): 105,
+    ("pair-a2", None): 13,
+    ("pair-b2", None): 7,
+    ("labeled-L", None): 14,
+    ("labeled-K", None): 154,
+    ("labeled-K-lt2", None): 64,
+    ("labeled-L-lt3", None): 13,
+    ("labeled-K-peak", None): 20,
+    ("labeled-L-peak", None): 6,
+}
 
 
 class TestGen:
@@ -47,6 +70,11 @@ class TestGen:
     def test_k_required(self):
         with pytest.raises(InvalidObjectError):
             count("pair-nk", 3)
+
+    def test_every_family_at_n_3(self):
+        assert tuple(name for name, _ in TOTALS_AT_3) == FAMILY_NAMES
+        for (name, k), total in TOTALS_AT_3.items():
+            assert count(name, 3, k=k).total == total, name
 
     def test_caps(self):
         tight = Caps(matching=4)

@@ -13,7 +13,6 @@ from matchboard.formulas import (
     coefficients,
     cross_check,
     oracle_value,
-    polHz_polynomials,
     returns_valleys_series,
     secondary_coefficients,
 )
@@ -21,6 +20,21 @@ from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PART
 from matchboard.series import Series, algebraic_solve, catalan_series, poly_eval
 
 TWO_ROUTE_IDS = tuple(fid for fid, f in FORMULAS.items() if f.secondary is not None)
+
+
+def p312_cubic(order: int) -> list[Series]:
+    """The cubic (ascending in B) satisfied by the 312-avoiding partition
+    series."""
+    p3 = (
+        Series.from_coeffs([-1, 1], order)
+        * Series.from_coeffs([1, -2, 5], order) ** 2
+    )
+    return [
+        Series.from_coeffs([1, -4, 23, -9], order),
+        Series.from_coeffs([-3, 13, -64, 60, -9], order),
+        Series.from_coeffs([3, -14, 59, -85, 54, -9], order),
+        p3,
+    ]
 
 
 class TestPrimaryRoutes:
@@ -109,7 +123,13 @@ class TestClosedFormIdentities:
         # cannot be solved directly from the seed
         N = 15
         b = Series.from_coeffs(coefficients("p312", N), N)
-        assert poly_eval(polHz_polynomials(N), b).is_zero()
+        assert poly_eval(p312_cubic(N), b).is_zero()
+
+    def test_triple_root_cubic_rejected(self):
+        # the cubic for the 312-avoiding partition series degenerates to
+        # -(B-1)^3 at z = 0, so direct solving from seed 1 must refuse
+        with pytest.raises(SeriesError):
+            algebraic_solve(p312_cubic(8), 1)
 
     def test_classII_III_cubic_residual(self):
         # the cubic root is the column series; 1/(1 - zH) gives the counts

@@ -210,14 +210,6 @@ class TestAlgebraicSolve:
         with pytest.raises(SeriesError):
             algebraic_solve(polys, 1)
 
-    def test_triple_root_cubic_rejected(self):
-        # the cubic for the 312-avoiding partition series degenerates to
-        # -(B-1)^3 at z = 0, so direct solving from seed 1 must refuse
-        from matchboard.formulas import polHz_polynomials
-
-        with pytest.raises(SeriesError):
-            algebraic_solve(polHz_polynomials(8), 1)
-
     def test_valley_marked_cubic_at_v1(self):
         # at v = 1 the valley-marked cubic collapses to a quadratic in S
         one = Series.one(10)
