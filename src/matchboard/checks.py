@@ -2,7 +2,9 @@
 reference tables, a shape-Wilf claim, a bijection property or a per-board
 closed form, and reports a structured result with a ``pass`` flag.
 
-``run`` is shared by the ``verify`` command and the acceptance tests.
+``run`` is shared by the ``verify`` command and the acceptance tests, and
+``board_difference`` is the per-board comparison behind every shape-Wilf
+claim.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from .bijections import (
     delta321_inv,
 )
 from .errors import MatchboardError
-from .model import kappa, kappa_inv
+from .model import kappa, kappa_inv, statistics
 from .patterns import Pattern
 from .reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 
-__all__ = ["SUITES", "run"]
+__all__ = ["SUITES", "board_difference", "run"]
 
 
 def _table_check(name: str, family: str, avoid, row, first: int, max_n: int) -> dict:
@@ -61,34 +63,47 @@ def _suite_tables(max_n: int) -> list[dict]:
     return checks
 
 
+def board_difference(avoid_a, avoid_b, n_max: int):
+    """The first board, for n = 1..n_max and borders in sorted order, on
+    which the matchings avoiding the two pattern sets differ in number, as
+    (n, border, count_a, count_b); None when every board agrees."""
+    for n in range(1, n_max + 1):
+        a = families.count("matching", n, avoid=avoid_a, by_shape=True).by_shape
+        b = families.count("matching", n, avoid=avoid_b, by_shape=True).by_shape
+        for border in sorted(a.keys() | b.keys()):
+            if a.get(border, 0) != b.get(border, 0):
+                return n, border, a.get(border, 0), b.get(border, 0)
+    return None
+
+
 def _suite_shape_wilf(max_n: int) -> list[dict]:
-    checks = []
     n_eq = min(max_n, 4)
-    for a, b in (("123", "321"), ("123", "213"), ("231", "312")):
-        v = families.shape_wilf_check(a, b, n_eq)
-        checks.append({"name": f"singleton-{a}~{b}", "pass": v.equivalent})
-    first = families.CLASS_PAIRS["I"][0]
-    for other in families.CLASS_PAIRS["I"][1:]:
-        v = families.shape_wilf_check(tuple(sorted(first)), tuple(sorted(other)), n_eq)
-        checks.append(
-            {
-                "name": f"classI-{','.join(sorted(other))}",
-                "pass": v.equivalent,
-            }
-        )
+    first = sorted(families.CLASS_PAIRS["I"][0])
+    claims = [
+        (f"singleton-{a}~{b}", (a,), (b,))
+        for a, b in (("123", "321"), ("123", "213"), ("231", "312"))
+    ] + [
+        (f"classI-{','.join(sorted(other))}", first, sorted(other))
+        for other in families.CLASS_PAIRS["I"][1:]
+    ]
+    checks = [
+        {"name": name, "pass": board_difference(a, b, n_eq) is None}
+        for name, a, b in claims
+    ]
     if max_n >= 5:
-        v = families.shape_wilf_check(("123", "231"), ("123", "312"), 5)
+        found = board_difference(("123", "231"), ("123", "312"), 5)
         totals_equal = all(
-            families.count("matching", n, avoid=("123", "231")).total
-            == families.count("matching", n, avoid=("123", "312")).total
-            for n in range(1, 6)
+            families.count("matching", m, avoid=("123", "231")).total
+            == families.count("matching", m, avoid=("123", "312")).total
+            for m in range(1, 6)
         )
+        n, border, a, b = found or (None, None, None, None)
         checks.append(
             {
                 "name": "II-vs-III-separated-per-board",
-                "pass": (not v.equivalent) and v.n == 5 and totals_equal,
-                "board": v.border,
-                "counts": [v.count1, v.count2],
+                "pass": n == 5 and totals_equal,
+                "board": border,
+                "counts": [a, b],
             }
         )
     return checks
@@ -147,17 +162,33 @@ def _suite_bijections(max_n: int) -> list[dict]:
     return checks
 
 
-def _suite_boards(cls: str, max_n: int) -> list[dict]:
-    n = min(max_n, 5)
-    if cls == "classI":
-        verdict = families.classI_board_formula_check(n)
-    else:
-        verdict = families.classIV_board_formula_check(n)
+# board suite -> (pattern pairs, the count on a board of semilength n with
+# the given statistics)
+_BOARD_RULES = {
+    "classI": (families.CLASS_PAIRS["I"], lambda st, n: 2 ** (n - st.returns)),
+    "classIV": (
+        families.CLASS_PAIRS["IV"],
+        lambda st, n: 2**st.eta if st.height < 5 else 0,
+    ),
+}
+
+
+def _suite_boards(suite: str, max_n: int) -> list[dict]:
+    pairs, rule = _BOARD_RULES[suite]
+    failures = []
+    for n in range(1, min(max_n, 5) + 1):
+        for pair in pairs:
+            avoid = sorted(pair)
+            got = families.count("matching", n, avoid=avoid, by_shape=True).by_shape
+            for d in families.dyck_paths(n):
+                have, want = got.get(d.steps, 0), rule(statistics(d), n)
+                if have != want:
+                    failures.append([",".join(avoid), d.steps, have, want])
     return [
         {
-            "name": f"{cls}-board-formula",
-            "pass": verdict.ok,
-            "failures": [list(f) for f in verdict.failures[:5]],
+            "name": f"{suite}-board-formula",
+            "pass": not failures,
+            "failures": failures[:5],
         }
     ]
 

@@ -38,8 +38,6 @@ __all__ = [
     "Caps",
     "DEFAULT_CAPS",
     "CountTable",
-    "ShapeWilfVerdict",
-    "BoardFormulaVerdict",
     "FAMILY_NAMES",
     "CLASS_PAIRS",
     "count",
@@ -58,13 +56,9 @@ __all__ = [
     "e2_pairs",
     "a2_pairs",
     "b2_pairs",
-    "valley_histogram",
     "count_fixed_point_class",
     "pair_count_ending_south",
     "partition_count_via_matchings",
-    "shape_wilf_check",
-    "classI_board_formula_check",
-    "classIV_board_formula_check",
 ]
 
 
@@ -575,17 +569,11 @@ def count(
     )
 
 
-def valley_histogram(n: int, avoid, caps: Caps = DEFAULT_CAPS) -> dict[int, int]:
-    """Valley histogram of avoiding matchings: valleys -> count."""
-    table = count("matching", n, avoid=avoid, stats=True, caps=caps)
-    return table.by_valleys or {}
-
-
-def count_fixed_point_class(n: int, k: int, tau, caps: Caps = DEFAULT_CAPS) -> int:
+def count_fixed_point_class(n: int, k: int, tau) -> int:
     """Number of matchings with k fixed points in the fixed-point class of
     tau (reduction avoids tau and no forbidden five-vertex configuration)."""
     tau = Pattern.from_text(tau) if isinstance(tau, str) else tau
-    _check_cap("matching", n + k, caps.matching)
+    _check_cap("matching", n + k, DEFAULT_CAPS.matching)
     total = 0
     for m in matchings_with_fixed_points(n, k):
         try:
@@ -620,13 +608,13 @@ def pair_count_ending_south(n: int, k: int) -> int:
     return states.get((k, k), 0)
 
 
-def partition_count_via_matchings(n: int, avoid, caps: Caps = DEFAULT_CAPS) -> int:
+def partition_count_via_matchings(n: int, avoid) -> int:
     """Rebuild the number of avoiding partitions of [n] from the valley
     histograms of avoiding matchings: each valley may merge into a
     transitory vertex, then singletons are inserted in all positions."""
     total = 0
     for m in range(0, max(n, 1)):
-        hist = valley_histogram(m, avoid, caps=caps)
+        hist = count("matching", m, avoid=avoid, stats=True).by_valleys
         for v, cnt in hist.items():
             for j in range(v + 1):
                 s = n - 2 * m + j
@@ -637,7 +625,7 @@ def partition_count_via_matchings(n: int, avoid, caps: Caps = DEFAULT_CAPS) -> i
 
 
 # ---------------------------------------------------------------------------
-# shape-Wilf checks
+# the shape-Wilf classes of pairs of length-3 patterns
 
 CLASS_PAIRS: dict[str, tuple[frozenset[str], ...]] = {
     "I": tuple(
@@ -655,67 +643,3 @@ CLASS_PAIRS: dict[str, tuple[frozenset[str], ...]] = {
     "VI": (frozenset({"123", "132"}),),
     "VII": (frozenset({"132", "321"}),),
 }
-
-
-@dataclass(frozen=True)
-class ShapeWilfVerdict:
-    equivalent: bool
-    n: int | None = None
-    border: str | None = None
-    count1: int | None = None
-    count2: int | None = None
-
-
-def _board_counts(n: int, pats: tuple[Pattern, ...], caps: Caps) -> dict[str, int]:
-    """border -> number of placements on that board avoiding the patterns."""
-    _check_cap("matching", n, caps.matching)
-    counts = _scan(n, pats, by_border=True)
-    return {d.steps: counts.get(d.steps, 0) for d in dyck_paths(n)}
-
-
-def shape_wilf_check(tau1, tau2, n_max: int, caps: Caps = DEFAULT_CAPS) -> ShapeWilfVerdict:
-    """Compare per-board avoidance counts of two pattern sets for all boards
-    up to semilength n_max; report the minimal differing board."""
-    p1 = _as_patterns(tau1 if not isinstance(tau1, str) else [tau1])
-    p2 = _as_patterns(tau2 if not isinstance(tau2, str) else [tau2])
-    for n in range(1, n_max + 1):
-        c1 = _board_counts(n, p1, caps)
-        c2 = _board_counts(n, p2, caps)
-        for border in sorted(c1):
-            if c1[border] != c2[border]:
-                return ShapeWilfVerdict(False, n, border, c1[border], c2[border])
-    return ShapeWilfVerdict(True)
-
-
-@dataclass(frozen=True)
-class BoardFormulaVerdict:
-    ok: bool
-    failures: tuple[tuple[str, str, int, int], ...] = ()
-
-
-def classI_board_formula_check(n_max: int, caps: Caps = DEFAULT_CAPS) -> BoardFormulaVerdict:
-    """For every class-I pair and board, the avoidance count must be
-    2^(n - returns)."""
-    failures = []
-    for n in range(1, n_max + 1):
-        for pair in CLASS_PAIRS["I"]:
-            pats = _as_patterns(pair)
-            for border, got in _board_counts(n, pats, caps).items():
-                want = 2 ** (n - statistics(DyckPath(border)).returns)
-                if got != want:
-                    failures.append((",".join(sorted(pair)), border, got, want))
-    return BoardFormulaVerdict(not failures, tuple(failures))
-
-
-def classIV_board_formula_check(n_max: int, caps: Caps = DEFAULT_CAPS) -> BoardFormulaVerdict:
-    """Per board, the {123,321} count is 2^eta below height 5 and 0 above."""
-    pats = _as_patterns(("123", "321"))
-    failures = []
-    for n in range(1, n_max + 1):
-        counts = _board_counts(n, pats, caps)
-        for border, got in counts.items():
-            st = statistics(DyckPath(border))
-            want = 2 ** st.eta if st.height < 5 else 0
-            if got != want:
-                failures.append(("123,321", border, got, want))
-    return BoardFormulaVerdict(not failures, tuple(failures))

@@ -182,9 +182,9 @@ def _classII_III_p_closed(order: int) -> Series:
     return 1 + (z * one_minus) / (one_minus * one_minus - z * Hsub)
 
 
-def valley_marked_classIV(order: int, u_value: int = 2) -> Series:
-    """Q at the given u: boards of height below 5 weighted u^eta, by size
-    and valleys, via four nested return decompositions."""
+def valley_marked_classIV(order: int) -> Series:
+    """Q at u = 2: boards of height below 5 weighted 2^eta, by size and
+    valleys, via four nested return decompositions."""
     v = Series.var("v", ("v",), order)
     z = Series.z(order)
 
@@ -192,8 +192,8 @@ def valley_marked_classIV(order: int, u_value: int = 2) -> Series:
         return 1 + x * (1 - v.trunc(x.order) * x).inverse()
 
     t1 = T(z)
-    t2 = T((z * t1).trunc(order) * u_value)
-    t3 = T((z * t2).trunc(order) * u_value)
+    t2 = T((z * t1).trunc(order) * 2)
+    t3 = T((z * t2).trunc(order) * 2)
     return T((z * t3).trunc(order))
 
 
@@ -279,14 +279,13 @@ def _gouyou_determinant(order: int) -> tuple[int, ...]:
 
 def _counted(family: str, *avoid: str):
     """Oracle: brute-force count of the family avoiding the patterns."""
-    return lambda n, caps: families.count(family, n, avoid=avoid, caps=caps).total
+    return lambda n: families.count(family, n, avoid=avoid).total
 
 
-def _maps_oracle(n: int, caps) -> int:
-    if n > caps.labeled:
-        raise ResourceCapError(
-            f"labeled path size {n} exceeds the configured cap {caps.labeled}"
-        )
+def _maps_oracle(n: int) -> int:
+    cap = families.DEFAULT_CAPS.labeled
+    if n > cap:
+        raise ResourceCapError(f"labeled path size {n} exceeds the configured cap {cap}")
     return sum(
         1
         for lp in families.labeled_paths(n, LabeledPathClass.K)
@@ -298,12 +297,12 @@ def _maps_oracle(n: int, caps) -> int:
 class Formula:
     """The routes to one sequence.  ``primary(order)`` and
     ``secondary(order)`` give c_0..c_order, as a series or a sequence;
-    ``oracle(n, caps)`` gives c_n by brute force.  ``secondary`` is None
+    ``oracle(n)`` gives c_n by brute force.  ``secondary`` is None
     when no independent second route exists."""
 
     primary: Callable[[int], Series | tuple[int, ...]]
     secondary: Callable[[int], Series | tuple[int, ...]] | None
-    oracle: Callable[[int, families.Caps], int]
+    oracle: Callable[[int], int]
 
 
 FORMULAS: dict[str, Formula] = {
@@ -416,17 +415,17 @@ def secondary_coefficients(formula_id: str, order: int) -> tuple[int, ...]:
     return _ints(secondary(order))
 
 
-def oracle_value(formula_id: str, n: int, caps=families.DEFAULT_CAPS) -> int:
+def oracle_value(formula_id: str, n: int) -> int:
     """Brute-force value matching coefficient n of the formula."""
-    return _formula(formula_id).oracle(n, caps)
+    return _formula(formula_id).oracle(n)
 
 
-def cross_check(formula_id: str, n_max: int, caps=families.DEFAULT_CAPS) -> dict:
+def cross_check(formula_id: str, n_max: int) -> dict:
     """Compare the formula against its oracle for n = 0..n_max."""
     seq = coefficients(formula_id, n_max)
     # largest n first, so that a request past a cap fails before any of the
     # smaller enumerations run
-    oracle = {n: oracle_value(formula_id, n, caps=caps) for n in range(n_max, -1, -1)}
+    oracle = {n: oracle_value(formula_id, n) for n in range(n_max, -1, -1)}
     results = []
     for n in range(n_max + 1):
         got = oracle[n]

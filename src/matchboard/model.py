@@ -292,7 +292,11 @@ class Matching:
         arc_part = text
         if "fp:" in text:
             arc_part, _, fp_part = text.partition("fp:")
-            arc_part = arc_part.rstrip(";")
+            # fp: opens the text or follows the arcs and exactly one ";"
+            if arc_part:
+                if not arc_part.endswith(";") or arc_part == ";":
+                    raise ParseError(f"bad matching encoding {text!r}")
+                arc_part = arc_part[:-1]
             fps = parse_int_list(fp_part, f"fixed-point list in {text!r}")
         arcs = []
         rest = arc_part

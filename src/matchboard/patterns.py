@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidObjectError, ParseError
-from .model import Matching, RookPlacement, SetPartition, gamma_restriction
+from .model import RookPlacement, gamma_restriction
 
 __all__ = [
     "Pattern",
@@ -22,8 +22,6 @@ __all__ = [
     "perm_contains",
     "placement_avoids",
     "offending_vertex",
-    "matching_avoids",
-    "partition_avoids",
     "find_arc_occurrence",
     "lis_labels",
     "lis_length",
@@ -154,20 +152,6 @@ def find_arc_occurrence(arcs, t: Pattern):
         if ok:
             return tuple(sorted(lefts) + rights_sorted)
     return None
-
-
-def matching_avoids(m: Matching, t) -> bool:
-    """True when the matching's arcs contain no occurrence of any pattern;
-    fixed points never participate."""
-    pats = _as_pattern_tuple(t)
-    return all(find_arc_occurrence(m.arcs, pat) is None for pat in pats)
-
-
-def partition_avoids(p: SetPartition, t) -> bool:
-    """True when the partition's arc diagram avoids all the patterns;
-    singleton blocks contribute no arcs."""
-    pats = _as_pattern_tuple(t)
-    return all(find_arc_occurrence(p.arcs, pat) is None for pat in pats)
 
 
 def lis_length(perm) -> int:

@@ -519,16 +519,8 @@ TruncSeries = AuxSeries = Series
 @lru_cache(maxsize=None)
 def narayana_series(order: int) -> Series:
     """Border paths counted by semilength (z) and valleys (v): the series
-    C(v,z) with C = 1 + zC + vzC(C-1)."""
-    C = [{(0,): 1}]
-    for n in range(1, order + 1):
-        conv = _convolve(C, C, n - 1, n - 1)[0]
-        cn = dict(C[n - 1])
-        diff = dict(conv)
-        _pacc(diff, C[n - 1], -1)
-        _pacc(cn, _pshift(diff, 0))
-        C.append(cn)
-    return Series(("v",), order, C)
+    C(v,z) with C = 1 + zC + vzC(C-1) = 1 + zC(vC - v + 1)."""
+    return _solve(("u", "v"), [(_same, _marked)], order).drop_variable("u")
 
 
 def catalan_series(order: int) -> Series:

@@ -38,7 +38,7 @@ from matchboard.model import (
     Matching,
     RookPlacement,
 )
-from matchboard.patterns import Pattern, matching_avoids, placement_avoids
+from matchboard.patterns import Pattern, find_arc_occurrence, placement_avoids
 
 
 def _avoiding(board, pattern):
@@ -253,7 +253,7 @@ class TestFixedPointClasses:
         m = Matching(((1, 4), (3, 6)), (2, 5))
         p = kappa_prime(m, "321")
         assert p.board.n == 4
-        assert matching_avoids(m, Pattern((3, 2, 1)))
+        assert find_arc_occurrence(m.arcs, Pattern((3, 2, 1))) is None
 
 
 class TestChi:

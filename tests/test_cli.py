@@ -1,10 +1,17 @@
 """Command-line interface behavior: output shape and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matchboard.cli import main
+from matchboard.checks import SUITES
+from matchboard.cli import _MAPS, main
+from matchboard.families import FAMILY_NAMES
+from matchboard.formulas import FORMULA_IDS
 
 
 def run(capsys, *argv):
@@ -215,6 +222,10 @@ MALFORMED = [
     ("apply", "--map", "kappa-inv", "--input", "border:EESS;rooks:2,,1"),
     ("apply", "--map", "partition-to-matching", "--input", "{1,,2}"),
     ("apply", "--map", "kappa-prime", "--input", "(1,4)(3,6);fp:2,,5", "--pattern", "321"),
+    # fp: opens the text or follows the arcs and exactly one ";"
+    ("apply", "--map", "kappa", "--input", "(1,2)fp:3"),
+    ("apply", "--map", "kappa-prime", "--input", "(1,2)fp:3", "--pattern", "321"),
+    ("apply", "--map", "kappa-prime", "--input", "(1,2);;;fp:3", "--pattern", "321"),
     # a family without a pattern test
     ("count", "--family", "dyck", "--n", "3", "--avoid", "123"),
     ("verify", "--suite", "tables", "--max-n", "0"),
@@ -246,3 +257,50 @@ def test_over_cap_is_resource_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert any(line.startswith("error:") for line in err.splitlines())
+
+
+# sizes that are small, negative, or far past every cap; the cap check runs
+# before any enumeration, so the huge ones return at once
+SIZES = st.one_of(st.integers(0, 3), st.integers(-10**9, -1), st.integers(10**6, 10**12))
+INPUTS = st.lists(
+    st.sampled_from(["border:", "rooks:", "bottom:", "top:", "fp:", "E", "S", ";", ",",
+                     "(", ")", "{", "}", *"0123456"]),
+    max_size=16,
+).map("".join)
+
+
+@st.composite
+def argvs(draw):
+    def size():
+        return str(draw(SIZES))
+
+    argv = draw(st.sampled_from([[], ["--format", "csv"]]))
+    command = draw(st.sampled_from(["count", "series", "cross-check", "verify", "apply"]))
+    if command == "count":
+        argv += ["count", "--family", draw(st.sampled_from(FAMILY_NAMES)), "--n", size()]
+        if draw(st.booleans()):
+            argv += ["--k", size()]
+        if draw(st.booleans()):
+            argv += ["--avoid", draw(st.sampled_from(["123", "213,321", "1342", "21", "x"]))]
+        argv += draw(st.sampled_from([[], ["--by-shape"], ["--stat", "valleys"]]))
+    elif command in ("series", "cross-check"):
+        flag = "--order" if command == "series" else "--max-n"
+        argv += [command, "--formula", draw(st.sampled_from(FORMULA_IDS)), flag, size()]
+    elif command == "verify":
+        argv += ["verify", "--suite", draw(st.sampled_from([*SUITES, "all"])), "--max-n", size()]
+    else:
+        argv += ["apply", "--map", draw(st.sampled_from([*_MAPS, "kappa-prime"]))]
+        argv += ["--input", draw(INPUTS)]
+        if draw(st.booleans()):
+            argv += ["--pattern", draw(st.sampled_from(["321", "213", "123", "x"]))]
+    return argv
+
+
+@given(argv=argvs())
+@settings(max_examples=200, deadline=None)
+def test_every_command_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv

@@ -2,13 +2,12 @@
 
 import pytest
 
+from matchboard.checks import board_difference, run
 from matchboard.errors import InvalidObjectError, ResourceCapError
 from matchboard.families import (
     FAMILY_NAMES,
     Caps,
     b2_pairs,
-    classI_board_formula_check,
-    classIV_board_formula_check,
     count,
     count_fixed_point_class,
     dyck_paths,
@@ -20,8 +19,6 @@ from matchboard.families import (
     permutations,
     placements,
     set_partitions,
-    shape_wilf_check,
-    valley_histogram,
 )
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 
@@ -139,50 +136,50 @@ class TestCount:
 
 
 def _matching_ok(m, avoid):
-    from matchboard.patterns import Pattern, matching_avoids
+    from matchboard.patterns import Pattern, find_arc_occurrence
 
-    return matching_avoids(m, [Pattern.from_text(t) for t in avoid])
+    return all(find_arc_occurrence(m.arcs, Pattern.from_text(t)) is None for t in avoid)
 
 
 class TestOrdering:
     def test_per_board_count_ordering(self):
         # on every board the 231 count is at most the 123 count, which is at
         # most the 132 count
-        from matchboard.families import _board_counts
-        from matchboard.patterns import Pattern
-
         for n in range(1, 6):
-            c231 = _board_counts(n, (Pattern((2, 3, 1)),), Caps())
-            c123 = _board_counts(n, (Pattern((1, 2, 3)),), Caps())
-            c132 = _board_counts(n, (Pattern((1, 3, 2)),), Caps())
-            for border in c123:
-                assert c231[border] <= c123[border] <= c132[border]
+            c231, c123, c132 = (
+                count("matching", n, avoid=[t], by_shape=True).by_shape
+                for t in ("231", "123", "132")
+            )
+            for d in dyck_paths(n):
+                b = d.steps
+                assert c231.get(b, 0) <= c123.get(b, 0) <= c132.get(b, 0)
 
 
 class TestShapeWilf:
     def test_singleton_classes(self):
-        assert shape_wilf_check("123", "321", 5).equivalent
-        assert shape_wilf_check("123", "213", 5).equivalent
-        assert shape_wilf_check("231", "312", 5).equivalent
+        assert board_difference(["123"], ["321"], 5) is None
+        assert board_difference(["123"], ["213"], 5) is None
+        assert board_difference(["231"], ["312"], 5) is None
 
     def test_singleton_separations(self):
-        v = shape_wilf_check("123", "231", 5)
-        assert not v.equivalent and v.n == 4
-        v = shape_wilf_check("123", "132", 5)
-        assert not v.equivalent and v.n == 5
+        found = board_difference(["123"], ["231"], 5)
+        assert found is not None and found[0] == 4
+        found = board_difference(["123"], ["132"], 5)
+        assert found is not None and found[0] == 5
 
     def test_class_I_internal(self):
         pairs = [["123", "213"], ["132", "213"], ["231", "321"]]
         for a in pairs:
             for b in pairs:
-                assert shape_wilf_check(a, b, 4).equivalent
+                assert board_difference(a, b, 4) is None
 
     def test_II_vs_III_counterexample(self):
-        v = shape_wilf_check(["123", "231"], ["123", "312"], 5)
-        assert not v.equivalent
-        assert v.n == 5
-        assert v.border == "EEEESSESSS"
-        assert {v.count1, v.count2} == {14, 15}
+        found = board_difference(["123", "231"], ["123", "312"], 5)
+        assert found is not None
+        n, border, a, b = found
+        assert n == 5
+        assert border == "EEEESSESSS"
+        assert {a, b} == {14, 15}
         # yet the totals over all boards agree through n = 5
         for n in range(1, 6):
             assert (
@@ -210,10 +207,14 @@ class TestShapeWilf:
 
 class TestBoardFormulas:
     def test_class_I(self):
-        assert classI_board_formula_check(4).ok
+        assert run("classI", 4) == [
+            {"name": "classI-board-formula", "pass": True, "failures": [], "suite": "classI"}
+        ]
 
     def test_class_IV(self):
-        assert classIV_board_formula_check(4).ok
+        assert run("classIV", 4) == [
+            {"name": "classIV-board-formula", "pass": True, "failures": [], "suite": "classIV"}
+        ]
 
 
 class TestFixedPointClasses:
@@ -247,7 +248,7 @@ class TestPartitionReconstruction:
 
 class TestValleyHistogram:
     def test_total(self):
-        hist = valley_histogram(3, ["312"])
+        hist = count("matching", 3, avoid=["312"], stats=True).by_valleys
         assert sum(hist.values()) == 14
 
     def test_b2_histogram_shape(self):

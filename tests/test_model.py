@@ -114,6 +114,12 @@ class TestMatching:
         with pytest.raises(InvalidObjectError):
             Matching(((1, 3),))  # vertex 2 missing
 
+    @pytest.mark.parametrize("text", ["(1,2)fp:3", "(1,2);;;fp:3", ";fp:3"])
+    def test_fixed_points_follow_one_separator(self, text):
+        # to_text writes "(1,2);fp:3", or "fp:3" when there are no arcs
+        with pytest.raises(ParseError):
+            Matching.from_text(text)
+
 
 class TestSetPartition:
     def test_arcs(self):

@@ -15,9 +15,7 @@ from matchboard.patterns import (
     find_arc_occurrence,
     lis_labels,
     lis_length,
-    matching_avoids,
     parse_pattern_set,
-    partition_avoids,
     perm_contains,
     placement_avoids,
 )
@@ -94,20 +92,20 @@ class TestArcOccurrence:
         assert find_arc_occurrence(arcs, Pattern((2, 1))) == (1, 2, 3, 4)
         assert find_arc_occurrence(arcs, Pattern((1, 2))) is None
 
-    def test_matching_and_partition_wrappers(self):
+    def test_matching_and_partition_arcs(self):
         m = Matching(((1, 4), (2, 5), (3, 6)))
-        assert not matching_avoids(m, Pattern((3, 2, 1)))
-        assert matching_avoids(m, Pattern((1, 2, 3)))
+        assert find_arc_occurrence(m.arcs, Pattern((3, 2, 1))) is not None
+        assert find_arc_occurrence(m.arcs, Pattern((1, 2, 3))) is None
         p = SetPartition.from_text("{1,3,5}{2,4}")
-        assert partition_avoids(p, Pattern((1, 2, 3)))
-        assert not partition_avoids(p, Pattern((2, 1)))
+        assert find_arc_occurrence(p.arcs, Pattern((1, 2, 3))) is None
+        assert find_arc_occurrence(p.arcs, Pattern((2, 1))) is not None
 
     def test_fixed_points_ignored(self):
         # the two arcs cross, giving 21 but not 12; the fixed points at 2
         # and 5 never join in
         m = Matching(((1, 4), (3, 6)), (2, 5))
-        assert matching_avoids(m, Pattern((1, 2)))
-        assert not matching_avoids(m, Pattern((2, 1)))
+        assert find_arc_occurrence(m.arcs, Pattern((1, 2))) is None
+        assert find_arc_occurrence(m.arcs, Pattern((2, 1))) is not None
 
 
 class TestScanAgainstBruteForce:
