@@ -9,8 +9,6 @@ claim.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import families
 from .bijections import (
     delta213,
@@ -29,16 +27,11 @@ __all__ = ["SUITES", "board_difference", "run"]
 
 def _table_check(name: str, family: str, avoid, row, first: int, max_n: int) -> dict:
     """Counts from n = first to max_n, or to the end of the published row,
-    against that row.  The cap of the family is the row's last n, so the
-    check is never clipped at the default caps; a check clipped at the end
-    of the row says so in ``published_to``."""
+    against that row; the scan that counts the rows reaches their last n.
+    A check clipped at the end of the row says so in ``published_to``."""
     last = first + len(row) - 1
     top = min(max_n, last)
-    caps = replace(families.DEFAULT_CAPS, **{family: last})
-    got = [
-        families.count(family, n, avoid=avoid, caps=caps).total
-        for n in range(first, top + 1)
-    ]
+    got = [families.count(family, n, avoid=avoid).total for n in range(first, top + 1)]
     want = list(row[: top + 1 - first])
     check = {"name": name, "pass": got == want, "got": got, "want": want}
     if max_n > last:

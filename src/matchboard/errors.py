@@ -35,7 +35,8 @@ class PatternViolationError(MatchboardError):
 
 
 class ResourceCapError(MatchboardError):
-    """A requested enumeration exceeds the configured size caps."""
+    """A requested count exceeds the size cap of the route that would run
+    it: the scan's, or the enumeration cap of the family."""
 
 
 class SeriesError(MatchboardError):

@@ -35,11 +35,10 @@ from .model import (
 from .patterns import Pattern, find_arc_occurrence, perm_contains, placement_avoids
 
 __all__ = [
-    "Caps",
-    "DEFAULT_CAPS",
     "CountTable",
     "FAMILY_NAMES",
     "CLASS_PAIRS",
+    "check_cap",
     "count",
     "dyck_paths",
     "boards",
@@ -60,31 +59,6 @@ __all__ = [
     "pair_count_ending_south",
     "partition_count_via_matchings",
 ]
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Desk-scale enumeration limits; exceeding one raises, never truncates."""
-
-    matching: int = 8
-    partition: int = 11
-    permutation: int = 9
-    dyck: int = 12
-    pair: int = 9
-    labeled: int = 7
-    b2_steps: int = 14
-
-
-DEFAULT_CAPS = Caps()
-
-
-def _check_cap(kind: str, value: int, limit: int) -> None:
-    if value < 0:
-        raise InvalidObjectError(f"negative size {value}")
-    if value > limit:
-        raise ResourceCapError(
-            f"{kind} size {value} exceeds the configured cap {limit}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +406,6 @@ def _as_patterns(avoid) -> tuple[Pattern, ...]:
 
 @dataclass(frozen=True)
 class CountTable:
-    family: str
-    n: int
-    k: int | None
-    avoid: tuple[str, ...]
     total: int
     by_valleys: dict[int, int] | None = None
     by_shape: dict[str, int] | None = None
@@ -455,7 +425,7 @@ class _Family:
     functions up by name when called, so a wrapper bound over a module
     attribute (the benchmark's layer trace) sees every call."""
 
-    cap: str  # the Caps field that limits n, or n + k for a family with k
+    cap: int  # the largest n, or n + k for a family with k, it enumerates
     label: str  # what the cap error calls the objects
     generate: Callable  # (n, k) -> the objects
     takes_k: bool = False
@@ -466,44 +436,44 @@ class _Family:
 
 
 def _labeled(cls: LabeledPathClass) -> _Family:
-    return _Family("labeled", "labeled path", lambda n, k: labeled_paths(n, cls))
+    return _Family(7, "labeled path", lambda n, k: labeled_paths(n, cls))
 
 
 _FAMILIES = {
     "matching": _Family(
-        "matching", "matching", lambda n, k: matchings(n),
+        8, "matching", lambda n, k: matchings(n),
         scan="matching", avoids=_arcs_avoid, border=lambda m: m.shape,
     ),
     "partition": _Family(
-        "partition", "partition", lambda n, k: set_partitions(n),
+        11, "partition", lambda n, k: set_partitions(n),
         scan="partition", avoids=_arcs_avoid,
     ),
     "permutation": _Family(
-        "permutation", "permutation", lambda n, k: permutations(n), avoids=_perm_avoids
+        9, "permutation", lambda n, k: permutations(n), avoids=_perm_avoids
     ),
-    "dyck": _Family("dyck", "path", lambda n, k: dyck_paths(n)),
-    "board": _Family("dyck", "board", lambda n, k: boards(n)),
+    "dyck": _Family(12, "path", lambda n, k: dyck_paths(n)),
+    "board": _Family(12, "board", lambda n, k: boards(n)),
     # placements on the boards of F_n correspond to matchings shape by shape
     "placement": _Family(
-        "matching", "placement", lambda n, k: placements(n), scan="matching",
+        8, "placement", lambda n, k: placements(n), scan="matching",
         avoids=lambda p, pats: placement_avoids(p, pats),
         border=lambda p: p.board.border,
     ),
     "placement-minimal": _Family(
-        "permutation", "permutation", lambda n, k: minimal_placements(n),
+        9, "permutation", lambda n, k: minimal_placements(n),
         avoids=lambda p, pats: placement_avoids(p, pats),
         border=lambda p: p.board.border,
     ),
-    "pair": _Family("pair", "path pair", lambda n, k: noncrossing_pairs(n)),
+    "pair": _Family(9, "path pair", lambda n, k: noncrossing_pairs(n)),
     "pair-nk": _Family(
-        "pair", "path pair", lambda n, k: pairs_ending_south(n, k), takes_k=True
+        9, "path pair", lambda n, k: pairs_ending_south(n, k), takes_k=True
     ),
     "matching-fp": _Family(
-        "matching", "matching", lambda n, k: matchings_with_fixed_points(n, k),
+        8, "matching", lambda n, k: matchings_with_fixed_points(n, k),
         takes_k=True, avoids=_arcs_avoid, border=lambda m: m.shape,
     ),
-    "pair-a2": _Family("pair", "path pair", lambda n, k: a2_pairs(n)),
-    "pair-b2": _Family("b2_steps", "lattice path", lambda n, k: b2_pairs(n)),
+    "pair-a2": _Family(9, "path pair", lambda n, k: a2_pairs(n)),
+    "pair-b2": _Family(14, "lattice path", lambda n, k: b2_pairs(n)),
     "labeled-L": _labeled(LabeledPathClass.L),
     "labeled-K": _labeled(LabeledPathClass.K),
     "labeled-K-lt2": _labeled(LabeledPathClass.K_LT2),
@@ -514,6 +484,25 @@ _FAMILIES = {
 
 FAMILY_NAMES = tuple(_FAMILIES)
 
+# the largest n each scan counts: the last n of the published rows that
+# check it (``reference.TABLE_MATCHINGS`` and ``TABLE_PARTITIONS``)
+_SCAN_CAPS = {"matching": 10, "partition": 11}
+
+
+def check_cap(family: str, n: int, k: int | None = None, scan: bool = False) -> None:
+    """Refuse to count the family at n (and k) before anything runs: a
+    negative n or k is an InvalidObjectError, and an n (n + k for a family
+    with k) past the cap of the route a ResourceCapError.  The route is the
+    family's scan when ``scan`` is set, else enumeration."""
+    row = _FAMILIES[family]
+    k = k or 0
+    for name, value in (("n", n), ("k", k)):
+        if value < 0:
+            raise InvalidObjectError(f"{name} must be nonnegative, got {value}")
+    limit = _SCAN_CAPS[row.scan] if scan else row.cap
+    if n + k > limit:
+        raise ResourceCapError(f"{row.label} size {n + k} exceeds the cap {limit}")
+
 
 def count(
     family: str,
@@ -522,7 +511,6 @@ def count(
     avoid=(),
     stats: bool = False,
     by_shape: bool = False,
-    caps: Caps = DEFAULT_CAPS,
 ) -> CountTable:
     """Exact count of a family, optionally filtered by a pattern set and
     broken down by valley statistic or board shape; only the families whose
@@ -530,11 +518,8 @@ def count(
     row = _FAMILIES.get(family)
     if row is None:
         raise InvalidObjectError(f"unknown family {family!r}")
-    if k is not None:
-        if not row.takes_k:
-            raise InvalidObjectError(f"family {family!r} takes no k")
-        if k < 0:
-            raise InvalidObjectError(f"k must be nonnegative, got {k}")
+    if k is not None and not row.takes_k:
+        raise InvalidObjectError(f"family {family!r} takes no k")
     if (stats or by_shape) and row.border is None:
         raise InvalidObjectError(
             f"family {family!r} has no board border to break down by"
@@ -542,14 +527,15 @@ def count(
     pats = _as_patterns(avoid)
     if row.takes_k and k is None:
         raise InvalidObjectError(f"family {family} needs a value for k")
-    _check_cap(row.label, n + (k or 0), getattr(caps, row.cap))
+    scanned = bool(row.scan and pats) and all(len(p.perm) == 3 for p in pats)
+    check_cap(family, n, k, scan=scanned)
     if pats and row.avoids is None:
         raise InvalidObjectError(
             f"family {family!r} does not support pattern filtering"
         )
 
     breakdown = stats or by_shape
-    if row.scan and pats and all(len(p.perm) == 3 for p in pats):
+    if scanned:
         shapes = _scan(n, pats, partition=row.scan == "partition", by_border=breakdown)
     else:
         shapes = {}
@@ -563,7 +549,7 @@ def count(
             v = statistics(DyckPath(border)).valleys
             valleys[v] = valleys.get(v, 0) + c
     return CountTable(
-        family, n, k, tuple(p.to_text() for p in pats), sum(shapes.values()),
+        sum(shapes.values()),
         by_valleys=dict(sorted(valleys.items())) if stats else None,
         by_shape=dict(sorted(shapes.items())) if by_shape else None,
     )
@@ -573,7 +559,7 @@ def count_fixed_point_class(n: int, k: int, tau) -> int:
     """Number of matchings with k fixed points in the fixed-point class of
     tau (reduction avoids tau and no forbidden five-vertex configuration)."""
     tau = Pattern.from_text(tau) if isinstance(tau, str) else tau
-    _check_cap("matching", n + k, DEFAULT_CAPS.matching)
+    check_cap("matching-fp", n, k)
     total = 0
     for m in matchings_with_fixed_points(n, k):
         try:

@@ -3,7 +3,9 @@
 ``FORMULAS`` maps each formula id to its routes: a primary computation, an
 independent secondary route where one exists, and a brute-force oracle from
 the families module.  ``cross_check`` compares formula output against the
-oracle for every n within the enumeration caps.
+oracle for every n up to the cap that ``families`` sets on the oracle's
+route: the scan's for the matching and partition ids, the family's
+enumeration cap for the rest.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import comb, factorial
 
 from . import families
 from .bijections import LabeledPathClass
-from .errors import ResourceCapError, SeriesError
+from .errors import SeriesError
 from .series import (
     Series,
     algebraic_solve,
@@ -283,9 +285,7 @@ def _counted(family: str, *avoid: str):
 
 
 def _maps_oracle(n: int) -> int:
-    cap = families.DEFAULT_CAPS.labeled
-    if n > cap:
-        raise ResourceCapError(f"labeled path size {n} exceeds the configured cap {cap}")
+    families.check_cap("labeled-K", n)
     return sum(
         1
         for lp in families.labeled_paths(n, LabeledPathClass.K)

@@ -40,10 +40,9 @@ def _verify(suite: str, max_n: int) -> dict[str, dict]:
 def test_criterion_1_matching_table():
     start = time.monotonic()
     ok = True
-    caps = families.Caps(matching=10)
     for tau, row in TABLE_MATCHINGS.items():
         for n in range(1, 11):
-            ok &= count("matching", n, avoid=(tau,), caps=caps).total == row[n - 1]
+            ok &= count("matching", n, avoid=(tau,)).total == row[n - 1]
     ok &= count("matching", 7, avoid=("123",)).total == 40898
     ok &= count("matching", 7, avoid=("132",)).total == 41541
     _report(1, ok, 120.0, time.monotonic() - start)
@@ -84,8 +83,10 @@ def test_criterion_4_formula_oracle_agreement():
     ok = True
     matching_ids = ("m312", "classI_m", "classII_III_m", "classIV_m", "classV_m")
     partition_ids = ("p312", "classI_p", "classII_III_p", "classIV_p")
+    # past the enumeration cap of 8 the oracle is the scan, which shares no
+    # code with the formula routes
     for fid in matching_ids:
-        report = cross_check(fid, 7)
+        report = cross_check(fid, 10)
         ok &= all(r["equal"] for r in report["results"])
     for fid in partition_ids:
         report = cross_check(fid, 10)

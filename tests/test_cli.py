@@ -121,8 +121,8 @@ class TestVerify:
         assert not any("published_to" in c for c in payload["checks"])
 
     def test_tables_reach_the_published_length(self, capsys):
-        # the matching rows run to n=10, past the default matching cap of 8;
-        # the pair-class rows end at 7 and say so
+        # the matching rows run to n=10, the scan's cap and past the
+        # enumeration cap of 8; the pair-class rows end at 7 and say so
         code, out, _ = run(capsys, "verify", "--suite", "tables", "--max-n", "10")
         assert code == 0
         checks = json.loads(out)["checks"]
@@ -212,6 +212,9 @@ MALFORMED = [
     ("count", "--family", "matching", "--n", "3", "--k", "1"),
     ("count", "--family", "matching-fp", "--n", "3", "--k", "-1"),
     ("count", "--family", "pair-nk", "--n", "2", "--k", "-1"),
+    # n is negative though n + k is not
+    ("count", "--family", "pair-nk", "--n", "-2", "--k", "3"),
+    ("count", "--family", "matching-fp", "--n", "-1", "--k", "3"),
     ("count", "--family", "partition", "--n", "3", "--avoid", "123", "--stat", "valleys"),
     ("count", "--family", "partition", "--n", "3", "--avoid", "1234", "--by-shape"),
     ("count", "--family", "pair-nk", "--n", "2", "--k", "1", "--stat", "valleys"),
@@ -241,14 +244,16 @@ def test_malformed_argv_is_usage_error(capsys, argv):
     assert any(line.startswith("error:") for line in err.splitlines())
 
 
-# requests past an enumeration cap, which must raise rather than run on
+# requests past the cap of their route, which must raise rather than run on:
+# enumeration, or the scan for sets of length-3 patterns
 OVER_CAP = [
     ("cross-check", "--formula", "maps", "--max-n", "8"),
     ("cross-check", "--formula", "catalan_v", "--max-n", "13"),
-    ("count", "--family", "matching", "--n", "9", "--avoid", "132"),
+    ("count", "--family", "matching", "--n", "11", "--avoid", "132"),
+    ("count", "--family", "matching", "--n", "9", "--avoid", "1234"),
     ("count", "--family", "partition", "--n", "12", "--avoid", "123"),
     ("count", "--family", "pair-nk", "--n", "8", "--k", "3"),  # the cap is on n + k
-    ("count", "--family", "placement", "--n", "9", "--avoid", "123"),
+    ("count", "--family", "placement", "--n", "11", "--avoid", "123"),
 ]
 
 

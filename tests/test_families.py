@@ -6,7 +6,6 @@ from matchboard.checks import board_difference, run
 from matchboard.errors import InvalidObjectError, ResourceCapError
 from matchboard.families import (
     FAMILY_NAMES,
-    Caps,
     b2_pairs,
     count,
     count_fixed_point_class,
@@ -20,6 +19,7 @@ from matchboard.families import (
     placements,
     set_partitions,
 )
+from matchboard.formulas import coefficients
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 
 # count(family, 3) for every family, with k = 1 for the two that take k
@@ -74,10 +74,27 @@ class TestGen:
             assert count(name, 3, k=k).total == total, name
 
     def test_caps(self):
-        tight = Caps(matching=4)
+        # enumeration stops at n = 8; the scan of length-3 patterns at 10
         with pytest.raises(ResourceCapError):
-            count("matching", 5, caps=tight)
-        assert count("matching", 4, caps=tight).total == 105
+            count("matching", 9)
+        with pytest.raises(ResourceCapError):
+            count("matching", 9, avoid=("1234",))
+        assert count("matching", 10, avoid=("132",)).total == 40835749
+        with pytest.raises(ResourceCapError):
+            count("matching", 11, avoid=("132",))
+
+    def test_path_families_against_formulas(self):
+        # the labeled and pair families share no code with the formula
+        # routes, nor with the scan behind the matching oracles
+        for family, fid, top in (
+            ("labeled-L", "m312", 6),
+            ("labeled-L-lt3", "classII_III_m", 6),
+            ("labeled-L-peak", "s1342", 6),
+            ("pair-a2", "classV_m", 7),
+        ):
+            want = coefficients(fid, top)
+            for n in range(top + 1):
+                assert count(family, n).total == want[n], (family, n)
 
 
 class TestCount:
@@ -223,6 +240,13 @@ class TestFixedPointClasses:
             for n in range(0, 4):
                 for k in range(0, 4 - n):
                     assert count_fixed_point_class(n, k, tau) == pair_count_ending_south(n, k)
+
+    def test_negative_sizes_refused(self):
+        # n + k = 2 is within the cap, but n itself is negative
+        with pytest.raises(InvalidObjectError):
+            count_fixed_point_class(-1, 3, "321")
+        with pytest.raises(InvalidObjectError):
+            count_fixed_point_class(1, -1, "321")
 
     def test_123_class_differs(self):
         # the 123 class is checkable but counted by the same pair numbers
