@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import gt
 
 from .errors import InvalidObjectError, ParseError, PatternViolationError
 from .model import (
@@ -56,11 +57,10 @@ class NoncrossingPathPair:
     def __post_init__(self):
         if self.bottom.n != self.top.n:
             raise InvalidObjectError("paths in a pair must have equal semilength")
-        for jb, jt in zip(self.bottom.heights, self.top.heights):
-            if jb > jt:
-                raise InvalidObjectError(
-                    f"bottom path {self.bottom.steps} rises above top {self.top.steps}"
-                )
+        if any(map(gt, self.bottom.heights, self.top.heights)):
+            raise InvalidObjectError(
+                f"bottom path {self.bottom.steps} rises above top {self.top.steps}"
+            )
 
     @property
     def n(self) -> int:
@@ -200,10 +200,11 @@ def pi_labeling(p: RookPlacement) -> LabeledDyckPath:
 
 
 _FP_CONFIGS = {
-    # pattern -> (arc slots, fixed slot) among x1 < ... < x5
-    (1, 2, 3): (((1, 5), (2, 4)), 3),
-    (2, 1, 3): (((1, 5), (3, 4)), 2),
-    (3, 2, 1): (((1, 4), (2, 5)), 3),
+    # pattern -> the forbidden order of arcs (a1, a2), (b1, b2) and fixed
+    # point f, as the five vertices from left to right
+    (1, 2, 3): lambda a1, a2, b1, b2, f: (a1, b1, f, b2, a2),
+    (2, 1, 3): lambda a1, a2, b1, b2, f: (a1, f, b1, b2, a2),
+    (3, 2, 1): lambda a1, a2, b1, b2, f: (a1, b1, f, a2, b2),
 }
 
 
@@ -218,23 +219,16 @@ def check_fixed_point_class(m: Matching, tau: Pattern) -> None:
         raise PatternViolationError(
             f"matching contains {tau.to_text()} at vertices {occ}", vertices=occ
         )
-    (slots_a, slots_b), fixed_slot = _FP_CONFIGS[tau.perm]
+    order = _FP_CONFIGS[tau.perm]
     for a1, a2 in m.arcs:
         for b1, b2 in m.arcs:
             for f in m.fixed_points:
-                xs = sorted((a1, a2, b1, b2, f))
-                if len(set(xs)) != 5:
-                    continue
-                pos = {v: i + 1 for i, v in enumerate(xs)}
-                if (
-                    pos[f] == fixed_slot
-                    and (pos[a1], pos[a2]) == slots_a
-                    and (pos[b1], pos[b2]) == slots_b
-                ):
+                xs = order(a1, a2, b1, b2, f)
+                if xs[0] < xs[1] < xs[2] < xs[3] < xs[4]:
                     raise PatternViolationError(
                         f"forbidden fixed point {f} between arcs ({a1},{a2}) and "
                         f"({b1},{b2}) for pattern {tau.to_text()}",
-                        vertices=tuple(xs),
+                        vertices=xs,
                     )
 
 
@@ -280,9 +274,7 @@ def diagonal_property(lp: LabeledDyckPath) -> bool:
 
 def zero_condition(lp: LabeledDyckPath) -> bool:
     """Labels vanish exactly at the diagonal-touching vertices."""
-    return all(
-        (a == 0) == (h == 0) for a, h in zip(lp.labels, lp.path.heights)
-    )
+    return list(map(bool, lp.labels)) == list(map(bool, lp.path.heights))
 
 
 def peak_property(lp: LabeledDyckPath) -> bool:
@@ -305,7 +297,7 @@ class LabeledPathClass(Enum):
     L_PEAK = "L_peak"
 
     def contains(self, lp: LabeledDyckPath) -> bool:
-        if any(a < 0 for a in lp.labels) or not diagonal_property(lp):
+        if min(lp.labels) < 0 or not diagonal_property(lp):
             return False
         in_l = zero_condition(lp)
         in_k = lp.labels[-1] == 0

@@ -9,6 +9,8 @@ claim.
 
 from __future__ import annotations
 
+from operator import gt
+
 from . import families
 from .bijections import (
     delta213,
@@ -115,11 +117,12 @@ def _suite_bijections(max_n: int) -> list[dict]:
     checks.append({"name": "kappa-roundtrip", "pass": ok_round})
     ok_switch = ok_inv = ok_image = True
     for n in range(1, top + 1):
+        paths = list(families.dyck_paths(n))
         for board in families.boards(n):
             below = {
                 d.steps
-                for d in families.dyck_paths(n)
-                if all(x <= y for x, y in zip(d.heights, board.border.heights))
+                for d in paths
+                if not any(map(gt, d.heights, board.border.heights))
             }
             img321 = set()
             img213 = set()

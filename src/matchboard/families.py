@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, permutations as iter_permutations, product
-from math import comb
 
 from .bijections import (
     LabeledPathClass,
@@ -57,7 +56,6 @@ __all__ = [
     "b2_pairs",
     "count_fixed_point_class",
     "pair_count_ending_south",
-    "partition_count_via_matchings",
 ]
 
 
@@ -65,24 +63,28 @@ __all__ = [
 # generators
 
 
+def _words_under(ceiling):
+    """Step words, E before S, of the paths from height 0 to height 0 whose
+    heights stay weakly below ``ceiling``, the heights of a border path."""
+    last = len(ceiling) - 1
+    stack = [("", 0)]
+    while stack:
+        word, d = stack.pop()
+        i = len(word)
+        if d == last - i:
+            # only south steps are left
+            yield word + "S" * d
+            continue
+        if d:
+            stack.append((word + "S", d - 1))
+        if d < ceiling[i + 1]:
+            stack.append((word + "E", d + 1))
+
+
 def dyck_paths(n: int):
     """All border paths of semilength n."""
-
-    def rec(prefix: list[str], e_left: int, d: int):
-        if e_left == 0 and d == 0:
-            yield "".join(prefix)
-            return
-        if e_left > 0:
-            prefix.append("E")
-            yield from rec(prefix, e_left - 1, d + 1)
-            prefix.pop()
-        if d > 0:
-            prefix.append("S")
-            yield from rec(prefix, e_left, d - 1)
-            prefix.pop()
-
-    for steps in rec([], n, 0):
-        yield DyckPath(steps)
+    highest = [min(i, 2 * n - i) for i in range(2 * n + 1)]  # the heights of E^n S^n
+    yield from map(DyckPath, _words_under(highest))
 
 
 def boards(n: int):
@@ -169,24 +171,10 @@ def permutations(n: int):
 
 def noncrossing_pairs(n: int):
     """Pairs (bottom, top) of borders with bottom pointwise below top."""
-    for top in dyck_paths(n):
-        th = top.heights
-
-        def rec(prefix: list[str], i: int, d: int):
-            if i == 2 * n:
-                yield "".join(prefix)
-                return
-            if d + 1 <= th[i + 1]:
-                prefix.append("E")
-                yield from rec(prefix, i + 1, d + 1)
-                prefix.pop()
-            if d > 0:
-                prefix.append("S")
-                yield from rec(prefix, i + 1, d - 1)
-                prefix.pop()
-
-        for steps in rec([], 0, 0):
-            yield NoncrossingPathPair(DyckPath(steps), top)
+    paths = {d.steps: d for d in dyck_paths(n)}
+    for top in paths.values():
+        for steps in _words_under(top.heights):
+            yield NoncrossingPathPair(paths[steps], top)
 
 
 def pairs_ending_south(n: int, k: int):
@@ -203,45 +191,35 @@ _MAX_LABEL = {
 
 
 def labeled_paths(n: int, cls: LabeledPathClass):
-    """Labeled borders of semilength n in the given class."""
-    cap = _MAX_LABEL.get(cls)
+    """Labeled borders of semilength n in the given class: per path, start
+    labels ascending, then at each step the label kept before the label
+    changed."""
+    cap = _MAX_LABEL.get(cls, n)
+    in_l = cls in (LabeledPathClass.L, LabeledPathClass.L_LT3, LabeledPathClass.L_PEAK)
     for path in dyck_paths(n):
         steps = path.steps
-        # aligned partner of each S step's endpoint, for incremental pruning
-        partner = {}
-        stack: list[int] = []
-        for idx, ch in enumerate(steps):
-            if ch == "E":
-                stack.append(idx)
-            else:
-                partner[idx + 1] = stack.pop()
-        remaining_s = [steps[i:].count("S") for i in range(2 * n + 1)]
-
-        def rec(labels: list[int]):
-            i = len(labels) - 1
-            if i == 2 * n:
-                lp = LabeledDyckPath(path, tuple(labels))
+        # a label never exceeds the south steps left, nor the cap
+        bound = [min(steps.count("S", i), cap) for i in range(2 * n + 1)]
+        # the aligned partner of each S step's endpoint, whose label bounds it
+        partner = [None] * (2 * n + 1)
+        for i, j in path.aligned_pairs():
+            partner[j] = i
+        # popped in order: start labels ascending, the kept label first
+        stack = [(a,) for a in range(0 if in_l else bound[0], -1, -1)]
+        while stack:
+            labels = stack.pop()
+            i = len(labels)
+            if i > 2 * n:
+                lp = LabeledDyckPath(path, labels)
                 if cls.contains(lp):
                     yield lp
-                return
+                continue
             a = labels[-1]
-            choices = (a, a + 1) if steps[i] == "E" else (a, a - 1)
-            for b in choices:
-                if b < 0 or b > remaining_s[i + 1]:
-                    continue
-                if cap is not None and b > cap:
-                    continue
-                if i + 1 in partner and labels[partner[i + 1]] < b:
-                    continue
-                labels.append(b)
-                yield from rec(labels)
-                labels.pop()
-
-        start_max = 0 if cls in (LabeledPathClass.L, LabeledPathClass.L_LT3, LabeledPathClass.L_PEAK) else n
-        if cap is not None:
-            start_max = min(start_max, cap)
-        for a0 in range(start_max + 1):
-            yield from rec([a0])
+            j = partner[i]
+            hi = bound[i] if j is None else min(bound[i], labels[j])
+            for b in (a + 1 if steps[i - 1] == "E" else a - 1, a):
+                if 0 <= b <= hi:
+                    stack.append(labels + (b,))
 
 
 def e2_pairs(board: FerrersBoard):
@@ -592,22 +570,6 @@ def pair_count_ending_south(n: int, k: int) -> int:
                     nxt[key] = nxt.get(key, 0) + c
         states = nxt
     return states.get((k, k), 0)
-
-
-def partition_count_via_matchings(n: int, avoid) -> int:
-    """Rebuild the number of avoiding partitions of [n] from the valley
-    histograms of avoiding matchings: each valley may merge into a
-    transitory vertex, then singletons are inserted in all positions."""
-    total = 0
-    for m in range(0, max(n, 1)):
-        hist = count("matching", m, avoid=avoid, stats=True).by_valleys
-        for v, cnt in hist.items():
-            for j in range(v + 1):
-                s = n - 2 * m + j
-                if s < 0:
-                    continue
-                total += cnt * comb(v, j) * comb(n, s)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ vertices are 1-indexed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from operator import sub
 
 from .errors import InvalidObjectError, ParseError
 
@@ -37,6 +39,9 @@ __all__ = [
 ]
 
 _INT = re.compile(r"-?[0-9]+")
+_STEP = {"E": 1, "S": -1}
+# (step, label change) of every jump a labeled path may make
+_JUMPS = {("E", 0), ("E", 1), ("S", 0), ("S", -1)}
 
 
 def parse_int_list(text: str, what: str, empty: bool = False) -> tuple[int, ...]:
@@ -58,31 +63,22 @@ class DyckPath:
     stays weakly above the diagonal y = n - x."""
 
     steps: str = ""
+    # distances d_0..d_2n from each vertex to the diagonal
+    heights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.steps) - {"E", "S"}:
             raise InvalidObjectError(f"bad step characters in {self.steps!r}")
-        d = 0
-        for ch in self.steps:
-            d += 1 if ch == "E" else -1
-            if d < 0:
-                raise InvalidObjectError(f"path {self.steps!r} crosses the diagonal")
-        if d != 0:
+        hs = tuple(accumulate(map(_STEP.__getitem__, self.steps), initial=0))
+        if min(hs) < 0:
+            raise InvalidObjectError(f"path {self.steps!r} crosses the diagonal")
+        if hs[-1]:
             raise InvalidObjectError(f"path {self.steps!r} is unbalanced")
+        object.__setattr__(self, "heights", hs)
 
     @property
     def n(self) -> int:
         return len(self.steps) // 2
-
-    @cached_property
-    def heights(self) -> tuple[int, ...]:
-        """Distances d_0..d_2n from each vertex to the diagonal."""
-        out = [0]
-        d = 0
-        for ch in self.steps:
-            d += 1 if ch == "E" else -1
-            out.append(d)
-        return tuple(out)
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, int], ...]:
@@ -110,6 +106,10 @@ class DyckPath:
         """Pairs (i, j) of vertex indices at equal height where the segment
         between them runs strictly under the path: each E step's start vertex
         paired with the end vertex of the matching S step."""
+        return self._aligned_pairs
+
+    @cached_property
+    def _aligned_pairs(self) -> tuple[tuple[int, int], ...]:
         stack: list[int] = []
         out = []
         for idx, ch in enumerate(self.steps):
@@ -373,17 +373,18 @@ class LabeledDyckPath:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(a) for a in self.labels))
-        if len(self.labels) != len(self.path.steps) + 1:
+        labels = tuple(map(int, self.labels))
+        object.__setattr__(self, "labels", labels)
+        steps = self.path.steps
+        if len(labels) != len(steps) + 1:
             raise InvalidObjectError(
-                f"expected {len(self.path.steps) + 1} labels, got {len(self.labels)}"
+                f"expected {len(steps) + 1} labels, got {len(labels)}"
             )
-        for idx, ch in enumerate(self.path.steps):
-            a, b = self.labels[idx], self.labels[idx + 1]
-            if ch == "E" and not a <= b <= a + 1:
-                raise InvalidObjectError(f"label jump {a}->{b} on E step {idx}")
-            if ch == "S" and not a - 1 <= b <= a:
-                raise InvalidObjectError(f"label jump {a}->{b} on S step {idx}")
+        if _JUMPS.issuperset(zip(steps, map(sub, labels[1:], labels))):
+            return
+        for idx, (ch, a, b) in enumerate(zip(steps, labels, labels[1:])):
+            if (ch, b - a) not in _JUMPS:
+                raise InvalidObjectError(f"label jump {a}->{b} on {ch} step {idx}")
 
     def to_text(self) -> str:
         return self.path.steps + ";" + ",".join(str(a) for a in self.labels)
@@ -497,10 +498,10 @@ def partition_to_matching(p: SetPartition) -> Matching:
 def gamma_restriction(p: RookPlacement, v: int) -> tuple[int, ...]:
     """Permutation induced by the rooks inside the rectangle spanned by the
     origin and border vertex V_v, empty rows and columns disregarded."""
-    if not 0 <= v <= 2 * p.n:
+    vertices = p.board.border.vertices
+    if not 0 <= v < len(vertices):
         raise InvalidObjectError(f"vertex index {v} out of range 0..{2 * p.n}")
-    x, y = p.board.border.vertices[v]
-    inside = [(c, r) for c, r in p.rooks() if c <= x and r <= y]
-    rows = sorted(r for _, r in inside)
-    rank = {r: i for i, r in enumerate(rows, start=1)}
-    return tuple(rank[r] for _, r in inside)
+    x, y = vertices[v]
+    inside = [r for r in p.rook_rows[:x] if r <= y]
+    rank = {r: i for i, r in enumerate(sorted(inside), start=1)}
+    return tuple(map(rank.__getitem__, inside))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lt
 
 from .errors import InvalidObjectError, ParseError
 from .model import RookPlacement, gamma_restriction
@@ -136,21 +137,17 @@ def find_arc_occurrence(arcs, t: Pattern):
     arcs = sorted(arcs)
     if k == 0 or len(arcs) < k:
         return None
+    # the opener ranks in the order of their closers: opener rank a closes
+    # at closer rank k + 1 - t(a)
+    by_closer = sorted(range(k), key=t.perm.__getitem__, reverse=True)
     for combo in combinations(arcs, k):
-        lefts = [a for a, _ in combo]
-        rights = [b for _, b in combo]
-        if max(lefts) >= min(rights) or len(set(lefts)) < k or len(set(rights)) < k:
-            continue
-        rights_sorted = sorted(rights)
-        ok = True
-        for a_rank, (_, b) in enumerate(combo, start=1):
-            # combo is sorted by opener, so a_rank orders the openers
-            j = rights_sorted.index(b) + 1
-            if t.perm[a_rank - 1] != k + 1 - j:
-                ok = False
-                break
-        if ok:
-            return tuple(sorted(lefts) + rights_sorted)
+        # combo is sorted by opener, so its last opener must precede the
+        # first closer, and closers and openers must strictly increase
+        rights = [combo[a][1] for a in by_closer]
+        if combo[-1][0] < rights[0] and all(map(lt, rights, rights[1:])):
+            lefts = [a for a, _ in combo]
+            if all(map(lt, lefts, lefts[1:])):
+                return tuple(lefts + rights)
     return None
 
 

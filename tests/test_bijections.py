@@ -1,5 +1,7 @@
 """Bijections between restricted placements and path families."""
 
+from itertools import combinations
+
 import pytest
 
 from matchboard.bijections import (
@@ -38,7 +40,12 @@ from matchboard.model import (
     Matching,
     RookPlacement,
 )
-from matchboard.patterns import Pattern, find_arc_occurrence, placement_avoids
+from matchboard.patterns import (
+    S3_PATTERNS,
+    Pattern,
+    find_arc_occurrence,
+    placement_avoids,
+)
 
 
 def _avoiding(board, pattern):
@@ -210,6 +217,101 @@ def _e2_of(board):
     from matchboard.families import e2_pairs
 
     return e2_pairs(board)
+
+
+def _find_arc_occurrence_by_ranks(arcs, t):
+    """The arc search that sorted the chosen closers of every combination
+    and read off their ranks, kept as the oracle of find_arc_occurrence."""
+    k = len(t.perm)
+    arcs = sorted(arcs)
+    if k == 0 or len(arcs) < k:
+        return None
+    for combo in combinations(arcs, k):
+        lefts = [a for a, _ in combo]
+        rights = [b for _, b in combo]
+        if max(lefts) >= min(rights) or len(set(lefts)) < k or len(set(rights)) < k:
+            continue
+        rights_sorted = sorted(rights)
+        ok = True
+        for a_rank, (_, b) in enumerate(combo, start=1):
+            j = rights_sorted.index(b) + 1
+            if t.perm[a_rank - 1] != k + 1 - j:
+                ok = False
+                break
+        if ok:
+            return tuple(sorted(lefts) + rights_sorted)
+    return None
+
+
+# pattern -> (arc slots, fixed slot) among x1 < ... < x5
+_FP_SLOTS = {
+    (1, 2, 3): (((1, 5), (2, 4)), 3),
+    (2, 1, 3): (((1, 5), (3, 4)), 2),
+    (3, 2, 1): (((1, 4), (2, 5)), 3),
+}
+
+
+def _check_fixed_point_class_by_positions(m, tau):
+    """The fixed-point class test that sorted every arc-arc-fixed-point
+    triple and compared the positions with slot tables, kept as the oracle
+    of check_fixed_point_class."""
+    occ = _find_arc_occurrence_by_ranks(m.arcs, tau)
+    if occ is not None:
+        raise PatternViolationError(
+            f"matching contains {tau.to_text()} at vertices {occ}", vertices=occ
+        )
+    (slots_a, slots_b), fixed_slot = _FP_SLOTS[tau.perm]
+    for a1, a2 in m.arcs:
+        for b1, b2 in m.arcs:
+            for f in m.fixed_points:
+                xs = sorted((a1, a2, b1, b2, f))
+                if len(set(xs)) != 5:
+                    continue
+                pos = {v: i + 1 for i, v in enumerate(xs)}
+                if (
+                    pos[f] == fixed_slot
+                    and (pos[a1], pos[a2]) == slots_a
+                    and (pos[b1], pos[b2]) == slots_b
+                ):
+                    raise PatternViolationError(
+                        f"forbidden fixed point {f} between arcs ({a1},{a2}) and "
+                        f"({b1},{b2}) for pattern {tau.to_text()}",
+                        vertices=tuple(xs),
+                    )
+
+
+def _verdict(check, m, tau):
+    try:
+        check(m, tau)
+    except PatternViolationError as e:
+        return str(e), e.vertices
+    return None
+
+
+@pytest.fixture(scope="module")
+def fp_matchings():
+    """Every matching of [2n + k] with k fixed points and n + k <= 6."""
+    return [m for n in range(7) for k in range(7 - n) for m in matchings_with_fixed_points(n, k)]
+
+
+class TestPatternOracles:
+    """The comparison chains against the sorting tests they replaced."""
+
+    def test_arc_occurrence(self, fp_matchings):
+        for t in S3_PATTERNS:
+            for m in fp_matchings:
+                assert find_arc_occurrence(m.arcs, t) == _find_arc_occurrence_by_ranks(
+                    m.arcs, t
+                ), (m, t)
+
+    def test_fixed_point_class(self, fp_matchings):
+        found = 0
+        for tau in (Pattern((1, 2, 3)), Pattern((2, 1, 3)), Pattern((3, 2, 1))):
+            for m in fp_matchings:
+                got = _verdict(check_fixed_point_class, m, tau)
+                assert got == _verdict(_check_fixed_point_class_by_positions, m, tau), (m, tau)
+                found += got is not None and "forbidden" in got[0]
+        assert found  # the five-vertex configurations are reached
 
 
 class TestFixedPointClasses:

@@ -1,7 +1,11 @@
 """Enumeration of object families, counting tables, and per-board checks."""
 
+from itertools import accumulate, product
+from math import comb
+
 import pytest
 
+from matchboard.bijections import LabeledPathClass
 from matchboard.checks import board_difference, run
 from matchboard.errors import InvalidObjectError, ResourceCapError
 from matchboard.families import (
@@ -10,16 +14,17 @@ from matchboard.families import (
     count,
     count_fixed_point_class,
     dyck_paths,
+    labeled_paths,
     matchings,
     minimal_placements,
     noncrossing_pairs,
     pair_count_ending_south,
-    partition_count_via_matchings,
     permutations,
     placements,
     set_partitions,
 )
 from matchboard.formulas import coefficients
+from matchboard.model import DyckPath, LabeledDyckPath
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 
 # count(family, 3) for every family, with k = 1 for the two that take k
@@ -95,6 +100,63 @@ class TestGen:
             want = coefficients(fid, top)
             for n in range(top + 1):
                 assert count(family, n).total == want[n], (family, n)
+
+
+def _dyck_words(n):
+    """(word, heights) for every {E,S} word of length 2n that never goes
+    below height 0 and ends at 0, E before S."""
+    out = []
+    for letters in product("ES", repeat=2 * n):
+        hs = tuple(accumulate((1 if c == "E" else -1 for c in letters), initial=0))
+        if min(hs) >= 0 and hs[-1] == 0:
+            out.append(("".join(letters), hs))
+    return out
+
+
+def _labelings(n):
+    """Every labeled path of semilength n whose start label is at most n
+    (no path of a class starts higher): per path, start labels ascending,
+    then at each step the label kept before the label changed."""
+    out = []
+    for word, _ in _dyck_words(n):
+        path = DyckPath(word)
+        for a0 in range(n + 1):
+            for moves in product((0, 1), repeat=2 * n):
+                labels = [a0]
+                for c, move in zip(word, moves):
+                    labels.append(labels[-1] + (move if c == "E" else -move))
+                out.append(LabeledDyckPath(path, labels))
+    return out
+
+
+class TestGeneratorsAgainstBruteForce:
+    """The iterative generators yield exactly what a filter over all words
+    yields, in the same order."""
+
+    def test_dyck_paths(self):
+        for n in range(6):
+            got = list(dyck_paths(n))
+            assert all(isinstance(d, DyckPath) for d in got)
+            assert [d.steps for d in got] == [w for w, _ in _dyck_words(n)]
+
+    def test_noncrossing_pairs(self):
+        for n in range(6):
+            words = _dyck_words(n)
+            want = [
+                (bottom, top)
+                for top, th in words
+                for bottom, bh in words
+                if all(b <= t for b, t in zip(bh, th))
+            ]
+            got = [(pr.bottom.steps, pr.top.steps) for pr in noncrossing_pairs(n)]
+            assert got == want, n
+
+    def test_labeled_paths(self):
+        for n in range(5):
+            candidates = _labelings(n)
+            for cls in LabeledPathClass:
+                want = [lp for lp in candidates if cls.contains(lp)]
+                assert list(labeled_paths(n, cls)) == want, (cls, n)
 
 
 class TestCount:
@@ -257,6 +319,22 @@ class TestFixedPointClasses:
         assert pair_count_ending_south(1, 0) == 1
         assert pair_count_ending_south(2, 0) == 3
         assert pair_count_ending_south(0, 1) == 1
+
+
+def partition_count_via_matchings(n: int, avoid) -> int:
+    """Rebuild the number of avoiding partitions of [n] from the valley
+    histograms of avoiding matchings: each valley may merge into a
+    transitory vertex, then singletons are inserted in all positions."""
+    total = 0
+    for m in range(0, max(n, 1)):
+        hist = count("matching", m, avoid=avoid, stats=True).by_valleys
+        for v, cnt in hist.items():
+            for j in range(v + 1):
+                s = n - 2 * m + j
+                if s < 0:
+                    continue
+                total += cnt * comb(v, j) * comb(n, s)
+    return total
 
 
 class TestPartitionReconstruction:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from matchboard.bijections import NoncrossingPathPair
 from matchboard.errors import InvalidObjectError, ParseError
 from matchboard.model import (
     DyckPath,
@@ -206,3 +207,51 @@ class TestGammaRestriction:
     def test_bottom_corner_empty(self):
         p = RookPlacement.from_text("border:EESS;rooks:2,1")
         assert gamma_restriction(p, 2 * p.n) == ()
+
+
+def _placement():
+    return RookPlacement.from_text("border:EESS;rooks:2,1")
+
+
+# constructor or call -> the exact message it must raise; these reach the
+# CLI's stderr, and each check runs in the order listed for its type
+VALIDATOR_MESSAGES = [
+    (lambda: DyckPath("EX"), "bad step characters in 'EX'"),
+    (lambda: DyckPath("SEX"), "bad step characters in 'SEX'"),
+    (lambda: DyckPath("SE"), "path 'SE' crosses the diagonal"),
+    (lambda: DyckPath("SEE"), "path 'SEE' crosses the diagonal"),
+    (lambda: DyckPath("EES"), "path 'EES' is unbalanced"),
+    (
+        lambda: NoncrossingPathPair(DyckPath("ES"), DyckPath("EESS")),
+        "paths in a pair must have equal semilength",
+    ),
+    (
+        lambda: NoncrossingPathPair(DyckPath("EESS"), DyckPath("ESES")),
+        "bottom path EESS rises above top ESES",
+    ),
+    (lambda: LabeledDyckPath(DyckPath("ES"), (0, 1)), "expected 3 labels, got 2"),
+    (lambda: LabeledDyckPath(DyckPath("ES"), (0, 2, 1)), "label jump 0->2 on E step 0"),
+    (lambda: LabeledDyckPath(DyckPath("ES"), (1, 0, 0)), "label jump 1->0 on E step 0"),
+    (lambda: LabeledDyckPath(DyckPath("ES"), (0, 1, 3)), "label jump 1->3 on S step 1"),
+    (lambda: LabeledDyckPath(DyckPath("ES"), (0, 0, -2)), "label jump 0->-2 on S step 1"),
+    # the first bad step is named
+    (
+        lambda: LabeledDyckPath(DyckPath("EESS"), (0, 1, 1, 3, 0)),
+        "label jump 1->3 on S step 2",
+    ),
+    (
+        lambda: LabeledDyckPath(DyckPath("ESES"), (0, 0, 2, 5, 5)),
+        "label jump 0->2 on S step 1",
+    ),
+    (lambda: gamma_restriction(_placement(), 5), "vertex index 5 out of range 0..4"),
+    (lambda: gamma_restriction(_placement(), -1), "vertex index -1 out of range 0..4"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", VALIDATOR_MESSAGES, ids=[m for _, m in VALIDATOR_MESSAGES]
+)
+def test_validator_messages(build, message):
+    with pytest.raises(InvalidObjectError) as info:
+        build()
+    assert str(info.value) == message
