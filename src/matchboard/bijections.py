@@ -55,7 +55,7 @@ class NoncrossingPathPair:
     top: DyckPath
 
     def __post_init__(self):
-        if self.bottom.n != self.top.n:
+        if len(self.bottom.steps) != len(self.top.steps):
             raise InvalidObjectError("paths in a pair must have equal semilength")
         if any(map(gt, self.bottom.heights, self.top.heights)):
             raise InvalidObjectError(

@@ -194,32 +194,39 @@ def labeled_paths(n: int, cls: LabeledPathClass):
     """Labeled borders of semilength n in the given class: per path, start
     labels ascending, then at each step the label kept before the label
     changed."""
-    cap = _MAX_LABEL.get(cls, n)
     in_l = cls in (LabeledPathClass.L, LabeledPathClass.L_LT3, LabeledPathClass.L_PEAK)
+    starts = range(1 if in_l else min(n, _MAX_LABEL.get(cls, n)) + 1)
     for path in dyck_paths(n):
-        steps = path.steps
-        # a label never exceeds the south steps left, nor the cap
-        bound = [min(steps.count("S", i), cap) for i in range(2 * n + 1)]
-        # the aligned partner of each S step's endpoint, whose label bounds it
-        partner = [None] * (2 * n + 1)
-        for i, j in path.aligned_pairs():
-            partner[j] = i
-        # popped in order: start labels ascending, the kept label first
-        stack = [(a,) for a in range(0 if in_l else bound[0], -1, -1)]
-        while stack:
-            labels = stack.pop()
-            i = len(labels)
-            if i > 2 * n:
-                lp = LabeledDyckPath(path, labels)
-                if cls.contains(lp):
-                    yield lp
-                continue
-            a = labels[-1]
-            j = partner[i]
-            hi = bound[i] if j is None else min(bound[i], labels[j])
-            for b in (a + 1 if steps[i - 1] == "E" else a - 1, a):
-                if 0 <= b <= hi:
-                    stack.append(labels + (b,))
+        yield from _labelings(path, cls, starts)
+
+
+def _labelings(path: DyckPath, cls: LabeledPathClass, starts):
+    """The labelings of the path in the class whose start label is in
+    starts (ascending), in the order of ``labeled_paths``."""
+    n, steps = path.n, path.steps
+    cap = _MAX_LABEL.get(cls, n)
+    # a label never exceeds the south steps left, nor the cap
+    bound = [min(steps.count("S", i), cap) for i in range(2 * n + 1)]
+    # the aligned partner of each S step's endpoint, whose label bounds it
+    partner = [None] * (2 * n + 1)
+    for i, j in path.aligned_pairs():
+        partner[j] = i
+    # popped in order: start labels ascending, the kept label first
+    stack = [(a,) for a in reversed(starts)]
+    while stack:
+        labels = stack.pop()
+        i = len(labels)
+        if i > 2 * n:
+            lp = LabeledDyckPath(path, labels)
+            if cls.contains(lp):
+                yield lp
+            continue
+        a = labels[-1]
+        j = partner[i]
+        hi = bound[i] if j is None else min(bound[i], labels[j])
+        for b in (a + 1 if steps[i - 1] == "E" else a - 1, a):
+            if 0 <= b <= hi:
+                stack.append(labels + (b,))
 
 
 def e2_pairs(board: FerrersBoard):
@@ -355,12 +362,14 @@ def _scan(n: int, pats, partition: bool = False, by_border: bool = False) -> dic
                 yield "S", s
 
     out: dict[str, int] = {}
-
-    def walk(word: str, states: dict, left: int) -> None:
+    # depth first, so that only the unread siblings of each level are held
+    stack = [("", {(): 1}, n if partition else 2 * n)]
+    while stack:
+        word, states, left = stack.pop()
         if not left:
             if () in states:
                 out[word] = states[()]
-            return
+            continue
         buckets: dict[str, dict] = {}
         for state, c in states.items():
             for letter, s in moves(state):
@@ -368,10 +377,8 @@ def _scan(n: int, pats, partition: bool = False, by_border: bool = False) -> dic
                 if len(s) < left:
                     bucket = buckets.setdefault(letter if by_border else "", {})
                     bucket[s] = bucket.get(s, 0) + c
-        for letter in list(buckets):
-            walk(word + letter, buckets.pop(letter), left - 1)
-
-    walk("", {(): 1}, n if partition else 2 * n)
+        for letter in reversed(buckets):
+            stack.append((word + letter, buckets[letter], left - 1))
     return out
 
 

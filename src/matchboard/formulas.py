@@ -288,8 +288,8 @@ def _maps_oracle(n: int) -> int:
     families.check_cap("labeled-K", n)
     return sum(
         1
-        for lp in families.labeled_paths(n, LabeledPathClass.K)
-        if lp.labels[0] == 0
+        for path in families.dyck_paths(n)
+        for _ in families._labelings(path, LabeledPathClass.K, (0,))
     )
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import combinations
-from operator import lt
+from functools import lru_cache
+from math import inf
 
 from .errors import InvalidObjectError, ParseError
 from .model import RookPlacement, gamma_restriction
@@ -70,6 +70,21 @@ def parse_pattern_set(text: str) -> frozenset[Pattern]:
     return frozenset(Pattern.from_text(tok) for tok in items)
 
 
+@lru_cache(maxsize=None)
+def _plan(tv: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """Per entry of the pattern: the earlier entries holding its nearest lower
+    and nearest higher values (slots k and k + 1 of the value list, which hold
+    bounds, when there is none), and minus the number of entries after it."""
+    k = len(tv)
+    plan = []
+    for a, v in enumerate(tv):
+        lower = [b for b in range(a) if tv[b] < v]
+        higher = [b for b in range(a) if tv[b] > v]
+        plan.append((max(lower, key=tv.__getitem__, default=k),
+                     min(higher, key=tv.__getitem__, default=k + 1), a + 1 - k))
+    return tuple(plan)
+
+
 def perm_contains(p, t) -> bool:
     """True when some subsequence of p is order-isomorphic to t."""
     pv = p.perm if isinstance(p, Pattern) else tuple(p)
@@ -79,23 +94,20 @@ def perm_contains(p, t) -> bool:
         return True
     if k > len(pv):
         return False
+    return _extend(pv, _plan(tv), [0] * k + [-inf, inf], 0, 0)
 
-    def extend(chosen: tuple[int, ...], start: int) -> bool:
-        a = len(chosen)
-        if a == k:
-            return True
-        for pos in range(start, len(pv) - (k - a) + 1):
-            val = pv[pos]
-            ok = True
-            for b, prev in enumerate(chosen):
-                if (tv[b] < tv[a]) != (pv[prev] < val):
-                    ok = False
-                    break
-            if ok and extend(chosen + (pos,), pos + 1):
+
+def _extend(pv, plan, vals, a: int, start: int) -> bool:
+    """Whether positions from start on extend the values vals[:a], chosen
+    from pv, to an occurrence of the planned pattern."""
+    below, above, after = plan[a]
+    for pos in range(start, len(pv) + after):
+        val = pv[pos]
+        if vals[below] < val < vals[above]:
+            vals[a] = val
+            if not after or _extend(pv, plan, vals, a + 1, pos + 1):
                 return True
-        return False
-
-    return extend((), 0)
+    return False
 
 
 def placement_avoids(p: RookPlacement, t, all_vertices: bool = False) -> bool:
@@ -137,18 +149,29 @@ def find_arc_occurrence(arcs, t: Pattern):
     arcs = sorted(arcs)
     if k == 0 or len(arcs) < k:
         return None
-    # the opener ranks in the order of their closers: opener rank a closes
-    # at closer rank k + 1 - t(a)
-    by_closer = sorted(range(k), key=t.perm.__getitem__, reverse=True)
-    for combo in combinations(arcs, k):
-        # combo is sorted by opener, so its last opener must precede the
-        # first closer, and closers and openers must strictly increase
-        rights = [combo[a][1] for a in by_closer]
-        if combo[-1][0] < rights[0] and all(map(lt, rights, rights[1:])):
-            lefts = [a for a, _ in combo]
-            if all(map(lt, lefts, lefts[1:])):
-                return tuple(lefts + rights)
+    # the closers, in opener order, form t's complement: an entry below
+    # another in t closes after it, so slot k bounds from above, k + 1 below
+    opens, vals = [0] * k, [0] * k + [inf, -inf]
+    if _arc_search(arcs, _plan(t.perm), vals, opens, 0, 0, -inf, inf):
+        return tuple(opens) + tuple(sorted(vals[:k]))
     return None
+
+
+def _arc_search(arcs, plan, vals, opens, a, start, prev, low) -> bool:
+    """Whether arcs from index start on extend the chosen arcs (openers
+    opens[:a], the last prev; closers vals[:a], the smallest low) to an
+    occurrence, searched depth first in the order of ``itertools.combinations``."""
+    below, above, after = plan[a]
+    for i in range(start, len(arcs) + after):
+        o, c = arcs[i]
+        if o >= low:
+            return False  # the later openers are no smaller
+        if prev < o < c and vals[above] < c < vals[below]:
+            vals[a] = c
+            opens[a] = o
+            if not after or _arc_search(arcs, plan, vals, opens, a + 1, i + 1, o, min(low, c)):
+                return True
+    return False
 
 
 def lis_length(perm) -> int:

@@ -173,6 +173,15 @@ class TestOracles:
             report = cross_check(fid, n_max)
             assert all(r["equal"] for r in report["results"]), fid
 
+    def test_maps_oracle_counts_start_label_zero(self):
+        from matchboard.bijections import LabeledPathClass
+        from matchboard.families import labeled_paths
+        from matchboard.formulas import _maps_oracle
+
+        for n in range(6):
+            kept = [lp for lp in labeled_paths(n, LabeledPathClass.K) if lp.labels[0] == 0]
+            assert _maps_oracle(n) == len(kept), n
+
     def test_oracle_unknown(self):
         with pytest.raises(SeriesError):
             oracle_value("nope", 3)

@@ -1,10 +1,14 @@
 """Pattern containment on permutations, placements, and arc diagrams."""
 
+import gc
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
+from operator import lt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchboard.errors import InvalidObjectError, ParseError
 from matchboard.families import count, matchings, set_partitions
@@ -100,12 +104,113 @@ class TestArcOccurrence:
         assert find_arc_occurrence(p.arcs, Pattern((1, 2, 3))) is None
         assert find_arc_occurrence(p.arcs, Pattern((2, 1))) is not None
 
+    def test_shared_vertex_is_no_occurrence(self):
+        # chosen vertices must be distinct, even for arcs given by hand
+        assert find_arc_occurrence(((1, 3), (1, 4)), Pattern((2, 1))) is None
+        assert find_arc_occurrence(((1, 3), (3, 4)), Pattern((2, 1))) is None
+
     def test_fixed_points_ignored(self):
         # the two arcs cross, giving 21 but not 12; the fixed points at 2
         # and 5 never join in
         m = Matching(((1, 4), (3, 6)), (2, 5))
         assert find_arc_occurrence(m.arcs, Pattern((1, 2))) is None
         assert find_arc_occurrence(m.arcs, Pattern((2, 1))) is not None
+
+
+def _perm_contains_by_entries(p, t):
+    """The search that compared each candidate with every chosen entry, kept
+    as the oracle of perm_contains."""
+    pv, tv = tuple(p), tuple(t)
+    k = len(tv)
+    if k == 0:
+        return True
+    if k > len(pv):
+        return False
+
+    def extend(chosen, start):
+        a = len(chosen)
+        if a == k:
+            return True
+        for pos in range(start, len(pv) - (k - a) + 1):
+            val = pv[pos]
+            if all((tv[b] < tv[a]) == (pv[prev] < val) for b, prev in enumerate(chosen)):
+                if extend(chosen + (pos,), pos + 1):
+                    return True
+        return False
+
+    return extend((), 0)
+
+
+def _find_arc_occurrence_by_combinations(arcs, t):
+    """The search over every k-combination of the opener-sorted arcs, kept
+    as the oracle of find_arc_occurrence."""
+    k = len(t.perm)
+    arcs = sorted(arcs)
+    if k == 0 or len(arcs) < k:
+        return None
+    by_closer = sorted(range(k), key=t.perm.__getitem__, reverse=True)
+    for combo in combinations(arcs, k):
+        rights = [combo[a][1] for a in by_closer]
+        if combo[-1][0] < rights[0] and all(map(lt, rights, rights[1:])):
+            lefts = [a for a, _ in combo]
+            if all(map(lt, lefts, lefts[1:])):
+                return tuple(lefts + rights)
+    return None
+
+
+class TestSearchOracles:
+    """The planned searches against the searches they replaced."""
+
+    def test_perm_contains_exhaustive(self):
+        # every permutation with n <= 6 against every pattern with k <= 4,
+        # so k = 0 and k > n are both reached
+        for n in range(7):
+            for p in permutations(range(1, n + 1)):
+                for k in range(5):
+                    for t in permutations(range(1, k + 1)):
+                        assert perm_contains(p, t) == _perm_contains_by_entries(p, t), (p, t)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.integers(-30, 30), unique=True, max_size=9),
+        st.lists(st.integers(-9, 99), unique=True, max_size=5),
+    )
+    def test_perm_contains_distinct_values(self, p, t):
+        assert perm_contains(p, t) == _perm_contains_by_entries(p, t)
+
+    def test_arc_occurrence(self):
+        # partition arcs can share a vertex: one arc closes where the next opens
+        diagrams = {
+            "matching": [m.arcs for n in range(6) for m in matchings(n)],
+            "partition": [q.arcs for n in range(8) for q in set_partitions(n)],
+        }
+        patterns = [Pattern(t) for k in (3, 4) for t in permutations(range(1, k + 1))]
+        for kind, arcs_list in diagrams.items():
+            found = 0
+            for arcs in arcs_list:
+                for t in patterns:
+                    got = find_arc_occurrence(arcs, t)
+                    assert got == _find_arc_occurrence_by_combinations(arcs, t), (arcs, t)
+                    found += got is not None
+            assert found, kind
+
+
+def test_no_reference_cycles():
+    """The scan and the pattern searches are freed by reference counting
+    alone, so what they hold does not wait for the cyclic collector."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        count("matching", 4, avoid=("132",), by_shape=True)
+        count("partition", 6, avoid=("123", "321"))
+        count("permutation", 5, avoid=("1342",))
+        perm_contains((2, 4, 1, 3), Pattern((3, 1, 2)))
+        find_arc_occurrence(((1, 4), (2, 5), (3, 6)), Pattern((3, 2, 1)))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestScanAgainstBruteForce:
