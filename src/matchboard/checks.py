@@ -9,8 +9,6 @@ claim.
 
 from __future__ import annotations
 
-from operator import gt
-
 from . import families
 from .bijections import (
     delta213,
@@ -117,13 +115,8 @@ def _suite_bijections(max_n: int) -> list[dict]:
     checks.append({"name": "kappa-roundtrip", "pass": ok_round})
     ok_switch = ok_inv = ok_image = True
     for n in range(1, top + 1):
-        paths = list(families.dyck_paths(n))
         for board in families.boards(n):
-            below = {
-                d.steps
-                for d in paths
-                if not any(map(gt, d.heights, board.border.heights))
-            }
+            below = set(families._words_under(board.border.heights))
             img321 = set()
             img213 = set()
             for p in families.placements_on_board(board):

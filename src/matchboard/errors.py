@@ -35,8 +35,9 @@ class PatternViolationError(MatchboardError):
 
 
 class ResourceCapError(MatchboardError):
-    """A requested count exceeds the size cap of the route that would run
-    it: the scan's, or the enumeration cap of the family."""
+    """A request exceeds the cap of the route that would run it: a count
+    past the scan's size cap or the enumeration cap of the family, or a
+    series order past the formulas' order cap."""
 
 
 class SeriesError(MatchboardError):

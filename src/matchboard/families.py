@@ -102,56 +102,56 @@ def matchings_with_fixed_points(n: int, k: int):
     ground = tuple(range(1, 2 * n + k + 1))
     for fps in combinations(ground, k):
         rest = tuple(v for v in ground if v not in fps)
-
-        def rec(free: tuple[int, ...]):
-            if not free:
-                yield ()
-                return
-            v = free[0]
-            for idx in range(1, len(free)):
-                for tail in rec(free[1:idx] + free[idx + 1:]):
-                    yield ((v, free[idx]),) + tail
-
-        for arcs in rec(rest):
+        for arcs in _pairings(rest):
             yield Matching(arcs, fps)
+
+
+def _pairings(free: tuple[int, ...]):
+    """The perfect matchings of the vertices in free, as arc tuples, by the
+    partner of the first vertex ascending."""
+    if not free:
+        yield ()
+        return
+    v = free[0]
+    for idx in range(1, len(free)):
+        for tail in _pairings(free[1:idx] + free[idx + 1:]):
+            yield ((v, free[idx]),) + tail
 
 
 def set_partitions(n: int):
     """All partitions of [n], by restricted-growth assignment."""
+    yield from _growth(1, n, [])
 
-    def rec(v: int, blocks: list[list[int]]):
-        if v > n:
-            yield SetPartition(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(v)
-            yield from rec(v + 1, blocks)
-            b.pop()
-        blocks.append([v])
-        yield from rec(v + 1, blocks)
-        blocks.pop()
 
-    yield from rec(1, [])
+def _growth(v: int, n: int, blocks: list[list[int]]):
+    """The partitions that put v..n into the blocks or new ones after them."""
+    if v > n:
+        yield SetPartition(tuple(tuple(b) for b in blocks))
+        return
+    for b in blocks:
+        b.append(v)
+        yield from _growth(v + 1, n, blocks)
+        b.pop()
+    blocks.append([v])
+    yield from _growth(v + 1, n, blocks)
+    blocks.pop()
 
 
 def placements_on_board(board: FerrersBoard):
     """All full rook placements on the board."""
     n = board.n
     heights = board.column_heights
-
-    def rec(c: int, used: set[int], rows: list[int]):
-        if c > n:
-            yield RookPlacement(board, tuple(rows))
-            return
-        for r in range(1, heights[c - 1] + 1):
-            if r not in used:
-                used.add(r)
-                rows.append(r)
-                yield from rec(c + 1, used, rows)
-                rows.pop()
-                used.remove(r)
-
-    yield from rec(1, set(), [])
+    # popped in order: columns left to right, each one's row ascending
+    stack = [()]
+    while stack:
+        rows = stack.pop()
+        c = len(rows)
+        if c == n:
+            yield RookPlacement(board, rows)
+            continue
+        for r in range(heights[c], 0, -1):
+            if r not in rows:
+                stack.append(rows + (r,))
 
 
 def placements(n: int):
@@ -258,48 +258,33 @@ def b2_pairs(n: int):
     above y = -x: L1 has n steps, L0 runs weakly below with the same final
     x, has no peak strictly southwest of an L1 vertex, and ends with a south
     step only when both paths end at the same level."""
-
-    def l1_rec(prefix: list[str], e: int, s: int):
-        if e + s == n:
-            yield "".join(prefix), e, s
-            return
-        prefix.append("E")
-        yield from l1_rec(prefix, e + 1, s)
-        prefix.pop()
-        if s < e:
-            prefix.append("S")
-            yield from l1_rec(prefix, e, s + 1)
-            prefix.pop()
-
-    for l1, a, bs in l1_rec([], 0, 0):
+    for word in product("ES", repeat=n):
         # level of the j-th east step of L1 (1-indexed)
         e1_level = []
-        s_seen = 0
-        for ch in l1:
+        bs = 0
+        for ch in word:
             if ch == "E":
-                e1_level.append(-s_seen)
+                e1_level.append(-bs)
+            elif bs < len(e1_level):
+                bs += 1
             else:
-                s_seen += 1
-
-        def l0_rec(prefix: list[str], j: int, s: int):
-            if j == a and s >= bs and (not prefix or prefix[-1] == "E" or s == bs):
-                yield "".join(prefix), s
-            if j < a and -s <= e1_level[j]:
-                prefix.append("E")
-                yield from l0_rec(prefix, j + 1, s)
-                prefix.pop()
-            if s < j and s + 1 <= a:
-                if prefix and prefix[-1] == "E":
-                    # adding S forms a peak at (j, -s); reject it when some
-                    # L1 vertex lies strictly northeast
-                    if j < a and e1_level[j] > -s:
-                        return
-                prefix.append("S")
-                yield from l0_rec(prefix, j, s + 1)
-                prefix.pop()
-
-        for l0, s0 in l0_rec([], 0, 0):
-            yield l0, l1, a - bs, s0 - bs
+                break  # L1 would cross y = -x
+        else:
+            l1, a = "".join(word), len(e1_level)
+            # popped in order: L0 itself, then its extensions by E, then by S
+            stack = [("", 0, 0)]
+            while stack:
+                l0, j, s = stack.pop()
+                if j == a and s >= bs and (not l0 or l0[-1] == "E" or s == bs):
+                    yield l0, l1, a - bs, s - bs
+                # an S after an E forms a peak at (j, -s), refused when some
+                # L1 vertex lies strictly northeast
+                if s < j and s + 1 <= a and not (
+                    l0[-1:] == "E" and j < a and e1_level[j] > -s
+                ):
+                    stack.append((l0 + "S", j, s + 1))
+                if j < a and -s <= e1_level[j]:
+                    stack.append((l0 + "E", j + 1, s))
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +540,12 @@ def count_fixed_point_class(n: int, k: int, tau) -> int:
     return total
 
 
-def pair_count_ending_south(n: int, k: int) -> int:
-    """Number of noncrossing pairs of semilength n + k with both paths
-    ending in k south steps, by dynamic programming over synchronized
-    height states (no enumeration, so no cap applies)."""
-    m = n + k
-    steps = 2 * m - k
+def _pair_walk(steps: int):
+    """Noncrossing pairs read one synchronized step at a time: the dicts
+    from (bottom height, top height) to the number of pairs of prefixes,
+    after 0, 1, ..., steps steps."""
     states = {(0, 0): 1}
+    yield states
     for _ in range(steps):
         nxt: dict[tuple[int, int], int] = {}
         for (j, h), c in states.items():
@@ -576,6 +560,15 @@ def pair_count_ending_south(n: int, k: int) -> int:
                     key = (jj, hh)
                     nxt[key] = nxt.get(key, 0) + c
         states = nxt
+        yield states
+
+
+def pair_count_ending_south(n: int, k: int) -> int:
+    """Number of noncrossing pairs of semilength n + k with both paths
+    ending in k south steps: the pairs of prefixes at heights (k, k) after
+    2n + k steps of ``_pair_walk`` (no enumeration, so no cap applies)."""
+    for states in _pair_walk(2 * n + k):
+        pass
     return states.get((k, k), 0)
 
 

@@ -14,11 +14,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb, factorial
 
 from . import families
 from .bijections import LabeledPathClass
-from .errors import SeriesError
+from .errors import ResourceCapError, SeriesError
 from .series import (
     Series,
     algebraic_solve,
@@ -53,7 +54,7 @@ def _check_order(n: int) -> None:
     if n < 0:
         raise SeriesError("order must be nonnegative")
     if n > ORDER_CAP:
-        raise SeriesError(f"order {n} exceeds the cap {ORDER_CAP}")
+        raise ResourceCapError(f"order {n} exceeds the cap {ORDER_CAP}")
 
 
 def _catalan(n: int) -> int:
@@ -379,8 +380,10 @@ FORMULAS: dict[str, Formula] = {
         _counted("matching", "123"),
     ),
     "dnk_pairs": Formula(
+        # the walk's origin after 2n steps counts the pairs of semilength n
         lambda order: tuple(
-            families.pair_count_ending_south(n, 0) for n in range(order + 1)
+            states.get((0, 0), 0)
+            for states in islice(families._pair_walk(2 * order), 0, None, 2)
         ),
         lambda order: coefficients("gouyou_m123", order),
         _counted("pair"),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import add, mul
 
 from .errors import DivisibilityError, SeriesError
@@ -766,28 +766,25 @@ def residual(name: str, sol: Series) -> Series:
 def substitution_sum(a, order: int, extra_denominator: int = 1) -> Series:
     """Evaluate sum c_{n,k} z^(2n-k) / (1-z)^(2n+extra) for a series
     a = sum c_{n,k} v^k z^n; requires the valley bound k <= n - 1 for n >= 1
-    and a.order >= order - 1."""
+    and k = 0 for n = 0, and a.order >= order - 1.  Each monomial adds one
+    binomial coefficient to each output coefficient from z^(2n-k) on."""
     a = a.widen(("v",))
     if a.order < max(0, order - 1):
         raise SeriesError(
             f"input order {a.order} too small for output order {order}"
         )
-    geom = (1 - Series.z(order)).inverse()
-    geom2 = geom * geom
-    power = geom**extra_denominator
-    result = Series.zero(order)
-    for n, poly in enumerate(a.coeffs):
+    out = [0] * (order + 1)
+    # a monomial with n >= order starts past z^order
+    for n, poly in enumerate(a.coeffs[: max(order, 1)]):
+        e = 2 * n + extra_denominator
         for (k,), c in poly.items():
-            if n >= 1 and k >= n:
-                raise SeriesError(
-                    f"valley bound violated: v^{k} at z^{n}"
-                )
-            if 2 * n - k <= order:
-                result = result + (power * c).shift(2 * n - k).trunc(order)
-        power = (power * geom2).trunc(order)
-        if 2 * (n + 1) - n > order:
-            break
-    return result
+            if k > max(n - 1, 0):
+                raise SeriesError(f"valley bound violated: v^{k} at z^{n}")
+            for j in range(order + k - 2 * n + 1):
+                # the z^j coefficient of 1 / (1-z)^e
+                b = comb(j + e - 1, j) if e > 0 else (-1) ** j * comb(-e, j)
+                out[2 * n - k + j] += c * b
+    return Series.from_coeffs(out, order)
 
 
 def partition_transform(a, order: int) -> Series:

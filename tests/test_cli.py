@@ -99,7 +99,7 @@ class TestSeries:
 
     def test_order_cap(self, capsys):
         code, _, _ = run(capsys, "series", "--formula", "m312", "--order", "99")
-        assert code == 2
+        assert code == 3
 
 
 class TestCrossCheck:
@@ -249,6 +249,8 @@ def test_malformed_argv_is_usage_error(capsys, argv):
 OVER_CAP = [
     ("cross-check", "--formula", "maps", "--max-n", "8"),
     ("cross-check", "--formula", "catalan_v", "--max-n", "13"),
+    ("cross-check", "--formula", "catalan_v", "--max-n", "31"),  # past the order cap
+    ("series", "--formula", "m312", "--order", "31"),
     ("count", "--family", "matching", "--n", "11", "--avoid", "132"),
     ("count", "--family", "matching", "--n", "9", "--avoid", "1234"),
     ("count", "--family", "partition", "--n", "12", "--avoid", "123"),

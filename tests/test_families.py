@@ -1,7 +1,7 @@
 """Enumeration of object families, counting tables, and per-board checks."""
 
 from itertools import accumulate, product
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -10,21 +10,24 @@ from matchboard.checks import board_difference, run
 from matchboard.errors import InvalidObjectError, ResourceCapError
 from matchboard.families import (
     FAMILY_NAMES,
+    _pair_walk,
     b2_pairs,
     count,
     count_fixed_point_class,
     dyck_paths,
     labeled_paths,
     matchings,
+    matchings_with_fixed_points,
     minimal_placements,
     noncrossing_pairs,
     pair_count_ending_south,
     permutations,
     placements,
+    placements_on_board,
     set_partitions,
 )
-from matchboard.formulas import coefficients
-from matchboard.model import DyckPath, LabeledDyckPath
+from matchboard.formulas import _gouyou_determinant, coefficients
+from matchboard.model import DyckPath, FerrersBoard, LabeledDyckPath
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 
 # count(family, 3) for every family, with k = 1 for the two that take k
@@ -157,6 +160,41 @@ class TestGeneratorsAgainstBruteForce:
             for cls in LabeledPathClass:
                 want = [lp for lp in candidates if cls.contains(lp)]
                 assert list(labeled_paths(n, cls)) == want, (cls, n)
+
+    def test_matchings_with_fixed_points(self):
+        # fixed points, then arcs, lexicographically
+        for n in range(4):
+            for k in range(4):
+                got = [(m.fixed_points, m.arcs) for m in matchings_with_fixed_points(n, k)]
+                assert got == sorted(set(got)), (n, k)
+                assert len(got) == comb(2 * n + k, k) * prod(range(1, 2 * n, 2)), (n, k)
+
+    def test_set_partitions(self):
+        # restricted-growth words, lexicographically
+        for n in range(7):
+            want = []
+            for word in product(range(n), repeat=n):
+                if all(a <= max(word[:i], default=-1) + 1 for i, a in enumerate(word)):
+                    want.append(tuple(
+                        tuple(v for v, a in enumerate(word, 1) if a == b)
+                        for b in range(max(word, default=-1) + 1)
+                    ))
+            assert [p.blocks for p in set_partitions(n)] == want, n
+
+    def test_placements_on_board(self):
+        # rook rows column by column, lexicographically
+        for n in range(6):
+            for d in dyck_paths(n):
+                board = FerrersBoard(d)
+                want = [
+                    perm for perm in permutations(n)
+                    if all(r <= h for r, h in zip(perm, board.column_heights))
+                ]
+                assert [p.rook_rows for p in placements_on_board(board)] == want, d
+
+    def test_b2_pairs(self):
+        for n in range(10):
+            assert list(b2_pairs(n)) == list(_b2_pairs_by_closures(n)), n
 
 
 class TestCount:
@@ -320,6 +358,39 @@ class TestFixedPointClasses:
         assert pair_count_ending_south(2, 0) == 3
         assert pair_count_ending_south(0, 1) == 1
 
+    def test_walk_equals_per_count_dp(self):
+        for n in range(9):
+            for k in range(9):
+                assert pair_count_ending_south(n, k) == _pair_count_by_own_dp(n, k), (n, k)
+
+    def test_walk_origin_equals_gouyou_determinant(self):
+        # the determinant shares no code with the walk
+        origin = [states.get((0, 0), 0) for states in _pair_walk(120)][::2]
+        assert tuple(origin) == _gouyou_determinant(60)
+
+
+def _pair_count_by_own_dp(n: int, k: int) -> int:
+    """The per-count dynamic program that the shared walk replaced, kept as
+    its oracle."""
+    m = n + k
+    steps = 2 * m - k
+    states = {(0, 0): 1}
+    for _ in range(steps):
+        nxt: dict[tuple[int, int], int] = {}
+        for (j, h), c in states.items():
+            for dj in (1, -1):
+                jj = j + dj
+                if jj < 0:
+                    continue
+                for dh in (1, -1):
+                    hh = h + dh
+                    if hh < 0 or jj > hh:
+                        continue
+                    key = (jj, hh)
+                    nxt[key] = nxt.get(key, 0) + c
+        states = nxt
+    return states.get((k, k), 0)
+
 
 def partition_count_via_matchings(n: int, avoid) -> int:
     """Rebuild the number of avoiding partitions of [n] from the valley
@@ -360,3 +431,50 @@ class TestValleyHistogram:
             assert h >= 0 and eps >= 0
             seen.add((l0, l1))
         assert len(seen) == len(list(b2_pairs(3)))
+
+
+def _b2_pairs_by_closures(n: int):
+    """The recursive b2 generator that the explicit stack replaced, kept as
+    its oracle."""
+
+    def l1_rec(prefix: list[str], e: int, s: int):
+        if e + s == n:
+            yield "".join(prefix), e, s
+            return
+        prefix.append("E")
+        yield from l1_rec(prefix, e + 1, s)
+        prefix.pop()
+        if s < e:
+            prefix.append("S")
+            yield from l1_rec(prefix, e, s + 1)
+            prefix.pop()
+
+    for l1, a, bs in l1_rec([], 0, 0):
+        # level of the j-th east step of L1 (1-indexed)
+        e1_level = []
+        s_seen = 0
+        for ch in l1:
+            if ch == "E":
+                e1_level.append(-s_seen)
+            else:
+                s_seen += 1
+
+        def l0_rec(prefix: list[str], j: int, s: int):
+            if j == a and s >= bs and (not prefix or prefix[-1] == "E" or s == bs):
+                yield "".join(prefix), s
+            if j < a and -s <= e1_level[j]:
+                prefix.append("E")
+                yield from l0_rec(prefix, j + 1, s)
+                prefix.pop()
+            if s < j and s + 1 <= a:
+                if prefix and prefix[-1] == "E":
+                    # adding S forms a peak at (j, -s); reject it when some
+                    # L1 vertex lies strictly northeast
+                    if j < a and e1_level[j] > -s:
+                        return
+                prefix.append("S")
+                yield from l0_rec(prefix, j, s + 1)
+                prefix.pop()
+
+        for l0, s0 in l0_rec([], 0, 0):
+            yield l0, l1, a - bs, s0 - bs

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from matchboard.errors import SeriesError
+from matchboard.errors import ResourceCapError, SeriesError
 from matchboard.formulas import (
     FORMULA_IDS,
     FORMULAS,
@@ -71,7 +71,7 @@ class TestPrimaryRoutes:
         assert coefficients("classV_m", 7)[1:] == TABLE_PAIR_CLASSES["V"]
 
     def test_order_cap(self):
-        with pytest.raises(SeriesError):
+        with pytest.raises(ResourceCapError):
             coefficients("m312", ORDER_CAP + 1)
         with pytest.raises(SeriesError):
             coefficients("m312", -1)

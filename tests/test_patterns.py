@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchboard.errors import InvalidObjectError, ParseError
-from matchboard.families import count, matchings, set_partitions
+from matchboard.families import (
+    b2_pairs,
+    boards,
+    count,
+    matchings,
+    matchings_with_fixed_points,
+    placements_on_board,
+    set_partitions,
+)
 from matchboard.model import Matching, RookPlacement, SetPartition, statistics
 from matchboard.patterns import (
     S3_PATTERNS,
@@ -196,8 +204,9 @@ class TestSearchOracles:
 
 
 def test_no_reference_cycles():
-    """The scan and the pattern searches are freed by reference counting
-    alone, so what they hold does not wait for the cyclic collector."""
+    """The scan, the pattern searches and the generators are freed by
+    reference counting alone, so what they hold does not wait for the
+    cyclic collector."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -205,6 +214,11 @@ def test_no_reference_cycles():
         count("matching", 4, avoid=("132",), by_shape=True)
         count("partition", 6, avoid=("123", "321"))
         count("permutation", 5, avoid=("1342",))
+        count("placement", 3, avoid=("1234",))
+        list(matchings_with_fixed_points(2, 1))
+        list(set_partitions(4))
+        list(placements_on_board(next(boards(3))))
+        list(b2_pairs(4))
         perm_contains((2, 4, 1, 3), Pattern((3, 1, 2)))
         find_arc_occurrence(((1, 4), (2, 5), (3, 6)), Pattern((3, 2, 1)))
         assert gc.collect() == 0

@@ -299,6 +299,7 @@ class TestSubstitution:
     def test_constant_gives_geometric(self):
         out = partition_transform(Series.one(0).extend(7), 8)
         assert tuple(out) == (1,) * 9
+        assert tuple(partition_transform(Series.one(0), 0)) == (1,)
 
     def test_known_partition_series(self):
         # transform of the valley-marked column series gives the
@@ -311,7 +312,58 @@ class TestSubstitution:
         a = Series(("v",), 1, [{(0,): 1}, {(1,): 1}])
         with pytest.raises(SeriesError):
             substitution_sum(a, 3)
+        # v^k at z^0 would give z^(-k)
+        with pytest.raises(SeriesError):
+            partition_transform(Series.var("v", ("v",), 5), 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_binomial_sums_equal_series_products(self, data):
+        order = data.draw(st.integers(0, 15))
+        extra = data.draw(st.sampled_from([-1, 0, 1, 2]))
+        a_order = data.draw(st.integers(max(0, order - 1), order + 2))
+        value = st.integers(-50, 50) | st.fractions(
+            min_value=-5, max_value=5, max_denominator=12
+        )
+        # valley-bounded: v^k at z^n has k <= n - 1, and k = 0 at z^0
+        polys = [
+            data.draw(
+                st.dictionaries(st.tuples(st.integers(0, max(n - 1, 0))), value, max_size=3)
+            )
+            for n in range(a_order + 1)
+        ]
+        a = Series(("v",), a_order, polys)
+        got = substitution_sum(a, order, extra)
+        want = _substitution_sum_by_products(a, order, extra)
+        assert (got.variables, got.order) == (want.variables, want.order)
+        assert got.dicts() == want.dicts()
 
     def test_order_guard(self):
         with pytest.raises(SeriesError):
             substitution_sum(Series.one(2), 9)
+
+
+def _substitution_sum_by_products(a, order: int, extra_denominator: int = 1) -> Series:
+    """The transform by series products and shifts that the binomial sums
+    replaced, kept as their oracle."""
+    a = a.widen(("v",))
+    if a.order < max(0, order - 1):
+        raise SeriesError(
+            f"input order {a.order} too small for output order {order}"
+        )
+    geom = (1 - Series.z(order)).inverse()
+    geom2 = geom * geom
+    power = geom**extra_denominator
+    result = Series.zero(order)
+    for n, poly in enumerate(a.coeffs):
+        for (k,), c in poly.items():
+            if n >= 1 and k >= n:
+                raise SeriesError(
+                    f"valley bound violated: v^{k} at z^{n}"
+                )
+            if 2 * n - k <= order:
+                result = result + (power * c).shift(2 * n - k).trunc(order)
+        power = (power * geom2).trunc(order)
+        if 2 * (n + 1) - n > order:
+            break
+    return result
