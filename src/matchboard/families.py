@@ -459,6 +459,12 @@ FAMILY_NAMES = tuple(_FAMILIES)
 _SCAN_CAPS = {"matching": 10, "partition": 11}
 
 
+def _refuse_negative(n: int, k: int) -> None:
+    for name, value in (("n", n), ("k", k)):
+        if value < 0:
+            raise InvalidObjectError(f"{name} must be nonnegative, got {value}")
+
+
 def check_cap(family: str, n: int, k: int | None = None, scan: bool = False) -> None:
     """Refuse to count the family at n (and k) before anything runs: a
     negative n or k is an InvalidObjectError, and an n (n + k for a family
@@ -466,9 +472,7 @@ def check_cap(family: str, n: int, k: int | None = None, scan: bool = False) -> 
     family's scan when ``scan`` is set, else enumeration."""
     row = _FAMILIES[family]
     k = k or 0
-    for name, value in (("n", n), ("k", k)):
-        if value < 0:
-            raise InvalidObjectError(f"{name} must be nonnegative, got {value}")
+    _refuse_negative(n, k)
     limit = _SCAN_CAPS[row.scan] if scan else row.cap
     if n + k > limit:
         raise ResourceCapError(f"{row.label} size {n + k} exceeds the cap {limit}")
@@ -567,6 +571,7 @@ def pair_count_ending_south(n: int, k: int) -> int:
     """Number of noncrossing pairs of semilength n + k with both paths
     ending in k south steps: the pairs of prefixes at heights (k, k) after
     2n + k steps of ``_pair_walk`` (no enumeration, so no cap applies)."""
+    _refuse_negative(n, k)
     for states in _pair_walk(2 * n + k):
         pass
     return states.get((k, k), 0)

@@ -86,7 +86,7 @@ def _m312_closed(order: int) -> Series:
 
 def _at_u0(name: str, order: int) -> Series:
     """K(u=0) of a functional equation, as a series without u."""
-    return fe_iterate(name, order).subs_zero("u").drop_variable("u")
+    return fe_iterate(name, order).subs("u", 0)
 
 
 def _valley_marked(name: str, order: int) -> Series:
@@ -164,7 +164,7 @@ def classII_III_cubic(order: int, v_value) -> list[Series]:
     and leaves 0 = D + z(1-v)C*D + z^2*W^2*C - H*D^2.
     """
     v = Fraction(v_value)
-    C = narayana_series(order).subs("v", v).drop_variable("v")
+    C = narayana_series(order).subs("v", v)
     z = Series.z(order)
     a = 1 - z + z * v - z * v * C
     b = -v
@@ -201,8 +201,7 @@ def valley_marked_classIV(order: int) -> Series:
 
 
 def _classV_series(order: int) -> Series:
-    g = fe_iterate("G_classV", 2 * order).subs_zero("t").subs_zero("u")
-    g = g.drop_variable("t").drop_variable("u")
+    g = fe_iterate("G_classV", 2 * order).subs("t", 0).subs("u", 0)
     for m in range(1, 2 * order + 1, 2):
         if g[m] != 0:
             raise SeriesError(f"odd coefficient z^{m} of G(0,0,z) is nonzero")
@@ -229,7 +228,7 @@ def _s3124_series(order: int) -> Series:
 def returns_valleys_series(order: int) -> Series:
     """Border paths counted by returns (t) and valleys (v):
     (1 + t(1-v)zC(v,z)) / (1 - tvzC(v,z))."""
-    C = narayana_series(order).widen(("t", "v"))
+    C = narayana_series(order)
     t = Series.var("t", ("t", "v"), order)
     v = Series.var("v", ("t", "v"), order)
     zC = C.shift(1).trunc(order)
@@ -326,7 +325,7 @@ FORMULAS: dict[str, Formula] = {
     "s3124": Formula(_s3124_series, _s1342_closed, _counted("permutation", "3124")),
     "classI_m": Formula(
         _classI_m_closed,
-        lambda order: valley_marked_classI(order).subs("v", 1).drop_variable("v"),
+        lambda order: valley_marked_classI(order).subs("v", 1),
         _counted("matching", "123", "213"),
     ),
     "classI_p": Formula(
@@ -335,7 +334,7 @@ FORMULAS: dict[str, Formula] = {
         _counted("partition", "123", "213"),
     ),
     "classII_III_m": Formula(
-        lambda order: valley_marked_classII_III(order).subs("v", 1).drop_variable("v"),
+        lambda order: valley_marked_classII_III(order).subs("v", 1),
         lambda order: _sequence(
             algebraic_solve(classII_III_cubic(order, 1), 1, order), order
         ),
@@ -348,7 +347,7 @@ FORMULAS: dict[str, Formula] = {
     ),
     "classIV_m": Formula(
         lambda order: _rational([1, -5, 2], [1, -6, 5], order),
-        lambda order: valley_marked_classIV(order).subs("v", 1).drop_variable("v"),
+        lambda order: valley_marked_classIV(order).subs("v", 1),
         _counted("matching", "123", "321"),
     ),
     "classIV_p": Formula(
@@ -366,11 +365,7 @@ FORMULAS: dict[str, Formula] = {
     "classV_m": Formula(_classV_series, None, _counted("matching", "213", "321")),
     "catalan_v": Formula(catalan_series, _catalan_closed, _counted("dyck")),
     "dyck_rv": Formula(
-        lambda order: (
-            returns_valleys_series(order)
-            .subs("t", 1).drop_variable("t")
-            .subs("v", 1).drop_variable("v")
-        ),
+        lambda order: returns_valleys_series(order).subs("t", 1).subs("v", 1),
         catalan_series,
         _counted("dyck"),
     ),

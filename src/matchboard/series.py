@@ -4,9 +4,10 @@
 coefficients are polynomials in a declared tuple of variables (a subset of
 u, v, t), each a dict from exponent tuple to nonzero value.  A plain series
 has no variables, so its only key is ().  Every operation serves both cases,
-and a plain series combined with one over variables is widened to them.  On
-top of this the module provides Newton solving of algebraic equations,
-per-order solvers for the functional equations used by the counting
+and a series combined with one over more variables is widened to them;
+substituting a value for a variable gives the series over the others.  On
+top of this the module provides Newton solving of algebraic equations, one
+per-order solver for the functional equations used by the counting
 formulas, residual checks for those equations, and the substitution that
 turns a valley-marked matching series into a set-partition series.
 """
@@ -217,14 +218,6 @@ class Series:
         return cls(variables, order, [{(0,) * len(variables): value}])
 
     @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls((), order)
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls.constant(1, order)
-
-    @classmethod
     def z(cls, order: int) -> "Series":
         return cls.from_coeffs([0, 1], order)
 
@@ -257,20 +250,6 @@ class Series:
                 padded = k + (0,)
                 d[tuple(padded[i] for i in src)] = c
             out.append(d)
-        return Series(variables, self.order, out)
-
-    def drop_variable(self, name: str) -> "Series":
-        """Forget a variable the series no longer depends on."""
-        axis = self._axis(name)
-        out = []
-        for n, poly in enumerate(self.coeffs):
-            d = {}
-            for k, c in poly.items():
-                if k[axis] != 0:
-                    raise SeriesError(f"z^{n} coefficient still depends on {name}")
-                d[k[:axis] + k[axis + 1:]] = c
-            out.append(d)
-        variables = self.variables[:axis] + self.variables[axis + 1:]
         return Series(variables, self.order, out)
 
     # views ------------------------------------------------------------
@@ -319,11 +298,9 @@ class Series:
             return self, Series.constant(other, self.order, self.variables)
         if not isinstance(other, Series):
             return None
-        if other.variables == self.variables:
-            return self, other
-        if not other.variables:
+        if set(other.variables) <= set(self.variables):
             return self, other.widen(self.variables)
-        if not self.variables:
+        if set(self.variables) <= set(other.variables):
             return self.widen(other.variables), other
         raise SeriesError("mismatched auxiliary variable sets")
 
@@ -440,24 +417,18 @@ class Series:
 
     # substitutions ----------------------------------------------------
 
-    def subs_zero(self, name: str) -> "Series":
-        axis = self._axis(name)
-        return Series(
-            self.variables,
-            self.order,
-            [{k: c for k, c in p.items() if k[axis] == 0} for p in self.coeffs],
-        )
-
     def subs(self, name: str, value) -> "Series":
+        """Substitute value for a variable: the series over the others."""
         axis = self._axis(name)
         out = []
         for poly in self.coeffs:
             d: dict = {}
             for k, c in poly.items():
-                key = k[:axis] + (0,) + k[axis + 1:]
+                key = k[:axis] + k[axis + 1:]
                 d[key] = d.get(key, 0) + c * value ** k[axis]
             out.append(d)
-        return Series(self.variables, self.order, out)
+        variables = self.variables[:axis] + self.variables[axis + 1:]
+        return Series(variables, self.order, out)
 
     def subs_prod(self, name: str, other: str) -> "Series":
         """Substitute name -> name*other (e.g. t -> t*u)."""
@@ -520,11 +491,11 @@ TruncSeries = AuxSeries = Series
 def narayana_series(order: int) -> Series:
     """Border paths counted by semilength (z) and valleys (v): the series
     C(v,z) with C = 1 + zC + vzC(C-1) = 1 + zC(vC - v + 1)."""
-    return _solve(("u", "v"), [(_same, _marked)], order).drop_variable("u")
+    return _solve(("u", "v"), [(_same, _marked)], order).subs("u", 0)
 
 
 def catalan_series(order: int) -> Series:
-    return narayana_series(order).subs("v", 1).drop_variable("v")
+    return narayana_series(order).subs("v", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +505,7 @@ def catalan_series(order: int) -> Series:
 def poly_eval(polys, s: Series) -> Series:
     """Evaluate sum p_i * s^i by Horner's rule."""
     polys = [p if isinstance(p, Series) else Series.from_coeffs(p, s.order) for p in polys]
-    res = Series.zero(min(s.order, min(p.order for p in polys)))
+    res = Series((), min(s.order, min(p.order for p in polys)))
     for p in reversed(polys):
         res = res * s + p
     return res
@@ -575,17 +546,20 @@ def algebraic_solve(polys, seed, order: int | None = None) -> Series:
 
 def _solve(variables, terms, order: int) -> Series:
     """K through z^order from K_0 = 1 and K_n = the sum over the terms
-    (f, g) of [z^(n-1)] F*G, where F_j = f(K_j, j) and G_j = g(K_j, j)."""
+    (f, g) of [z^(n-1)] F*G, where F_j = f(K_j, j) and G_j = g(K_j, j).
+    A term (f, None) has G = 1: it adds F_(n-1) alone, and keeps no F_j."""
     K = [{(0,) * len(variables): 1}]
-    sides = [([f(K[0], 0)], [g(K[0], 0)]) for f, g in terms]
+    sides = [(f, g, [], []) for f, g in terms]
     for n in range(1, order + 1):
-        kn: dict = {}
-        for xs, ys in sides:
-            _pacc(kn, _convolve(xs, ys, n - 1, n - 1)[0])
+        kj, kn = K[-1], {}
+        for f, g, xs, ys in sides:
+            if g is None:
+                _pacc(kn, f(kj, n - 1))
+            else:
+                xs.append(f(kj, n - 1))
+                ys.append(g(kj, n - 1))
+                _pacc(kn, _convolve(xs, ys, n - 1, n - 1)[0])
         K.append(kn)
-        for (f, g), (xs, ys) in zip(terms, sides):
-            xs.append(f(kn, n))
-            ys.append(g(kn, n))
     return Series(variables, order, K)
 
 
@@ -621,6 +595,24 @@ def _peak_bracket(kj: dict, j: int) -> dict:
     return out
 
 
+def _classV_step(gj: dict, j: int) -> dict:
+    """z^j coefficient of tG + (G - G0)/(tu) + (G0 - G0|t=0)/t
+    + tu(G0 - G0|t->tu)/(1 - u), G0 = G|u=0, over the axes (t, u)."""
+    out = _pshift(gj, 0)
+    for (dt, du), c in gj.items():
+        if du > 0:
+            if dt == 0:
+                raise DivisibilityError(
+                    "term with positive u-degree and zero t-degree"
+                )
+            _pacc(out, {(dt - 1, du - 1): c})
+        elif dt > 0:
+            # a term of G0 gives t^(dt-1) and t^(dt+1) (u + ... + u^dt)
+            _pacc(out, {(dt - 1, 0): c})
+            _pacc(out, {(dt + 1, m): c for m in range(1, dt + 1)})
+    return out
+
+
 def _lt2_terms(order: int):
     """The terms of K = 1 + zC(vK - v + 1) + z(K + (K - K0)/u + uC)(vK0 - v + 1),
     with C the Narayana series and K0 = K|u=0."""
@@ -636,31 +628,6 @@ def _lt2_terms(order: int):
         return _marked({k: c for k, c in kj.items() if k[0] == 0}, j)
 
     return [(lambda kj, j: C[j], _marked), (middle, marked_at_u0)]
-
-
-def _fe_G_classV(order: int) -> Series:
-    G = [{(0, 0): 1}]
-    for n in range(1, order + 1):
-        p = G[n - 1]
-        pt0 = {k: c for k, c in p.items() if k[1] == 0}
-        gn: dict = {}
-        _pacc(gn, _pshift(p, 0))
-        for (dt, du), c in p.items():
-            if du > 0:
-                if dt == 0:
-                    raise DivisibilityError(
-                        "term with positive u-degree and zero t-degree"
-                    )
-                _pacc(gn, {(dt - 1, du - 1): c})
-        for (dt, _), c in pt0.items():
-            if dt > 0:
-                _pacc(gn, {(dt - 1, 0): c})
-        for (i, _), c in pt0.items():
-            if i > 0:
-                for m in range(1, i + 1):
-                    _pacc(gn, {(i + 1, m): c})
-        G.append(gn)
-    return Series(("t", "u"), order, G)
 
 
 # name -> (solver of order, degree bound): within(n, k) holds for every
@@ -682,7 +649,10 @@ _FE = {
         lambda order: _solve(("u",), [(_same, _peak_bracket)], order),
         lambda n, k: k[0] <= n,
     ),
-    "G_classV": (_fe_G_classV, lambda n, k: k[0] <= n and k[1] <= k[0]),
+    "G_classV": (
+        lambda order: _solve(("t", "u"), [(_classV_step, None)], order),
+        lambda n, k: k[0] <= n and k[1] <= k[0],
+    ),
 }
 
 FE_NAMES = tuple(_FE)
@@ -713,22 +683,22 @@ def residual(name: str, sol: Series) -> Series:
     if name == "K_Ll":
         K = sol
         u = Series.var("u", K.variables, N)
-        K0 = K.subs_zero("u")
+        K0 = K.subs("u", 0)
         inner = K * 2 + u * K + (K - K0).divide_by_var("u")
         return (1 + (K * inner).shift(1).trunc(N)) - K
     if name == "K_Llv":
         K = sol
         u = Series.var("u", K.variables, N)
         v = Series.var("v", K.variables, N)
-        K0 = K.subs_zero("u")
+        K0 = K.subs("u", 0)
         inner = K * 2 + u * K + (K - K0).divide_by_var("u")
         return (1 + ((v * K - v + 1) * inner).shift(1).trunc(N)) - K
     if name == "K_lt2":
         K = sol
         u = Series.var("u", K.variables, N)
         v = Series.var("v", K.variables, N)
-        C = narayana_series(N).widen(K.variables)
-        K0 = K.subs_zero("u")
+        C = narayana_series(N)
+        K0 = K.subs("u", 0)
         diff = (K - K0).divide_by_var("u") + (K - K0)
         mid = (K0 - C) + diff + (1 + u) * C
         rhs = (
@@ -740,15 +710,15 @@ def residual(name: str, sol: Series) -> Series:
     if name == "K_peak":
         K = sol
         u = Series.var("u", K.variables, N)
-        K0 = K.subs_zero("u")
+        K0 = K.subs("u", 0)
         inner = K + u * (K - 1) + (K - 1) + (K - K0).divide_by_var("u")
         return (1 + (K * inner).shift(1).trunc(N)) - K
     if name == "G_classV":
         G = sol
         t = Series.var("t", G.variables, N)
         u = Series.var("u", G.variables, N)
-        Gt0 = G.subs_zero("u")
-        G00 = Gt0.subs_zero("t")
+        Gt0 = G.subs("u", 0).widen(G.variables)
+        G00 = Gt0.subs("t", 0)
         term2 = (G - Gt0).divide_by_var("t").divide_by_var("u")
         term3 = (Gt0 - G00).divide_by_var("t")
         term4 = t * (

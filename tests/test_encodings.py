@@ -44,7 +44,12 @@ TOKENS = [
     "E", "S", ";", ",", "(", ")", "{", "}", "-", " ", "²",
     *"0123456789",
 ]
-texts = st.lists(st.sampled_from(TOKENS), max_size=24).map("".join)
+# token strings, and arbitrary text and bytes read as latin-1
+texts = (
+    st.lists(st.sampled_from(TOKENS), max_size=24).map("".join)
+    | st.text(max_size=40)
+    | st.binary(max_size=40).map(lambda b: b.decode("latin-1"))
+)
 
 
 @pytest.mark.parametrize("name", sorted(PARSERS))

@@ -29,6 +29,7 @@ from matchboard.families import (
 from matchboard.formulas import _gouyou_determinant, coefficients
 from matchboard.model import DyckPath, FerrersBoard, LabeledDyckPath
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
+from matchboard.series import fe_iterate
 
 # count(family, 3) for every family, with k = 1 for the two that take k
 TOTALS_AT_3 = {
@@ -196,6 +197,12 @@ class TestGeneratorsAgainstBruteForce:
         for n in range(10):
             assert list(b2_pairs(n)) == list(_b2_pairs_by_closures(n)), n
 
+    def test_b2_pairs_counted_by_class_V_equation(self):
+        # G_classV(1, 1, z) counts the pairs by n; its solver shares no code
+        # with the generator
+        g = fe_iterate("G_classV", 12).subs("t", 1).subs("u", 1)
+        assert tuple(count("pair-b2", n).total for n in range(13)) == tuple(g)
+
 
 class TestCount:
     def test_matches_reference_tables(self):
@@ -347,6 +354,13 @@ class TestFixedPointClasses:
             count_fixed_point_class(-1, 3, "321")
         with pytest.raises(InvalidObjectError):
             count_fixed_point_class(1, -1, "321")
+        # the walk refuses what enumeration refuses, with the same message
+        for n, k in ((-1, 0), (-1, 2), (0, -1)):
+            with pytest.raises(InvalidObjectError) as walk:
+                pair_count_ending_south(n, k)
+            with pytest.raises(InvalidObjectError) as enumerated:
+                count_fixed_point_class(n, k, "321")
+            assert str(walk.value) == str(enumerated.value), (n, k)
 
     def test_123_class_differs(self):
         # the 123 class is checkable but counted by the same pair numbers
