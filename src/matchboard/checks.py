@@ -19,7 +19,7 @@ from .bijections import (
 )
 from .errors import MatchboardError
 from .model import kappa, kappa_inv, statistics
-from .patterns import Pattern
+from .patterns import Pattern, placement_avoids
 from .reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 
 __all__ = ["SUITES", "board_difference", "run"]
@@ -103,8 +103,6 @@ def _suite_shape_wilf(max_n: int) -> list[dict]:
 
 
 def _suite_bijections(max_n: int) -> list[dict]:
-    from .patterns import placement_avoids
-
     top = min(max_n, 4)
     checks = []
     ok_round = True

@@ -213,9 +213,6 @@ class RookPlacement:
     def rook_row(self, col: int) -> int:
         return self.rook_rows[col - 1]
 
-    def rooks(self) -> tuple[tuple[int, int], ...]:
-        return tuple((c, r) for c, r in enumerate(self.rook_rows, start=1))
-
     def to_text(self) -> str:
         rooks = ",".join(str(r) for r in self.rook_rows)
         return f"border:{self.board.border.steps};rooks:{rooks}"

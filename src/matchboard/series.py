@@ -6,10 +6,13 @@ u, v, t), each a dict from exponent tuple to nonzero value.  A plain series
 has no variables, so its only key is ().  Every operation serves both cases,
 and a series combined with one over more variables is widened to them;
 substituting a value for a variable gives the series over the others.  On
-top of this the module provides Newton solving of algebraic equations, one
-per-order solver for the functional equations used by the counting
-formulas, residual checks for those equations, and the substitution that
-turns a valley-marked matching series into a set-partition series.
+top of this the module provides square roots and roots of algebraic
+equations through one Newton loop that doubles the known orders at each
+step (no input is padded with zeros), one per-order solver for the
+functional equations used by the counting formulas, residual checks for
+those equations (G_classV's multiplied through by 1 - u), and the
+substitution that turns a valley-marked matching series into a
+set-partition series.
 """
 
 from __future__ import annotations
@@ -284,11 +287,6 @@ class Series:
             return self
         return Series(self.variables, order, self.coeffs)
 
-    def extend(self, order: int) -> "Series":
-        """Pad with zero coefficients; only sound inside iterations that
-        subsequently correct the new orders."""
-        return Series(self.variables, order, self.coeffs)
-
     # arithmetic -------------------------------------------------------
 
     def _operands(self, other):
@@ -373,11 +371,6 @@ class Series:
             return NotImplemented
         return pair[0] * pair[1].inverse()
 
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.inverse() * other
-        return NotImplemented
-
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
@@ -390,12 +383,7 @@ class Series:
         """Square root with constant term 1, by Newton iteration."""
         if self.coeffs[0] != {(0,) * len(self.variables): 1}:
             raise SeriesError("sqrt requires constant term 1")
-        y = Series.constant(1, 0, self.variables)
-        prec = 0
-        while prec < self.order:
-            prec = min(2 * prec + 1, self.order)
-            y = (y.extend(prec) + self.trunc(prec) / y.extend(prec)) * Fraction(1, 2)
-        return y
+        return _newton(lambda y: (y + self / y) / 2, 1, self)
 
     def scale_z(self, factor) -> "Series":
         """Substitute factor*z for z."""
@@ -407,6 +395,8 @@ class Series:
 
     def shift(self, k: int) -> "Series":
         """Multiply by z^k."""
+        if k < 0:
+            raise SeriesError("shift needs k >= 0; unshift divides by z^k")
         return Series(self.variables, self.order + k, ({},) * k + self.coeffs)
 
     def unshift(self, k: int) -> "Series":
@@ -452,30 +442,6 @@ class Series:
             self.variables, self.order, [_pdown(p, axis) for p in self.coeffs]
         )
 
-    def divide_by_one_minus(self, name: str) -> "Series":
-        """Exact division by (1 - name)."""
-        axis = self._axis(name)
-        out = []
-        for n, poly in enumerate(self.coeffs):
-            groups: dict = {}
-            for k, c in poly.items():
-                rest = k[:axis] + (0,) + k[axis + 1:]
-                groups.setdefault(rest, {})[k[axis]] = c
-            d: dict = {}
-            for rest, along in groups.items():
-                top = max(along)
-                running = 0
-                for j in range(top + 1):
-                    running += along.get(j, 0)
-                    if j < top:
-                        d[rest[:axis] + (j,) + rest[axis + 1:]] = running
-                if running != 0:
-                    raise DivisibilityError(
-                        f"z^{n} coefficient is not divisible by (1 - {name})"
-                    )
-            out.append(d)
-        return Series(self.variables, self.order, out)
-
 
 # The benchmark's layer trace (perfbench/tracer.py, SERIES_CLASSES) finds the
 # series methods it wraps under the two former class names; both stay bound
@@ -504,23 +470,33 @@ def catalan_series(order: int) -> Series:
 
 def poly_eval(polys, s: Series) -> Series:
     """Evaluate sum p_i * s^i by Horner's rule."""
-    polys = [p if isinstance(p, Series) else Series.from_coeffs(p, s.order) for p in polys]
     res = Series((), min(s.order, min(p.order for p in polys)))
     for p in reversed(polys):
         res = res * s + p
     return res
 
 
+def _newton(step, seed, like: Series) -> Series:
+    """Newton iteration y <- step(y) from the constant seed, to the order of
+    ``like`` and over its variables.  Each step gets y correct through z^p
+    and padded with zeros to z^(2p + 1), and must return it correct through
+    z^(2p + 1)."""
+    y, prec = Series.constant(seed, 0, like.variables), 0
+    while prec < like.order:
+        prec = min(2 * prec + 1, like.order)
+        y = step(Series(y.variables, prec, y.coeffs))
+    return y
+
+
 def algebraic_solve(polys, seed, order: int | None = None) -> Series:
     """Power-series root of sum p_i(z) F^i with F(0) = seed, by Newton
-    iteration; the seed must be a simple root of the z = 0 polynomial."""
-    polys = [
-        p if isinstance(p, Series) else Series.from_coeffs(p)
-        for p in polys
-    ]
+    iteration; the seed must be a simple root of the z = 0 polynomial, and
+    ``order`` (by default the lowest) may not exceed the order of any p_i."""
+    known = min(p.order for p in polys)
     if order is None:
-        order = min(p.order for p in polys)
-    polys = [p.extend(order) for p in polys]
+        order = known
+    if order > known:
+        raise SeriesError(f"order {order} exceeds the coefficients' order {known}")
     seed = _norm(Fraction(seed))
     value = sum(p[0] * seed**i for i, p in enumerate(polys))
     if value != 0:
@@ -529,12 +505,11 @@ def algebraic_solve(polys, seed, order: int | None = None) -> Series:
     if deriv == 0:
         raise SeriesError(f"seed {seed} is not a simple root at z = 0")
     dpolys = [p * i for i, p in enumerate(polys) if i]
-    f = Series.constant(seed, order)
-    for _ in range(order + 2):
-        val = poly_eval(polys, f)
-        if val.is_zero():
-            return f
-        f = (f - val / poly_eval(dpolys, f)).trunc(order)
+    f = _newton(
+        lambda f: f - poly_eval(polys, f) / poly_eval(dpolys, f),
+        seed,
+        Series((), order),
+    )
     if poly_eval(polys, f).is_zero():
         return f
     raise SeriesError("Newton iteration did not converge")
@@ -721,11 +696,10 @@ def residual(name: str, sol: Series) -> Series:
         G00 = Gt0.subs("t", 0)
         term2 = (G - Gt0).divide_by_var("t").divide_by_var("u")
         term3 = (Gt0 - G00).divide_by_var("t")
-        term4 = t * (
-            ((Gt0 - Gt0.subs_prod("t", "u")) * u).divide_by_one_minus("u")
-        )
-        rhs = 1 + (t * G + term2 + term3 + term4).shift(1).trunc(N)
-        return rhs - G
+        # the equation times (1 - u), so that its last term needs no division
+        term4 = t * u * (Gt0 - Gt0.subs_prod("t", "u"))
+        rhs = 1 + (t * G + term2 + term3).shift(1).trunc(N)
+        return (1 - u) * (rhs - G) + term4.shift(1).trunc(N)
     raise SeriesError(f"unknown functional equation {name!r}")
 
 

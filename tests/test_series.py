@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchboard.errors import DivisibilityError, SeriesError
+from matchboard.formulas import classII_III_cubic
 from matchboard.series import (
     FE_NAMES,
     Series,
@@ -54,6 +55,9 @@ class TestArithmetic:
         assert tuple(z.shift(2).unshift(3)) == (1, 0, 0, 0, 0)
         with pytest.raises(DivisibilityError):
             (1 + z).unshift(1)
+        # a negative k would drop the low coefficients, not divide by z^-k
+        with pytest.raises(SeriesError):
+            Series.from_coeffs([1, 2, 3, 4]).shift(-2)
 
     def test_fractions_kept_exact(self):
         s = Series.from_coeffs((1, Fraction(1, 3)))
@@ -250,6 +254,16 @@ class TestAlgebraicSolve:
         with pytest.raises(SeriesError):
             algebraic_solve(polys, 1)
 
+    def test_order_above_inputs_refused(self):
+        # coefficients known through z^5 say nothing of z^6 on; read as
+        # zeros they gave 7014, 42619, 264812 at z^6..z^8 for 7000, 42535,
+        # 264356
+        with pytest.raises(SeriesError):
+            algebraic_solve(classII_III_cubic(5, 1), 1, 10)
+        assert tuple(algebraic_solve(classII_III_cubic(10, 1), 1, 10))[6:9] == (
+            7000, 42535, 264356,
+        )
+
     def test_valley_marked_cubic_at_v1(self):
         # at v = 1 the valley-marked cubic collapses to a quadratic in S
         one = Series.constant(1, 10)
@@ -258,6 +272,80 @@ class TestAlgebraicSolve:
         s = algebraic_solve(polys, 0)
         assert s[0] == 0 and s[1] == 1
         assert poly_eval(polys, s).is_zero()
+
+
+def _sqrt_by_own_loop(s: Series) -> Series:
+    """The square-root loop that the shared Newton loop replaced, kept as
+    its oracle."""
+    y = Series.constant(1, 0, s.variables)
+    prec = 0
+    while prec < s.order:
+        prec = min(2 * prec + 1, s.order)
+        padded = Series(y.variables, prec, y.coeffs)
+        y = (padded + s.trunc(prec) / padded) * Fraction(1, 2)
+    return y
+
+
+def _algebraic_solve_at_full_order(polys, seed, order: int) -> Series:
+    """The full-order Newton loop that the shared Newton loop replaced,
+    kept as its oracle."""
+    seed = Fraction(seed)
+    if sum(p[0] * seed**i for i, p in enumerate(polys)) != 0:
+        raise SeriesError(f"seed {seed} is not a root at z = 0")
+    if sum(i * p[0] * seed ** (i - 1) for i, p in enumerate(polys) if i) == 0:
+        raise SeriesError(f"seed {seed} is not a simple root at z = 0")
+    dpolys = [p * i for i, p in enumerate(polys) if i]
+    f = Series.constant(seed, order)
+    for _ in range(order + 2):
+        val = poly_eval(polys, f)
+        if val.is_zero():
+            return f
+        f = (f - val / poly_eval(dpolys, f)).trunc(order)
+    if poly_eval(polys, f).is_zero():
+        return f
+    raise SeriesError("Newton iteration did not converge")
+
+
+def _p312_root_cubic(order: int) -> list[Series]:
+    """The cubic 4z^2 R^3 + (3z^2 - 4z) R^2 + (3z^2 - 6z + 1) R - z^2 that
+    the p312 closed form solves from seed 0."""
+    return [
+        Series.from_coeffs(cs, order)
+        for cs in ([0, 0, -1], [1, -6, 3], [0, -4, 3], [0, 0, 4])
+    ]
+
+
+class TestNewton:
+    unit = TestAlgebraProperties.series.map(
+        lambda a: 1 + a.shift(1).trunc(a.order)
+    )
+
+    @given(unit)
+    @settings(max_examples=80, deadline=None)
+    def test_sqrt_equals_own_loop(self, s):
+        got, want = s.sqrt(), _sqrt_by_own_loop(s)
+        assert (got.variables, got.order) == (want.variables, want.order)
+        assert got.dicts() == want.dicts()
+
+    @given(st.lists(TestAlgebraProperties.plain, min_size=2, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_solve_equals_full_order_loop(self, ps):
+        # seed 0 is a simple root when p_0(0) = 0 and p_1(0) = 1
+        ps[0] = ps[0].shift(1).trunc(10)
+        ps[1] = 1 + ps[1].shift(1).trunc(10)
+        got = algebraic_solve(ps, 0)
+        assert got.dicts() == _algebraic_solve_at_full_order(ps, 0, 10).dicts()
+
+    def test_cubics_equal_full_order_loop(self):
+        for order in range(31):
+            for polys, seed in (
+                (classII_III_cubic(order, 1), 1),
+                (_p312_root_cubic(order), 0),
+            ):
+                got = algebraic_solve(polys, seed, order)
+                want = _algebraic_solve_at_full_order(polys, seed, order)
+                assert got.order == want.order == order
+                assert got.dicts() == want.dicts()
 
 
 class TestNarayana:
@@ -285,14 +373,6 @@ class TestNarayana:
 
 
 class TestAuxSeries:
-    def test_divide_by_one_minus(self):
-        N = 6
-        u = Series.var("u", ("u",), N)
-        one = Series.constant(1, N, ("u",))
-        assert (one - u).divide_by_one_minus("u").is_zero() is False
-        assert ((one - u).divide_by_one_minus("u") - one).is_zero()
-        assert ((one - u * u).divide_by_one_minus("u") - (one + u)).is_zero()
-
     def test_subs_prod(self):
         N = 5
         t = Series.var("t", ("t", "u"), N)
@@ -332,6 +412,24 @@ class TestFunctionalEquations:
         for name in FE_NAMES:
             sol = fe_iterate(name, 12)
             assert residual(name, sol).is_zero(), name
+
+    def test_residual_catches_each_moved_coefficient(self):
+        # moving one coefficient of a solution by 1 leaves the equation
+        # unsolved: at up to three support keys and one key past the degree
+        # caps of each z^n
+        for name in FE_NAMES:
+            sol = fe_iterate(name, 12)
+            for n, poly in enumerate(sol.coeffs):
+                keys = sorted(poly)
+                off = (n + 1,) * len(sol.variables)
+                for key in {keys[0], keys[len(keys) // 2], keys[-1], off}:
+                    moved = sol.dicts()
+                    moved[n][key] = moved[n].get(key, 0) + 1
+                    try:
+                        res = residual(name, Series(sol.variables, sol.order, moved))
+                    except SeriesError:
+                        continue
+                    assert not res.is_zero(), (name, n, key)
 
     def test_unknown_name(self):
         with pytest.raises(SeriesError):
