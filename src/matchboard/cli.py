@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Sequence
 
-from . import __version__, checks, families, formulas
+from . import __version__, families
 from .bijections import (
     NoncrossingPathPair,
     chi,
@@ -121,6 +122,8 @@ def cmd_count(args) -> tuple[dict, bool]:
 
 
 def cmd_series(args) -> tuple[dict, bool]:
+    from . import formulas
+
     coeffs = formulas.coefficients(args.formula, args.order)
     payload = {
         "formula": args.formula,
@@ -131,12 +134,16 @@ def cmd_series(args) -> tuple[dict, bool]:
 
 
 def cmd_cross_check(args) -> tuple[dict, bool]:
+    from . import formulas
+
     report = formulas.cross_check(args.formula, args.max_n)
     ok = all(r["equal"] for r in report["results"])
     return report, ok
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
+    from . import checks
+
     results = checks.run(args.suite, args.max_n)
     ok = all(c["pass"] for c in results)
     return {"suite": args.suite, "max_n": args.max_n, "checks": results, "pass": ok}, ok
@@ -186,6 +193,33 @@ _COMMANDS = {
 # argument parsing
 
 
+class _Choices(Sequence):
+    """Choices read from the module that runs the command, loaded the
+    first time argparse tests or lists them; a ``count`` call never
+    imports ``formulas`` or ``checks``."""
+
+    def __init__(self, load):
+        self._load = load
+
+    def __getitem__(self, i):
+        return self._load()[i]
+
+    def __len__(self) -> int:
+        return len(self._load())
+
+
+def _formula_ids():
+    from .formulas import FORMULA_IDS
+
+    return FORMULA_IDS
+
+
+def _suites():
+    from .checks import SUITES
+
+    return (*SUITES, "all")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchboard",
@@ -204,15 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--stat", choices=("valleys",), default=None)
 
     s = sub.add_parser("series", help="expand a named generating function")
-    s.add_argument("--formula", required=True, choices=formulas.FORMULA_IDS)
+    formula_ids = _Choices(_formula_ids)
+    # set after add_argument, which would list the choices to check the metavar
+    s.add_argument("--formula", required=True).choices = formula_ids
     s.add_argument("--order", type=int, required=True)
 
     x = sub.add_parser("cross-check", help="formula vs brute-force oracle")
-    x.add_argument("--formula", required=True, choices=formulas.FORMULA_IDS)
+    x.add_argument("--formula", required=True).choices = formula_ids
     x.add_argument("--max-n", type=int, required=True)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True, choices=(*checks.SUITES, "all"))
+    v.add_argument("--suite", required=True).choices = _Choices(_suites)
     v.add_argument("--max-n", type=int, default=5)
 
     a = sub.add_parser("apply", help="apply a named map to one object")

@@ -5,7 +5,8 @@ independent secondary route where one exists, and a brute-force oracle from
 the families module.  ``cross_check`` compares formula output against the
 oracle for every n up to the cap that ``families`` sets on the oracle's
 route: the scan's for the matching and partition ids, the family's
-enumeration cap for the rest.
+enumeration cap for the rest.  Only the oracles and the ``dnk_pairs`` walk
+import ``families``, so a series route loads no enumeration code.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from functools import lru_cache
 from itertools import islice
 from math import comb, factorial
 
-from . import families
-from .bijections import LabeledPathClass
 from .errors import ResourceCapError, SeriesError
 from .series import (
     Series,
@@ -281,15 +280,34 @@ def _gouyou_determinant(order: int) -> tuple[int, ...]:
 
 def _counted(family: str, *avoid: str):
     """Oracle: brute-force count of the family avoiding the patterns."""
-    return lambda n: families.count(family, n, avoid=avoid).total
+
+    def oracle(n: int) -> int:
+        from . import families
+
+        return families.count(family, n, avoid=avoid).total
+
+    return oracle
 
 
 def _maps_oracle(n: int) -> int:
+    from . import families
+    from .bijections import LabeledPathClass
+
     families.check_cap("labeled-K", n)
     return sum(
         1
         for path in families.dyck_paths(n)
         for _ in families._labelings(path, LabeledPathClass.K, (0,))
+    )
+
+
+def _dnk_pairs_walk(order: int) -> tuple[int, ...]:
+    from . import families
+
+    # the walk's origin after 2n steps counts the pairs of semilength n
+    return tuple(
+        states.get((0, 0), 0)
+        for states in islice(families._pair_walk(2 * order), 0, None, 2)
     )
 
 
@@ -375,11 +393,7 @@ FORMULAS: dict[str, Formula] = {
         _counted("matching", "123"),
     ),
     "dnk_pairs": Formula(
-        # the walk's origin after 2n steps counts the pairs of semilength n
-        lambda order: tuple(
-            states.get((0, 0), 0)
-            for states in islice(families._pair_walk(2 * order), 0, None, 2)
-        ),
+        _dnk_pairs_walk,
         lambda order: coefficients("gouyou_m123", order),
         _counted("pair"),
     ),

@@ -401,6 +401,8 @@ class Series:
 
     def unshift(self, k: int) -> "Series":
         """Divide by z^k; the low-order coefficients must vanish."""
+        if k < 0:
+            raise SeriesError("unshift needs k >= 0; shift multiplies by z^k")
         if any(self.coeffs[:k]):
             raise DivisibilityError(f"series is not divisible by z^{k}")
         return Series(self.variables, self.order - k, self.coeffs[k:])

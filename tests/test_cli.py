@@ -244,6 +244,32 @@ def test_malformed_argv_is_usage_error(capsys, argv):
     assert any(line.startswith("error:") for line in err.splitlines())
 
 
+# the --formula and --suite choices are read from their modules only when
+# argparse first tests or lists them; what it prints must not change
+CHOICES = {"series": FORMULA_IDS, "cross-check": FORMULA_IDS, "verify": (*SUITES, "all")}
+BAD_CHOICE = [
+    ("series", "--formula", "x", "--order", "3"),
+    ("cross-check", "--formula", "x", "--max-n", "3"),
+    ("verify", "--suite", "x"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_CHOICE, ids="_".join)
+def test_invalid_choice_lists_every_choice(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    listed = ", ".join(map(repr, CHOICES[argv[0]]))
+    assert f"invalid choice: 'x' (choose from {listed})" in err
+
+
+@pytest.mark.parametrize("command", CHOICES)
+def test_help_lists_every_choice(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert "{" + ",".join(CHOICES[command]) + "}" in out
+
+
 # requests past the cap of their route, which must raise rather than run on:
 # enumeration, or the scan for sets of length-3 patterns
 OVER_CAP = [

@@ -1,9 +1,13 @@
-"""Package hygiene: every exported name exists and every import is used."""
+"""Package hygiene: every exported name exists, every import is used, and
+each entry point loads only the modules it runs."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -34,3 +38,42 @@ def test_every_import_is_used(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported - used - set(getattr(module, "__all__", ()))
     assert not unused, sorted(unused)
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The matchboard modules held by a fresh interpreter after running code."""
+    src = os.path.dirname(matchboard.__path__[0])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    report = "import sys; print(*(m for m in sys.modules if m.split('.')[0] == 'matchboard'))"
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "matching", "--n", "4", "--avoid", "123,321", "--by-shape"],
+        ["count", "--family", "partition", "--n", "5", "--avoid", "312"],
+        ["count", "--family", "matching", "--n", "4", "--avoid", "312", "--stat", "valleys"],
+    ],
+    ids=["by-shape", "partition", "valleys"],
+)
+def test_count_loads_no_series_code(argv):
+    loaded = loaded_modules(f"from matchboard import cli\nassert cli.main({argv!r}) == 0")
+    unused = {f"matchboard.{m}" for m in ("series", "formulas", "checks", "reference")}
+    assert "matchboard.families" in loaded
+    assert not loaded & unused, sorted(loaded & unused)
+
+
+def test_series_loads_only_errors():
+    loaded = loaded_modules("import matchboard.series")
+    assert loaded == {"matchboard", "matchboard.errors", "matchboard.series"}
+
+
+def test_formulas_load_no_enumeration_code():
+    loaded = loaded_modules("import matchboard.formulas")
+    enumeration = {f"matchboard.{m}" for m in ("families", "bijections", "model", "patterns")}
+    assert not loaded & enumeration, sorted(loaded & enumeration)

@@ -59,6 +59,12 @@ class TestArithmetic:
         with pytest.raises(SeriesError):
             Series.from_coeffs([1, 2, 3, 4]).shift(-2)
 
+    def test_unshift_negative_refused(self):
+        # a negative k would check z^0, z^1 and then drop them, claiming
+        # 3 + 4z to order 5
+        with pytest.raises(SeriesError):
+            Series.from_coeffs([0, 0, 3, 4]).unshift(-2)
+
     def test_fractions_kept_exact(self):
         s = Series.from_coeffs((1, Fraction(1, 3)))
         assert tuple(s * 3) == (3, 1)
