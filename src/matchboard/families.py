@@ -500,13 +500,13 @@ def count(
         )
     pats = _as_patterns(avoid)
     if row.takes_k and k is None:
-        raise InvalidObjectError(f"family {family} needs a value for k")
-    scanned = bool(row.scan and pats) and all(len(p.perm) == 3 for p in pats)
-    check_cap(family, n, k, scan=scanned)
+        raise InvalidObjectError(f"family {family!r} needs a value for k")
     if pats and row.avoids is None:
         raise InvalidObjectError(
             f"family {family!r} does not support pattern filtering"
         )
+    scanned = bool(row.scan and pats) and all(len(p.perm) == 3 for p in pats)
+    check_cap(family, n, k, scan=scanned)
 
     breakdown = stats or by_shape
     if scanned:

@@ -1,12 +1,15 @@
 """Named coefficient-sequence producers, one per counting sequence.
 
-``FORMULAS`` maps each formula id to its routes: a primary computation, an
-independent secondary route where one exists, and a brute-force oracle from
-the families module.  ``cross_check`` compares formula output against the
-oracle for every n up to the cap that ``families`` sets on the oracle's
-route: the scan's for the matching and partition ids, the family's
-enumeration cap for the rest.  Only the oracles and the ``dnk_pairs`` walk
-import ``families``, so a series route loads no enumeration code.
+``FORMULAS`` maps each formula id to a tuple of routes, every two of which
+must agree, and a brute-force oracle from the families module.  Ids that
+name one sequence list the same routes rather than read each other.
+``coefficients`` reads route 0 and ``secondary_coefficients`` route 1
+(route 0 for ``classV_m``, its only route).  ``cross_check`` compares
+formula output against the oracle for every n up to the cap that
+``families`` sets on the oracle's route: the scan's for the matching and
+partition ids, the family's enumeration cap for the rest.  Only the oracles
+and the pair walk import ``families``, so a series route loads no
+enumeration code.
 """
 
 from __future__ import annotations
@@ -58,12 +61,6 @@ def _check_order(n: int) -> None:
 
 def _catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
-
-
-def _rational(num_coeffs, den_coeffs, order: int) -> Series:
-    num = Series.from_coeffs(num_coeffs, order)
-    den = Series.from_coeffs(den_coeffs, order)
-    return num / den
 
 
 def _sequence(s: Series, order: int) -> Series:
@@ -311,92 +308,94 @@ def _dnk_pairs_walk(order: int) -> tuple[int, ...]:
     )
 
 
+def _partitions(valley_marked):
+    """Route: the partition transform of a valley-marked matching series."""
+    return lambda order: partition_transform(valley_marked(order), order)
+
+
+def _classIV_rational(order: int) -> Series:
+    return Series.from_coeffs([1, -5, 2], order) / Series.from_coeffs([1, -6, 5], order)
+
+
+def _classIV_valleys(order: int) -> Series:
+    return valley_marked_classIV(order).subs("v", 1)
+
+
+def _catalan_returns_valleys(order: int) -> Series:
+    return returns_valleys_series(order).subs("t", 1).subs("v", 1)
+
+
 @dataclass(frozen=True)
 class Formula:
-    """The routes to one sequence.  ``primary(order)`` and
-    ``secondary(order)`` give c_0..c_order, as a series or a sequence;
-    ``oracle(n)`` gives c_n by brute force.  ``secondary`` is None
-    when no independent second route exists."""
+    """The routes to one sequence.  Each of ``routes`` maps an order to
+    c_0..c_order, as a series or a sequence, and every two of them agree;
+    ``oracle(n)`` gives c_n by brute force.  Route 0 is the one
+    ``coefficients`` reads."""
 
-    primary: Callable[[int], Series | tuple[int, ...]]
-    secondary: Callable[[int], Series | tuple[int, ...]] | None
+    routes: tuple[Callable[[int], Series | tuple[int, ...]], ...]
     oracle: Callable[[int], int]
 
 
 FORMULAS: dict[str, Formula] = {
     "m312": Formula(
-        _m312_closed,
-        lambda order: _sequence(_at_u0("K_Ll", order), order),
+        (_m312_closed, lambda order: _sequence(_at_u0("K_Ll", order), order)),
         _counted("matching", "312"),
     ),
     "p312": Formula(
-        _p312_closed,
-        lambda order: partition_transform(valley_marked_m312(order), order),
-        _counted("partition", "312"),
+        (_p312_closed, _partitions(valley_marked_m312)), _counted("partition", "312")
     ),
-    "maps": Formula(_maps_product, lambda order: _at_u0("K_Ll", order), _maps_oracle),
+    "maps": Formula((_maps_product, lambda order: _at_u0("K_Ll", order)), _maps_oracle),
     "s1342": Formula(
-        _s1342_closed,
-        lambda order: _sequence(_kx0_closed(order), order),
+        (_s1342_closed, lambda order: _sequence(_kx0_closed(order), order)),
         _counted("permutation", "1342"),
     ),
-    "s3124": Formula(_s3124_series, _s1342_closed, _counted("permutation", "3124")),
+    "s3124": Formula((_s3124_series, _s1342_closed), _counted("permutation", "3124")),
     "classI_m": Formula(
-        _classI_m_closed,
-        lambda order: valley_marked_classI(order).subs("v", 1),
+        (_classI_m_closed, lambda order: valley_marked_classI(order).subs("v", 1)),
         _counted("matching", "123", "213"),
     ),
     "classI_p": Formula(
-        _classI_p_closed,
-        lambda order: partition_transform(valley_marked_classI(order), order),
+        (_classI_p_closed, _partitions(valley_marked_classI)),
         _counted("partition", "123", "213"),
     ),
     "classII_III_m": Formula(
-        lambda order: valley_marked_classII_III(order).subs("v", 1),
-        lambda order: _sequence(
-            algebraic_solve(classII_III_cubic(order, 1), 1, order), order
+        (
+            lambda order: valley_marked_classII_III(order).subs("v", 1),
+            lambda order: _sequence(
+                algebraic_solve(classII_III_cubic(order, 1), 1, order), order
+            ),
         ),
         _counted("matching", "123", "231"),
     ),
     "classII_III_p": Formula(
-        lambda order: partition_transform(valley_marked_classII_III(order), order),
-        _classII_III_p_closed,
+        (_partitions(valley_marked_classII_III), _classII_III_p_closed),
         _counted("partition", "123", "231"),
     ),
     "classIV_m": Formula(
-        lambda order: _rational([1, -5, 2], [1, -6, 5], order),
-        lambda order: valley_marked_classIV(order).subs("v", 1),
+        (_classIV_rational, _classIV_valleys, _classIV_closed),
         _counted("matching", "123", "321"),
     ),
     "classIV_p": Formula(
-        _classIV_p_closed,
-        lambda order: partition_transform(valley_marked_classIV(order), order),
+        (_classIV_p_closed, _partitions(valley_marked_classIV)),
         _counted("partition", "123", "321"),
     ),
     "classIV_exact": Formula(
-        _classIV_closed,
-        lambda order: coefficients("classIV_m", order),
+        (_classIV_closed, _classIV_rational, _classIV_valleys),
         _counted("matching", "123", "321"),
     ),
     # no second closed route; the residual of the functional equation is
     # the independent check
-    "classV_m": Formula(_classV_series, None, _counted("matching", "213", "321")),
-    "catalan_v": Formula(catalan_series, _catalan_closed, _counted("dyck")),
+    "classV_m": Formula((_classV_series,), _counted("matching", "213", "321")),
+    "catalan_v": Formula(
+        (catalan_series, _catalan_closed, _catalan_returns_valleys), _counted("dyck")
+    ),
     "dyck_rv": Formula(
-        lambda order: returns_valleys_series(order).subs("t", 1).subs("v", 1),
-        catalan_series,
-        _counted("dyck"),
+        (_catalan_returns_valleys, _catalan_closed, catalan_series), _counted("dyck")
     ),
     "gouyou_m123": Formula(
-        _gouyou_determinant,
-        lambda order: coefficients("dnk_pairs", order),
-        _counted("matching", "123"),
+        (_gouyou_determinant, _dnk_pairs_walk), _counted("matching", "123")
     ),
-    "dnk_pairs": Formula(
-        _dnk_pairs_walk,
-        lambda order: coefficients("gouyou_m123", order),
-        _counted("pair"),
-    ),
+    "dnk_pairs": Formula((_dnk_pairs_walk, _gouyou_determinant), _counted("pair")),
 }
 
 FORMULA_IDS = tuple(FORMULAS)
@@ -410,21 +409,22 @@ def _formula(formula_id: str) -> Formula:
 
 
 @lru_cache(maxsize=None)
+def _route(formula_id: str, index: int, order: int) -> tuple[int, ...]:
+    """c_0..c_order of a formula id by its route ``index``."""
+    _check_order(order)
+    return _ints(_formula(formula_id).routes[index](order))
+
+
 def coefficients(formula_id: str, order: int) -> tuple[int, ...]:
-    """Primary-route coefficient sequence c_0..c_order for a formula id."""
-    _check_order(order)
-    return _ints(_formula(formula_id).primary(order))
+    """Coefficient sequence c_0..c_order of a formula id, by route 0."""
+    return _route(formula_id, 0, order)
 
 
-@lru_cache(maxsize=None)
 def secondary_coefficients(formula_id: str, order: int) -> tuple[int, ...]:
-    """Second route for each id, used for route-agreement checks; an id
-    without one returns its primary sequence."""
-    _check_order(order)
-    secondary = _formula(formula_id).secondary
-    if secondary is None:
-        return coefficients(formula_id, order)
-    return _ints(secondary(order))
+    """Route 1 of a formula id, for route-agreement checks.  ``classV_m``
+    has one route, so for it this reads route 0 and a comparison with
+    ``coefficients`` is vacuous."""
+    return _route(formula_id, min(1, len(_formula(formula_id).routes) - 1), order)
 
 
 def oracle_value(formula_id: str, n: int) -> int:

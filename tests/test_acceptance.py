@@ -16,7 +16,7 @@ from matchboard.families import (
     pair_count_ending_south,
     placements_on_board,
 )
-from matchboard.formulas import coefficients, cross_check, secondary_coefficients
+from matchboard.formulas import coefficients, cross_check
 from matchboard.model import statistics
 from matchboard.patterns import Pattern, placement_avoids
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
@@ -217,11 +217,13 @@ def test_criterion_9_exact_coefficient_substitutes():
     # stand in for them
     start = time.monotonic()
     ok = True
-    two_routes = [fid for fid, f in formulas.FORMULAS.items() if f.secondary is not None]
-    # classV_m is covered by criteria 4 and 5 instead
-    ok &= set(formulas.FORMULA_IDS) - set(two_routes) == {"classV_m"}
-    for fid in two_routes:
-        ok &= coefficients(fid, 20) == secondary_coefficients(fid, 20)
+    # classV_m has one route; criteria 4 and 5 cover it instead
+    single = {fid for fid, f in formulas.FORMULAS.items() if len(f.routes) < 2}
+    ok &= single == {"classV_m"}
+    for fid, f in formulas.FORMULAS.items():
+        ok &= len(set(f.routes)) == len(f.routes)
+        for i in range(1, len(f.routes)):
+            ok &= formulas._route(fid, i, 20) == coefficients(fid, 20)
     seq = coefficients("classIV_exact", 25)
     ok &= all(5 * seq[n] - seq[n + 1] in (2, 4) for n in range(1, 24))
     _report(9, ok, None, time.monotonic() - start)

@@ -231,6 +231,8 @@ MALFORMED = [
     ("apply", "--map", "kappa-prime", "--input", "(1,2);;;fp:3", "--pattern", "321"),
     # a family without a pattern test
     ("count", "--family", "dyck", "--n", "3", "--avoid", "123"),
+    # the same request past the family's cap is still a usage error
+    ("count", "--family", "dyck", "--n", "13", "--avoid", "12"),
     ("verify", "--suite", "tables", "--max-n", "0"),
     ("verify", "--suite", "all", "--max-n", "-3"),
 ]

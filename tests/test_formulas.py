@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from matchboard import formulas, series
 from matchboard.errors import ResourceCapError, SeriesError
 from matchboard.formulas import (
     FORMULA_IDS,
@@ -14,12 +15,9 @@ from matchboard.formulas import (
     cross_check,
     oracle_value,
     returns_valleys_series,
-    secondary_coefficients,
 )
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 from matchboard.series import Series, algebraic_solve, catalan_series, poly_eval
-
-TWO_ROUTE_IDS = tuple(fid for fid, f in FORMULAS.items() if f.secondary is not None)
 
 
 def p312_cubic(order: int) -> list[Series]:
@@ -79,15 +77,47 @@ class TestPrimaryRoutes:
 
 class TestSecondaryRoutes:
     def test_agreement_at_order_cap(self):
-        # the p312 secondary route solves K_Llv through ORDER_CAP
-        for fid in TWO_ROUTE_IDS:
-            assert coefficients(fid, ORDER_CAP) == secondary_coefficients(
-                fid, ORDER_CAP
-            ), fid
+        # every route equals route 0, so every two routes agree; the p312
+        # route 1 solves K_Llv through ORDER_CAP
+        for fid, f in FORMULAS.items():
+            for i in range(1, len(f.routes)):
+                assert formulas._route(fid, i, ORDER_CAP) == coefficients(
+                    fid, ORDER_CAP
+                ), (fid, i)
+
+    def test_no_id_lists_a_route_twice(self):
+        # a route compared with itself would pass vacuously
+        for fid, f in FORMULAS.items():
+            assert len(set(f.routes)) == len(f.routes), fid
 
     def test_only_classV_lacks_a_second_route(self):
-        # comparing a primary route with itself would pass vacuously
-        assert set(FORMULA_IDS) - set(TWO_ROUTE_IDS) == {"classV_m"}
+        single = {fid for fid, f in FORMULAS.items() if len(f.routes) < 2}
+        assert single == {"classV_m"}
+
+    def test_no_route_reads_another_id(self, monkeypatch):
+        want = {fid: coefficients(fid, 10) for fid in FORMULA_IDS}
+
+        def refuse(*args):
+            raise AssertionError(f"a route read the coefficients {args}")
+
+        monkeypatch.setattr(formulas, "coefficients", refuse)
+        monkeypatch.setattr(formulas, "secondary_coefficients", refuse)
+        for fid, f in FORMULAS.items():
+            for i, route in enumerate(f.routes):
+                assert tuple(route(10)) == want[fid], (fid, i)
+
+    def test_catalan_second_routes_skip_narayana(self, monkeypatch):
+        def refuse(order):
+            raise AssertionError("narayana_series was called")
+
+        monkeypatch.setattr(series, "narayana_series", refuse)
+        monkeypatch.setattr(formulas, "narayana_series", refuse)
+        # the patch reaches the route that does read the valley series
+        with pytest.raises(AssertionError):
+            FORMULAS["dyck_rv"].routes[0](10)
+        catalan = tuple(comb(2 * n, n) // (n + 1) for n in range(11))
+        for fid in ("catalan_v", "dyck_rv"):
+            assert tuple(FORMULAS[fid].routes[1](10)) == catalan, fid
 
 
 class TestClosedFormIdentities:
