@@ -14,30 +14,10 @@ import json
 import sys
 import time
 from collections.abc import Sequence
+from functools import cache
 
-from . import __version__, families
-from .bijections import (
-    NoncrossingPathPair,
-    chi,
-    delta213,
-    delta213_inv,
-    delta321,
-    delta321_by_switch,
-    delta321_inv,
-    kappa_prime,
-    pi_labeling,
-)
+from . import __version__
 from .errors import MatchboardError, ResourceCapError
-from .model import (
-    Matching,
-    RookPlacement,
-    SetPartition,
-    kappa,
-    kappa_inv,
-    parse_int_list,
-    partition_to_matching,
-)
-from .patterns import parse_pattern_set
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +74,11 @@ def _manifest(command: str, params: dict, started: float) -> None:
 
 
 def cmd_count(args) -> tuple[dict, bool]:
+    from . import families
+    from .patterns import parse_pattern_set
+
     avoid: tuple[str, ...] = ()
-    if args.avoid:
+    if args.avoid is not None:
         avoid = tuple(sorted(p.to_text() for p in parse_pattern_set(args.avoid)))
     table = families.count(
         args.family,
@@ -151,31 +134,57 @@ def cmd_verify(args) -> tuple[dict, bool]:
 
 def _parse_permutation(text: str) -> tuple[int, ...]:
     """One-line notation, e.g. ``6,5,1,4,3,2``."""
+    from .model import parse_int_list
+
     return parse_int_list(text, f"permutation {text!r}")
 
 
-# map name -> (parser of --input, map)
-_MAPS = {
-    "kappa": (Matching.from_text, kappa),
-    "kappa-inv": (RookPlacement.from_text, kappa_inv),
-    "partition-to-matching": (SetPartition.from_text, partition_to_matching),
-    "delta321": (RookPlacement.from_text, delta321),
-    "delta321-switch": (RookPlacement.from_text, delta321_by_switch),
-    "delta321-inv": (NoncrossingPathPair.from_text, delta321_inv),
-    "delta213": (RookPlacement.from_text, delta213),
-    "delta213-inv": (NoncrossingPathPair.from_text, delta213_inv),
-    "pi": (RookPlacement.from_text, pi_labeling),
-    "chi": (_parse_permutation, chi),
-}
+@cache
+def _maps() -> dict:
+    """Map name -> (parser of --input, map), for every map but kappa-prime."""
+    from .bijections import (
+        NoncrossingPathPair,
+        chi,
+        delta213,
+        delta213_inv,
+        delta321,
+        delta321_by_switch,
+        delta321_inv,
+        pi_labeling,
+    )
+    from .model import (
+        Matching,
+        RookPlacement,
+        SetPartition,
+        kappa,
+        kappa_inv,
+        partition_to_matching,
+    )
+
+    return {
+        "kappa": (Matching.from_text, kappa),
+        "kappa-inv": (RookPlacement.from_text, kappa_inv),
+        "partition-to-matching": (SetPartition.from_text, partition_to_matching),
+        "delta321": (RookPlacement.from_text, delta321),
+        "delta321-switch": (RookPlacement.from_text, delta321_by_switch),
+        "delta321-inv": (NoncrossingPathPair.from_text, delta321_inv),
+        "delta213": (RookPlacement.from_text, delta213),
+        "delta213-inv": (NoncrossingPathPair.from_text, delta213_inv),
+        "pi": (RookPlacement.from_text, pi_labeling),
+        "chi": (_parse_permutation, chi),
+    }
 
 
 def cmd_apply(args) -> tuple[dict, bool]:
     if args.map == "kappa-prime":
+        from .bijections import kappa_prime
+        from .model import Matching
+
         if not args.pattern:
             raise MatchboardError("kappa-prime needs --pattern 321 or 213")
         result = kappa_prime(Matching.from_text(args.input), args.pattern)
     else:
-        parse, fn = _MAPS[args.map]
+        parse, fn = _maps()[args.map]
         result = fn(parse(args.input))
     return {"map": args.map, "input": args.input, "output": result.to_text()}, True
 
@@ -196,7 +205,8 @@ _COMMANDS = {
 class _Choices(Sequence):
     """Choices read from the module that runs the command, loaded the
     first time argparse tests or lists them; a ``count`` call never
-    imports ``formulas`` or ``checks``."""
+    imports ``formulas`` or ``checks``, and a ``series`` call never
+    imports the object model."""
 
     def __init__(self, load):
         self._load = load
@@ -220,6 +230,17 @@ def _suites():
     return (*SUITES, "all")
 
 
+def _family_names():
+    from .families import FAMILY_NAMES
+
+    return FAMILY_NAMES
+
+
+@cache
+def _map_names():
+    return tuple(sorted([*_maps(), "kappa-prime"]))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchboard",
@@ -230,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="count a family, optionally filtered")
-    c.add_argument("--family", required=True, choices=families.FAMILY_NAMES)
+    c.add_argument("--family", required=True).choices = _Choices(_family_names)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=int, default=None)
     c.add_argument("--avoid", default=None, help="comma-separated patterns")
@@ -252,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-n", type=int, default=5)
 
     a = sub.add_parser("apply", help="apply a named map to one object")
-    a.add_argument("--map", required=True, choices=sorted([*_MAPS, "kappa-prime"]))
+    a.add_argument("--map", required=True).choices = _Choices(_map_names)
     a.add_argument("--input", required=True)
     a.add_argument("--pattern", default=None)
     return parser

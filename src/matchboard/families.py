@@ -66,14 +66,26 @@ __all__ = [
 def _words_under(ceiling):
     """Step words, E before S, of the paths from height 0 to height 0 whose
     heights stay weakly below ``ceiling``, the heights of a border path."""
-    last = len(ceiling) - 1
+    mid = (len(ceiling) - 1) // 2
+    # suffixes[d]: the words from height d at vertex mid to height 0 at the
+    # last vertex, built from the last vertex back; the two empty lists
+    # padded on stand for the heights above the ceiling and, as
+    # suffixes[-1], below 0
+    suffixes = [[""]]
+    for top in reversed(ceiling[mid:-1]):
+        suffixes += [], []
+        suffixes = [
+            ["E" + w for w in suffixes[d + 1]] + ["S" + w for w in suffixes[d - 1]]
+            for d in range(top + 1)
+        ]
+    # the words up to vertex mid grow depth first from an explicit stack,
+    # and each takes every suffix from its height
     stack = [("", 0)]
     while stack:
         word, d = stack.pop()
         i = len(word)
-        if d == last - i:
-            # only south steps are left
-            yield word + "S" * d
+        if i == mid:
+            yield from map(word.__add__, suffixes[d])
             continue
         if d:
             stack.append((word + "S", d - 1))

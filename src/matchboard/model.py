@@ -95,6 +95,10 @@ class DyckPath:
 
     def peak_indices(self) -> tuple[int, ...]:
         """Vertex indices i with an E step arriving and an S step leaving."""
+        return self._peak_indices
+
+    @cached_property
+    def _peak_indices(self) -> tuple[int, ...]:
         s = self.steps
         return tuple(i for i in range(1, len(s)) if s[i - 1] == "E" and s[i] == "S")
 

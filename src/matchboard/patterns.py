@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import inf
 
 from .errors import InvalidObjectError, ParseError
-from .model import RookPlacement, gamma_restriction
+from .model import RookPlacement
 
 __all__ = [
     "Pattern",
@@ -63,11 +63,14 @@ S3_PATTERNS = tuple(
 
 
 def parse_pattern_set(text: str) -> frozenset[Pattern]:
-    """Parse a comma-separated pattern list such as '123,321'."""
-    items = [tok for tok in text.split(",") if tok.strip()]
-    if not items:
+    """Parse a comma-separated pattern list such as '123,321'; an empty
+    item, as in '123,,321' or '123,', is refused."""
+    items = [tok.strip() for tok in text.split(",")]
+    if not any(items):
         raise ParseError(f"empty pattern set {text!r}")
-    return frozenset(Pattern.from_text(tok) for tok in items)
+    if not all(items):
+        raise ParseError(f"empty item in pattern list {text!r}")
+    return frozenset(map(Pattern.from_text, items))
 
 
 @lru_cache(maxsize=None)
@@ -87,14 +90,21 @@ def _plan(tv: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
 
 def perm_contains(p, t) -> bool:
     """True when some subsequence of p is order-isomorphic to t."""
-    pv = p.perm if isinstance(p, Pattern) else tuple(p)
-    tv = t.perm if isinstance(t, Pattern) else tuple(t)
-    k = len(tv)
+    return _contains(_values(p), _plan(_values(t)))
+
+
+def _values(t) -> tuple[int, ...]:
+    return t.perm if isinstance(t, Pattern) else tuple(t)
+
+
+def _contains(pv, plan) -> bool:
+    """Whether the distinct values pv contain the planned pattern."""
+    k = len(plan)
     if k == 0:
         return True
     if k > len(pv):
         return False
-    return _extend(pv, _plan(tv), [0] * k + [-inf, inf], 0, 0)
+    return _extend(pv, plan, [0] * k + [-inf, inf], 0, 0)
 
 
 def _extend(pv, plan, vals, a: int, start: int) -> bool:
@@ -120,16 +130,20 @@ def placement_avoids(p: RookPlacement, t, all_vertices: bool = False) -> bool:
 
 def offending_vertex(p: RookPlacement, t, all_vertices: bool = False) -> int | None:
     """Index of the first border vertex (a peak, unless all_vertices) whose
-    restriction contains one of the patterns, or None when there is none."""
-    pats = _as_pattern_tuple(t)
-    if all_vertices:
-        vertex_ids = range(2 * p.n + 1)
-    else:
-        vertex_ids = p.board.border.peak_indices()
-    for v in vertex_ids:
-        perm = gamma_restriction(p, v)
-        if any(perm_contains(perm, pat) for pat in pats):
-            return v
+    restriction contains one of the patterns, or None when there is none.
+    The rook rows under each vertex are tested as they stand: containment
+    depends only on their relative order, so the ranking that
+    ``gamma_restriction`` applies would change nothing."""
+    plans = [_plan(_values(pat)) for pat in _as_pattern_tuple(t)]
+    border = p.board.border
+    vertices = border.vertices
+    rows = p.rook_rows
+    for v in range(len(vertices)) if all_vertices else border.peak_indices():
+        x, y = vertices[v]
+        inside = [r for r in rows[:x] if r <= y]
+        for plan in plans:
+            if _contains(inside, plan):
+                return v
     return None
 
 
@@ -188,8 +202,10 @@ def lis_length(perm) -> int:
 
 def lis_labels(p: RookPlacement) -> tuple[int, ...]:
     """For each border vertex V_i, the length of the longest increasing
-    rook sequence inside the rectangle under V_i."""
-    out = []
-    for v in range(2 * p.n + 1):
-        out.append(lis_length(gamma_restriction(p, v)))
-    return tuple(out)
+    rook sequence inside the rectangle under V_i, read from the rook rows
+    as they stand (``gamma_restriction`` ranks them, which keeps every
+    increasing run)."""
+    rows = p.rook_rows
+    return tuple(
+        lis_length([r for r in rows[:x] if r <= y]) for x, y in p.board.border.vertices
+    )

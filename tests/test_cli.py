@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchboard.checks import SUITES
-from matchboard.cli import _MAPS, main
+from matchboard.cli import _map_names, main
 from matchboard.families import FAMILY_NAMES
 from matchboard.formulas import FORMULA_IDS
 
@@ -31,6 +31,13 @@ class TestCount:
         assert payload["avoid"] == ["132"]
         manifest = json.loads(err)
         assert manifest["command"] == "count"
+
+    def test_spaces_around_items_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "count", "--family", "matching", "--n", "3", "--avoid", "123, 321"
+        )
+        assert code == 0
+        assert json.loads(out)["avoid"] == ["123", "321"]
 
     def test_by_shape(self, capsys):
         code, out, _ = run(
@@ -219,6 +226,11 @@ MALFORMED = [
     ("count", "--family", "partition", "--n", "3", "--avoid", "1234", "--by-shape"),
     ("count", "--family", "pair-nk", "--n", "2", "--k", "1", "--stat", "valleys"),
     ("count", "--family", "matching", "--n", "3", "--avoid", "1²3"),
+    # an empty item in the pattern list, or an empty list
+    ("count", "--family", "matching", "--n", "3", "--avoid", ",123"),
+    ("count", "--family", "matching", "--n", "3", "--avoid", "123,,321"),
+    ("count", "--family", "matching", "--n", "3", "--avoid", "1,,"),
+    ("count", "--family", "matching", "--n", "3", "--avoid", ""),
     ("apply", "--map", "delta321-inv", "--input", "bottom:EESS;top:ESES"),
     # integer fields read only what to_text writes
     ("apply", "--map", "kappa", "--input", "(\u0661,\u0662)"),
@@ -246,13 +258,26 @@ def test_malformed_argv_is_usage_error(capsys, argv):
     assert any(line.startswith("error:") for line in err.splitlines())
 
 
-# the --formula and --suite choices are read from their modules only when
-# argparse first tests or lists them; what it prints must not change
-CHOICES = {"series": FORMULA_IDS, "cross-check": FORMULA_IDS, "verify": (*SUITES, "all")}
+# the --family, --formula, --suite and --map choices are read from their
+# modules only when argparse first tests or lists them; what it prints must
+# not change
+MAP_NAMES = (
+    "chi", "delta213", "delta213-inv", "delta321", "delta321-inv", "delta321-switch",
+    "kappa", "kappa-inv", "kappa-prime", "partition-to-matching", "pi",
+)
+CHOICES = {
+    "count": FAMILY_NAMES,
+    "series": FORMULA_IDS,
+    "cross-check": FORMULA_IDS,
+    "verify": (*SUITES, "all"),
+    "apply": MAP_NAMES,
+}
 BAD_CHOICE = [
+    ("count", "--family", "x", "--n", "3"),
     ("series", "--formula", "x", "--order", "3"),
     ("cross-check", "--formula", "x", "--max-n", "3"),
     ("verify", "--suite", "x"),
+    ("apply", "--map", "x", "--input", "1"),
 ]
 
 
@@ -316,7 +341,8 @@ def argvs(draw):
         if draw(st.booleans()):
             argv += ["--k", size()]
         if draw(st.booleans()):
-            argv += ["--avoid", draw(st.sampled_from(["123", "213,321", "1342", "21", "x"]))]
+            avoid = ["123", "213,321", "1342", "21", "x", "", "123,"]
+            argv += ["--avoid", draw(st.sampled_from(avoid))]
         argv += draw(st.sampled_from([[], ["--by-shape"], ["--stat", "valleys"]]))
     elif command in ("series", "cross-check"):
         flag = "--order" if command == "series" else "--max-n"
@@ -324,7 +350,7 @@ def argvs(draw):
     elif command == "verify":
         argv += ["verify", "--suite", draw(st.sampled_from([*SUITES, "all"])), "--max-n", size()]
     else:
-        argv += ["apply", "--map", draw(st.sampled_from([*_MAPS, "kappa-prime"]))]
+        argv += ["apply", "--map", draw(st.sampled_from(_map_names()))]
         argv += ["--input", draw(INPUTS)]
         if draw(st.booleans()):
             argv += ["--pattern", draw(st.sampled_from(["321", "213", "123", "x"]))]

@@ -73,6 +73,27 @@ def test_series_loads_only_errors():
     assert loaded == {"matchboard", "matchboard.errors", "matchboard.series"}
 
 
+def test_cli_loads_only_errors():
+    loaded = loaded_modules("import matchboard.cli")
+    assert loaded == {"matchboard", "matchboard.errors", "matchboard.cli"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--formula", "m312", "--order", "5"],
+        ["series", "--formula", "x", "--order", "5"],
+        ["series", "--help"],
+    ],
+    ids=["series", "bad-formula", "help"],
+)
+def test_series_command_loads_no_enumeration_code(argv):
+    loaded = loaded_modules(f"from matchboard import cli\ncli.main({argv!r})")
+    enumeration = {f"matchboard.{m}" for m in ("families", "bijections", "model", "patterns")}
+    assert "matchboard.formulas" in loaded
+    assert not loaded & enumeration, sorted(loaded & enumeration)
+
+
 def test_formulas_load_no_enumeration_code():
     loaded = loaded_modules("import matchboard.formulas")
     enumeration = {f"matchboard.{m}" for m in ("families", "bijections", "model", "patterns")}

@@ -17,16 +17,18 @@ from matchboard.families import (
     count,
     matchings,
     matchings_with_fixed_points,
+    placements,
     placements_on_board,
     set_partitions,
 )
-from matchboard.model import Matching, RookPlacement, SetPartition, statistics
+from matchboard.model import Matching, RookPlacement, SetPartition, gamma_restriction, statistics
 from matchboard.patterns import (
     S3_PATTERNS,
     Pattern,
     find_arc_occurrence,
     lis_labels,
     lis_length,
+    offending_vertex,
     parse_pattern_set,
     perm_contains,
     placement_avoids,
@@ -48,6 +50,10 @@ class TestPattern:
         assert s == frozenset({Pattern((1, 2, 3)), Pattern((3, 2, 1))})
         with pytest.raises(ParseError):
             parse_pattern_set(" , ")
+        # an empty item is refused, not dropped
+        for text in ("", ",123", "123,,321", "1,,", "123,", "123, ,321"):
+            with pytest.raises(ParseError):
+                parse_pattern_set(text)
 
 
 class TestPermContains:
@@ -283,6 +289,46 @@ class TestPlacementAvoids:
         p = RookPlacement.from_text("border:EEESSS;rooks:1,2,3")
         assert not placement_avoids(p, Pattern((1, 2, 3)))
         assert placement_avoids(p, Pattern((2, 1)))
+
+
+class TestRestrictionsInPlace:
+    """offending_vertex and lis_labels read the rook rows under each border
+    vertex as they stand; the ranked restriction ``gamma_restriction`` is
+    the definition they must agree with.  Every placement with n <= 5 is
+    tested against every length-3 pattern, every pair of them and every
+    length-4 pattern at every vertex and at the peaks; n = 6, where the
+    calls would take seconds more, against every length-3 pattern at the
+    peaks, the setting every caller uses."""
+
+    SETS = (
+        [(t,) for t in S3_PATTERNS]
+        + list(combinations(S3_PATTERNS, 2))
+        + [(Pattern(t),) for t in permutations(range(1, 5))]
+    )
+
+    def test_against_ranked_restrictions(self):
+        bit = {t: 1 << i for i, t in enumerate({t for pats in self.SETS for t in pats})}
+        masks = [sum(map(bit.__getitem__, pats)) for pats in self.SETS]
+        contained, lis = {}, {}  # per ranked restriction: pattern bits, lis
+        offended = Counter()
+        for n in range(7):
+            for p in placements(n):
+                restrictions = [gamma_restriction(p, v) for v in range(2 * n + 1)]
+                for r in restrictions:
+                    if r not in contained:
+                        contained[r] = sum(b for t, b in bit.items() if perm_contains(r, t))
+                        lis[r] = lis_length(r)
+                assert lis_labels(p) == tuple(map(lis.__getitem__, restrictions)), p
+                found = list(map(contained.__getitem__, restrictions))
+                peaks = p.board.border.peak_indices()
+                for pats, mask in zip(self.SETS[:6] if n == 6 else self.SETS, masks):
+                    first_peak = next((v for v in peaks if found[v] & mask), None)
+                    assert offending_vertex(p, pats) == first_peak, (p, pats)
+                    offended[n] += first_peak is not None
+                    if n < 6:
+                        first = next((v for v, f in enumerate(found) if f & mask), None)
+                        assert offending_vertex(p, pats, all_vertices=True) == first, (p, pats)
+        assert all(offended[n] for n in range(3, 7)), offended
 
 
 class TestLis:
