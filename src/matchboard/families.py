@@ -1,11 +1,14 @@
 """Exhaustive generators and counting oracles for every object family.
 
-Matchings, placements and partitions avoiding length-3 patterns are counted
-by ``_scan``, which reads the arc diagram from left to right and keeps, for
+Matchings, placements and partitions avoiding length-3 patterns, and the
+fixed-point classes of matchings with fixed points, are counted by
+``_scan``, which reads the arc diagram from left to right and keeps, for
 each pair of open arcs, where the arcs that closed over both of them had
-opened.  Per-board counts and valley histograms come from the border words
-it reports.  Every other count enumerates the family; the generators and the
-avoidance tests in ``patterns`` remain the brute-force oracles.
+opened (and whether a fixed point forbids one of them to close first).
+Per-board counts and valley histograms come from the border words it
+reports.  Every other count enumerates the family; the generators, the
+avoidance tests in ``patterns`` and ``bijections.check_fixed_point_class``
+remain the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from .bijections import (
     LabeledPathClass,
     NoncrossingPathPair,
     a2_member,
-    check_fixed_point_class,
     chi,
 )
-from .errors import InvalidObjectError, PatternViolationError, ResourceCapError
+from .errors import InvalidObjectError, ResourceCapError
 from .model import (
     DyckPath,
     FerrersBoard,
@@ -312,16 +314,37 @@ _FORMED = {
     False: ((3, 1, 2), (1, 3, 2), (1, 2, 3)),
 }
 
+# The fixed-point class of tau forbids five vertices, two arcs and a fixed
+# point f (``bijections._FP_CONFIGS``).  The scan gives a pair of open arcs
+# the bit _FIXED when f is placed for it, and _FIXED_POINT_RULES[tau] =
+# (x_first, at_open) says when: f under both arcs, or, with at_open, f under
+# the earlier arc before the later one opens.  The pair is then refused when
+# its arc x closes while the other stays open, x_first saying that x opened
+# first.
+_FIXED = 8
+_FIXED_POINT_RULES = {
+    (1, 2, 3): (False, False),  # a1 b1 f b2 a2
+    (2, 1, 3): (False, True),  # a1 f b1 b2 a2
+    (3, 2, 1): (True, False),  # a1 b1 f a2 b2
+}
 
-def _scan(n: int, pats, partition: bool = False, by_border: bool = False) -> dict[str, int]:
+
+def _scan(
+    n: int, pats, partition: bool = False, by_border: bool = False, fixed_points: int = 0
+) -> dict[str, int]:
     """Number of matchings of [2n], or partitions of [n], whose arcs avoid
     the length-3 patterns, by border word (E at an opener, S at a closer;
-    the only key is "" without by_border and for partitions).
+    the only key is "" without by_border and for partitions).  With
+    fixed_points = k > 0 it counts the matchings of [2n + k] with k fixed
+    points in the fixed-point class of the one pattern in pats.
 
     The vertices are read left to right.  A state is one row per open arc,
     in opener order; row j holds, for each i < j, the set of positions p of
     the arcs that closed while i and j were both open, less the positions
-    that can complete no avoided pattern, so that equal states merge.
+    that can complete no avoided pattern, so that equal states merge.  With
+    fixed points a pair's set may also hold the bit _FIXED, and the key is
+    (state, fixed points left, m), where the first m open arcs opened before
+    the last fixed point.
     """
     if any(len(p.perm) != 3 for p in pats):
         raise InvalidObjectError("the scan counts length-3 patterns only")
@@ -332,6 +355,11 @@ def _scan(n: int, pats, partition: bool = False, by_border: bool = False) -> dic
     }
     keep = refused[True] | refused[False]
     before, between, after = 1 & keep, 2 & keep, 4 & keep
+    if fixed_points:
+        (tau,) = avoided
+        x_first, at_open = _FIXED_POINT_RULES[tau]
+        refused[x_first] |= _FIXED
+        spread, mark = (0, _FIXED) if at_open else (_FIXED, 0)
 
     def close(state, a):
         """The state once arc a closes, or None if that forms an avoided
@@ -358,20 +386,37 @@ def _scan(n: int, pats, partition: bool = False, by_border: bool = False) -> dic
             for s in closed:
                 yield "S", s
 
+    def fixed_point_moves(key):
+        state, f, m = key
+        yield "E", (state + ((mark,) * m + (0,) * (len(state) - m),), f, m)
+        for a in range(len(state)):
+            s = close(state, a)
+            if s is not None:
+                yield "S", (s, f, m - (a < m))
+        if f:
+            yield "F", (tuple(tuple(b | spread for b in row) for row in state), f - 1, len(state))
+
+    # each open arc, and each fixed point left, needs a vertex of its own
+    if fixed_points:
+        moves, start = fixed_point_moves, ((), fixed_points, 0)
+
+        def need(key):
+            return len(key[0]) + key[1]
+    else:
+        need, start = len, ()
     out: dict[str, int] = {}
     # depth first, so that only the unread siblings of each level are held
-    stack = [("", {(): 1}, n if partition else 2 * n)]
+    stack = [("", {start: 1}, n if partition else 2 * n + fixed_points)]
     while stack:
         word, states, left = stack.pop()
         if not left:
-            if () in states:
-                out[word] = states[()]
+            # the one state left has no open arc and no fixed point to place
+            out[word] = sum(states.values())
             continue
         buckets: dict[str, dict] = {}
         for state, c in states.items():
             for letter, s in moves(state):
-                # each open arc still needs a vertex of its own to close at
-                if len(s) < left:
+                if need(s) < left:
                     bucket = buckets.setdefault(letter if by_border else "", {})
                     bucket[s] = bucket.get(s, 0) + c
         for letter in reversed(buckets):
@@ -543,17 +588,14 @@ def count(
 
 def count_fixed_point_class(n: int, k: int, tau) -> int:
     """Number of matchings with k fixed points in the fixed-point class of
-    tau (reduction avoids tau and no forbidden five-vertex configuration)."""
+    tau (reduction avoids tau and no forbidden five-vertex configuration),
+    by the scan over 2n + k vertices; ``matchings_with_fixed_points``
+    filtered by ``bijections.check_fixed_point_class`` is its oracle."""
     tau = Pattern.from_text(tau) if isinstance(tau, str) else tau
     check_cap("matching-fp", n, k)
-    total = 0
-    for m in matchings_with_fixed_points(n, k):
-        try:
-            check_fixed_point_class(m, tau)
-        except PatternViolationError:
-            continue
-        total += 1
-    return total
+    if tau.perm not in _FIXED_POINT_RULES:
+        raise InvalidObjectError(f"no fixed-point class for pattern {tau.to_text()}")
+    return sum(_scan(n, (tau,), fixed_points=k).values())
 
 
 def _pair_walk(steps: int):

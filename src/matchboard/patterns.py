@@ -201,11 +201,22 @@ def lis_length(perm) -> int:
 
 
 def lis_labels(p: RookPlacement) -> tuple[int, ...]:
-    """For each border vertex V_i, the length of the longest increasing
-    rook sequence inside the rectangle under V_i, read from the rook rows
-    as they stand (``gamma_restriction`` ranks them, which keeps every
-    increasing run)."""
+    """For each border vertex V_i = (x, y), the length of the longest
+    increasing rook sequence inside the rectangle under V_i, read from the
+    rook rows as they stand (``gamma_restriction`` ranks them, which keeps
+    every increasing run).  One patience sort reads a column at each E
+    step: once it has read x columns, tails[l] is the lowest row at which
+    an increasing run of length l + 1 among them ends, so the longest run
+    with every row <= y is as long as the number of tails <= y."""
     rows = p.rook_rows
-    return tuple(
-        lis_length([r for r in rows[:x] if r <= y]) for x, y in p.board.border.vertices
-    )
+    tails: list[int] = []
+    labels = []
+    read = 0
+    for x, y in p.board.border.vertices:
+        if x > read:  # the E step into V_i brings in column x
+            r = rows[read]
+            i = bisect.bisect_left(tails, r)
+            tails[i:i + 1] = (r,)
+            read = x
+        labels.append(bisect.bisect_right(tails, y))
+    return tuple(labels)

@@ -1,5 +1,6 @@
 """Bijections between restricted placements and path families."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,8 @@ from matchboard.bijections import (
 from matchboard.errors import InvalidObjectError, PatternViolationError
 from matchboard.families import (
     boards,
+    count,
+    count_fixed_point_class,
     dyck_paths,
     labeled_paths,
     matchings_with_fixed_points,
@@ -294,6 +297,19 @@ def fp_matchings():
     return [m for n in range(7) for k in range(7 - n) for m in matchings_with_fixed_points(n, k)]
 
 
+FP_PATTERNS = (Pattern((1, 2, 3)), Pattern((2, 1, 3)), Pattern((3, 2, 1)))
+
+
+@pytest.fixture(scope="module")
+def fp_verdicts(fp_matchings):
+    """check_fixed_point_class's verdict on each of fp_matchings, per pattern
+    of a fixed-point class."""
+    return {
+        tau: [_verdict(check_fixed_point_class, m, tau) for m in fp_matchings]
+        for tau in FP_PATTERNS
+    }
+
+
 class TestPatternOracles:
     """The comparison chains against the sorting tests they replaced."""
 
@@ -304,11 +320,10 @@ class TestPatternOracles:
                     m.arcs, t
                 ), (m, t)
 
-    def test_fixed_point_class(self, fp_matchings):
+    def test_fixed_point_class(self, fp_matchings, fp_verdicts):
         found = 0
-        for tau in (Pattern((1, 2, 3)), Pattern((2, 1, 3)), Pattern((3, 2, 1))):
-            for m in fp_matchings:
-                got = _verdict(check_fixed_point_class, m, tau)
+        for tau in FP_PATTERNS:
+            for m, got in zip(fp_matchings, fp_verdicts[tau]):
                 assert got == _verdict(_check_fixed_point_class_by_positions, m, tau), (m, tau)
                 found += got is not None and "forbidden" in got[0]
         assert found  # the five-vertex configurations are reached
@@ -330,6 +345,31 @@ class TestFixedPointClasses:
     def test_unknown_pattern(self):
         with pytest.raises(InvalidObjectError):
             check_fixed_point_class(Matching(()), Pattern((2, 3, 1)))
+
+    def test_scan_equals_enumeration(self, fp_matchings, fp_verdicts):
+        # the class members among every matching with n + k <= 6, counted
+        # by check_fixed_point_class, against the scan
+        for tau in FP_PATTERNS:
+            members = Counter(
+                (m.n, len(m.fixed_points))
+                for m, got in zip(fp_matchings, fp_verdicts[tau])
+                if got is None
+            )
+            for n in range(7):
+                for k in range(7 - n):
+                    assert count_fixed_point_class(n, k, tau) == members[n, k], (tau, n, k)
+            # the five-vertex rule refuses 1 of the 15 tau-avoiders with
+            # n = 2 and k = 1, so the scan applies more than avoidance
+            assert count_fixed_point_class(2, 1, tau) < count(
+                "matching-fp", 2, 1, avoid=(tau,)
+            ).total
+
+    def test_unknown_pattern_refused_by_count(self):
+        with pytest.raises(InvalidObjectError) as checked:
+            check_fixed_point_class(Matching(()), Pattern((2, 3, 1)))
+        with pytest.raises(InvalidObjectError) as counted:
+            count_fixed_point_class(0, 0, "231")
+        assert str(counted.value) == str(checked.value)
 
     def test_kappa_prime_counts(self):
         # the fixed-point classes biject with pairs ending in k souths

@@ -5,6 +5,7 @@ from math import comb, prod
 
 import pytest
 
+from matchboard import bijections, families
 from matchboard.bijections import LabeledPathClass
 from matchboard.checks import board_difference, run
 from matchboard.errors import InvalidObjectError, ResourceCapError
@@ -342,11 +343,24 @@ class TestBoardFormulas:
 
 
 class TestFixedPointClasses:
-    def test_dp_agrees_with_enumeration(self):
-        for tau in ("321", "213"):
-            for n in range(0, 4):
-                for k in range(0, 4 - n):
-                    assert count_fixed_point_class(n, k, tau) == pair_count_ending_south(n, k)
+    def test_scan_equals_pair_walk(self):
+        # the classes of 321 and 213 are equinumerous with the pairs ending
+        # in k south steps, and so, at every n + k <= 8, is the class of 123
+        for tau in ("123", "213", "321"):
+            for n in range(9):
+                for k in range(9 - n):
+                    counted = count_fixed_point_class(n, k, tau)
+                    assert counted == pair_count_ending_south(n, k), (tau, n, k)
+
+    def test_counted_without_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(families, "matchings_with_fixed_points", refuse)
+        monkeypatch.setattr(families, "Matching", refuse)
+        monkeypatch.setattr(families, "check_fixed_point_class", refuse, raising=False)
+        monkeypatch.setattr(bijections, "check_fixed_point_class", refuse)
+        assert count_fixed_point_class(4, 2, "213") == pair_count_ending_south(4, 2)
 
     def test_negative_sizes_refused(self):
         # n + k = 2 is within the cap, but n itself is negative
@@ -354,17 +368,29 @@ class TestFixedPointClasses:
             count_fixed_point_class(-1, 3, "321")
         with pytest.raises(InvalidObjectError):
             count_fixed_point_class(1, -1, "321")
-        # the walk refuses what enumeration refuses, with the same message
+        # the walk refuses what the class count refuses, with the same message
         for n, k in ((-1, 0), (-1, 2), (0, -1)):
             with pytest.raises(InvalidObjectError) as walk:
                 pair_count_ending_south(n, k)
-            with pytest.raises(InvalidObjectError) as enumerated:
+            with pytest.raises(InvalidObjectError) as counted:
                 count_fixed_point_class(n, k, "321")
-            assert str(walk.value) == str(enumerated.value), (n, k)
+            assert str(walk.value) == str(counted.value), (n, k)
 
-    def test_123_class_differs(self):
-        # the 123 class is checkable but counted by the same pair numbers
-        assert count_fixed_point_class(1, 1, "123") == pair_count_ending_south(1, 1)
+    def test_refused_before_the_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(families, "_scan", refuse)
+        # the sizes are checked first, then the pattern
+        for n, k, tau, message in (
+            (5, 4, "321", "matching size 9 exceeds the cap 8"),
+            (5, 4, "231", "matching size 9 exceeds the cap 8"),
+            (-1, 0, "231", "n must be nonnegative, got -1"),
+            (0, 0, "231", "no fixed-point class for pattern 231"),
+            (3, 2, "1234", "no fixed-point class for pattern 1234"),
+        ):
+            with pytest.raises((InvalidObjectError, ResourceCapError), match=f"^{message}$"):
+                count_fixed_point_class(n, k, tau)
 
     def test_pair_dp_base_cases(self):
         assert pair_count_ending_south(0, 0) == 1
