@@ -352,6 +352,16 @@ class TestFixedPointClasses:
                     counted = count_fixed_point_class(n, k, tau)
                     assert counted == pair_count_ending_south(n, k), (tau, n, k)
 
+    def test_dp_agrees_with_enumeration(self):
+        for tau in ("321", "213"):
+            for n in range(0, 4):
+                for k in range(0, 4 - n):
+                    assert count_fixed_point_class(n, k, tau) == pair_count_ending_south(n, k)
+
+    def test_123_class_differs(self):
+        # the 123 class is checkable but counted by the same pair numbers
+        assert count_fixed_point_class(1, 1, "123") == pair_count_ending_south(1, 1)
+
     def test_counted_without_enumeration(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("enumerated")
