@@ -5,6 +5,9 @@ fixed-point classes of matchings with fixed points, are counted by
 ``_scan``, which reads the arc diagram from left to right and keeps, for
 each pair of open arcs, where the arcs that closed over both of them had
 opened (and whether a fixed point forbids one of them to close first).
+Arc avoidance and the border ignore fixed points, so the matchings with k
+fixed points that avoid length-3 patterns are the scan's matchings times
+the C(2n + k, k) places of the fixed points.
 Per-board counts and valley histograms come from the border words it
 reports.  Every other count enumerates the family; the generators, the
 avoidance tests in ``patterns`` and ``bijections.check_fixed_point_class``
@@ -16,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, permutations as iter_permutations, product
+from math import comb
 
 from .bijections import (
     LabeledPathClass,
@@ -456,7 +460,9 @@ class _Family:
     label: str  # what the cap error calls the objects
     generate: Callable  # (n, k) -> the objects
     takes_k: bool = False
-    # the _scan that counts length-3 pattern sets: "matching" or "partition"
+    # the _scan that counts length-3 pattern sets: "matching", "partition",
+    # or "matching-fp", the matching scan of the arcs times C(2n + k, k):
+    # arc avoidance and the border ignore where the k fixed points sit
     scan: str | None = None
     avoids: Callable | None = None  # (object, patterns) -> bool, if filterable
     border: Callable | None = None  # object -> its board border, for breakdowns
@@ -497,7 +503,8 @@ _FAMILIES = {
     ),
     "matching-fp": _Family(
         8, "matching", lambda n, k: matchings_with_fixed_points(n, k),
-        takes_k=True, avoids=_arcs_avoid, border=lambda m: m.shape,
+        takes_k=True, scan="matching-fp", avoids=_arcs_avoid,
+        border=lambda m: m.shape,
     ),
     "pair-a2": _Family(9, "path pair", lambda n, k: a2_pairs(n)),
     "pair-b2": _Family(14, "lattice path", lambda n, k: b2_pairs(n)),
@@ -512,8 +519,9 @@ _FAMILIES = {
 FAMILY_NAMES = tuple(_FAMILIES)
 
 # the largest n each scan counts: the last n of the published rows that
-# check it (``reference.TABLE_MATCHINGS`` and ``TABLE_PARTITIONS``)
-_SCAN_CAPS = {"matching": 10, "partition": 11}
+# check it (``reference.TABLE_MATCHINGS`` and ``TABLE_PARTITIONS``); with
+# fixed points, the enumeration cap on n + k, which checks it
+_SCAN_CAPS = {"matching": 10, "partition": 11, "matching-fp": 8}
 
 
 def _refuse_negative(n: int, k: int) -> None:
@@ -568,6 +576,9 @@ def count(
     breakdown = stats or by_shape
     if scanned:
         shapes = _scan(n, pats, partition=row.scan == "partition", by_border=breakdown)
+        if k:
+            places = comb(2 * n + k, k)
+            shapes = {border: c * places for border, c in shapes.items()}
     else:
         shapes = {}
         for obj in row.generate(n, k):

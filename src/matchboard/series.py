@@ -9,7 +9,9 @@ substituting a value for a variable gives the series over the others.  On
 top of this the module provides square roots and roots of algebraic
 equations through one Newton loop that doubles the known orders at each
 step (no input is padded with zeros), one per-order solver for the
-functional equations used by the counting formulas, residual checks for
+functional equations used by the counting formulas (it keeps the factors
+of each product packed from one order to the next and regrids, with a
+fixed headroom, only when an order outgrows the grid), residual checks for
 those equations (G_classV's multiplied through by 1 - u), and the
 substitution that turns a valley-marked matching series into a
 set-partition series.
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 from math import comb, lcm, prod
-from operator import add, mul
+from operator import add, ge, mul
 
 from .errors import DivisibilityError, SeriesError
 
@@ -69,7 +71,10 @@ def _pacc(target: dict, src: dict, scale=1) -> None:
 # 2^(w-1) to every slot so that each reads back as an unsigned field.
 # Rational coefficients are scaled to integers by the lcm of their
 # denominators.  A coefficient with no variables is the grid with no axes:
-# one slot, and the product is one scalar multiply.
+# one slot, and the product is one scalar multiply.  ``_grid`` is the one
+# sizing rule: ``_convolve`` packs on the tightest grid it allows, and the
+# functional-equation solver (``_Product``) on one with a fixed headroom,
+# kept across orders.
 
 
 def _pack(p: dict, strides, width: int, den: int) -> int:
@@ -117,48 +122,130 @@ def _aligned(xs: list, ys: list, lo: int, hi: int):
         yield xs[a:b], rys[top - m + a : top - m + b]
 
 
+def _strides(dims) -> list[int]:
+    """The slot strides of a row-major grid; the first (outer) axis does
+    not enter them."""
+    return [prod(dims[a + 1 :]) for a in range(len(dims))]
+
+
+class _Operand:
+    """One factor of a product: its coefficient polynomials c_0, c_1, ...
+    and what sizes a grid for them.  ``den`` is the lcm of their
+    denominators; per coefficient it keeps the largest |c|, the number of
+    terms, the degrees and the running maximum of the degrees.  ``packs``
+    holds the first coefficients packed, each times ``den``, on one grid."""
+
+    __slots__ = (
+        "nvars", "polys", "den", "peaks", "sizes", "degrees", "rising", "packs"
+    )
+
+    def __init__(self, nvars: int, polys=()):
+        self.nvars, self.den = nvars, 1
+        self.polys, self.peaks, self.sizes = [], [], []
+        self.degrees, self.rising, self.packs = [], [], []
+        for p in polys:
+            self.append(p)
+
+    def append(self, p: dict) -> None:
+        self.polys.append(p)
+        self.den = lcm(self.den, *(c.denominator for c in p.values()))
+        self.peaks.append(max(map(abs, p.values()), default=0))
+        self.sizes.append(len(p))
+        deg = tuple(map(max, zip(*p))) if p else (0,) * self.nvars
+        self.degrees.append(deg)
+        self.rising.append(
+            tuple(map(max, self.rising[-1], deg)) if self.rising else deg
+        )
+
+    def pack(self, strides, width: int) -> list[int]:
+        """Every coefficient packed on the grid; only those not packed yet
+        are packed now."""
+        self.packs += [
+            _pack(p, strides, width, self.den) for p in self.polys[len(self.packs) :]
+        ]
+        return self.packs
+
+
+def _grid(x: _Operand, y: _Operand, lo: int, hi: int) -> tuple[int, tuple]:
+    """The slot width in bytes and the per-axis top degree of a grid that
+    holds every coefficient of x and of y and the z^lo .. z^hi
+    coefficients of x*y, with x packed times x.den and y times y.den; x
+    and y hold no coefficient past z^hi."""
+    mx = [int(c * x.den) for c in x.peaks]
+    my = [int(c * y.den) for c in y.peaks]
+    # an output slot sums at most min(len x, len y) terms of each product;
+    # every operand is packed too, whether an output uses it or not
+    bands = (
+        sum(map(mul, map(mul, a, b), map(min, la, lb)))
+        for (a, b), (la, lb) in zip(
+            _aligned(mx, my, lo, hi), _aligned(x.sizes, y.sizes, lo, hi)
+        )
+    )
+    width = max((*mx, *my, *bands)).bit_length() // 8 + 1  # room for a sign bit
+    # per axis, the degree of each x_i plus the highest degree among
+    # y_0 .. y_(hi - i)
+    top = (0,) * x.nvars
+    last = len(y.rising) - 1
+    for i, (size, deg) in enumerate(zip(x.sizes, x.degrees)):
+        if size:
+            top = tuple(map(max, top, map(add, deg, y.rising[min(hi - i, last)])))
+    return width, top
+
+
 def _convolve(xs, ys, lo: int, hi: int) -> list[dict]:
     """The z^lo .. z^hi coefficients of (sum xs[i] z^i) * (sum ys[j] z^j),
     for coefficient polynomials over one variable set; each polynomial is
-    packed once, onto one grid."""
-    xs, ys = list(xs[: hi + 1]), list(ys[: hi + 1])
+    packed once, onto the tightest grid that ``_grid`` allows."""
+    xs, ys = xs[: hi + 1], ys[: hi + 1]
     if not any(xs) or not any(ys):
         return [{} for _ in range(lo, hi + 1)]
-    dx = lcm(*(c.denominator for p in xs for c in p.values()))
-    dy = lcm(*(c.denominator for p in ys for c in p.values()))
-    mx = [int(max(map(abs, p.values()), default=0) * dx) for p in xs]
-    my = [int(max(map(abs, p.values()), default=0) * dy) for p in ys]
-    # an output slot sums at most min(len x, len y) terms of each product;
-    # every operand is packed too, whether an output uses it or not
-    lx, ly = list(map(len, xs)), list(map(len, ys))
-    bands = (
-        sum(map(mul, map(mul, a, b), map(min, la, lb)))
-        for (a, b), (la, lb) in zip(_aligned(mx, my, lo, hi), _aligned(lx, ly, lo, hi))
-    )
-    width = max(*mx, *my, *bands).bit_length() // 8 + 1  # room for a sign bit
-    # per axis, the grid holds the degree of each xs[i] plus the highest
-    # degree among ys[0 .. hi - i]
     nvars = len(next(iter(next(p for p in xs if p))))
-
-    def degrees(p: dict) -> tuple:
-        return tuple(map(max, zip(*p))) if p else (0,) * nvars
-
-    def widest(a, b) -> tuple:
-        return tuple(map(max, a, b))
-
-    rising = list(accumulate(map(degrees, ys), widest))
-    top = (0,) * nvars
-    for i, p in enumerate(xs):
-        if p:
-            top = widest(top, map(add, degrees(p), rising[min(hi - i, len(ys) - 1)]))
+    x, y = _Operand(nvars, xs), _Operand(nvars, ys)
+    width, top = _grid(x, y, lo, hi)
     dims = [t + 1 for t in top]
-    strides = [prod(dims[a + 1 :]) for a in range(nvars)]
-    px = [_pack(p, strides, width, dx) for p in xs]
-    py = [_pack(p, strides, width, dy) for p in ys]
+    strides = _strides(dims)
     return [
-        _unpack(sum(map(mul, a, b)), dims, width, dx * dy)
-        for a, b in _aligned(px, py, lo, hi)
+        _unpack(sum(map(mul, a, b)), dims, width, x.den * y.den)
+        for a, b in _aligned(x.pack(strides, width), y.pack(strides, width), lo, hi)
     ]
+
+
+class _Product:
+    """The coefficients of x*y one z-order at a time, as those of x and y
+    arrive, with x and y kept packed from one order to the next.  An
+    order whose ``_grid`` bound outgrows the grid (a slot width, an inner
+    axis, or a denominator) regrids with a fixed headroom of one byte of
+    width and two slots on each inner axis, and repacks x and y; the outer
+    axis needs none, since it does not enter the strides.  Most orders
+    pack only the new x_m and y_m."""
+
+    __slots__ = ("x", "y", "width", "inner", "dens")
+
+    def __init__(self, nvars: int):
+        self.x, self.y = _Operand(nvars), _Operand(nvars)
+        self.width, self.inner, self.dens = 0, (), None
+
+    def push(self, xm: dict, ym: dict) -> dict:
+        """[z^m] x*y, for x_m and y_m the newest coefficients."""
+        x, y = self.x, self.y
+        x.append(xm)
+        y.append(ym)
+        m = len(x.polys) - 1
+        width, top = _grid(x, y, m, m)
+        if (
+            width > self.width
+            or (x.den, y.den) != self.dens
+            or any(map(ge, top[1:], self.inner))
+        ):
+            # the headroom: one byte of width, two slots per inner axis
+            self.width, self.dens = width + 1, (x.den, y.den)
+            self.inner = tuple(t + 1 + 2 for t in top[1:])
+            x.packs, y.packs = [], []
+        # the outer axis goes to _unpack at its real size
+        dims = (*(t + 1 for t in top[:1]), *self.inner)
+        strides = _strides(dims)
+        px, py = x.pack(strides, self.width), y.pack(strides, self.width)
+        return _unpack(sum(map(mul, px, reversed(py))), dims, self.width, x.den * y.den)
 
 
 def _pshift(p: dict, axis: int, k: int = 1) -> dict:
@@ -524,18 +611,19 @@ def algebraic_solve(polys, seed, order: int | None = None) -> Series:
 def _solve(variables, terms, order: int) -> Series:
     """K through z^order from K_0 = 1 and K_n = the sum over the terms
     (f, g) of [z^(n-1)] F*G, where F_j = f(K_j, j) and G_j = g(K_j, j).
-    A term (f, None) has G = 1: it adds F_(n-1) alone, and keeps no F_j."""
-    K = [{(0,) * len(variables): 1}]
-    sides = [(f, g, [], []) for f, g in terms]
+    A term (f, None) has G = 1: it adds F_(n-1) alone, and keeps no F_j.
+    Each product keeps its F_j and G_j packed across orders (``_Product``),
+    regridding with a fixed headroom only when an order outgrows the grid."""
+    nvars = len(variables)
+    K = [{(0,) * nvars: 1}]
+    sides = [(f, g, _Product(nvars)) for f, g in terms]
     for n in range(1, order + 1):
         kj, kn = K[-1], {}
-        for f, g, xs, ys in sides:
+        for f, g, fg in sides:
             if g is None:
                 _pacc(kn, f(kj, n - 1))
             else:
-                xs.append(f(kj, n - 1))
-                ys.append(g(kj, n - 1))
-                _pacc(kn, _convolve(xs, ys, n - 1, n - 1)[0])
+                _pacc(kn, fg.push(f(kj, n - 1), g(kj, n - 1)))
         K.append(kn)
     return Series(variables, order, K)
 

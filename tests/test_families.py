@@ -28,7 +28,7 @@ from matchboard.families import (
     set_partitions,
 )
 from matchboard.formulas import _gouyou_determinant, coefficients
-from matchboard.model import DyckPath, FerrersBoard, LabeledDyckPath
+from matchboard.model import DyckPath, FerrersBoard, LabeledDyckPath, statistics
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 from matchboard.series import fe_iterate
 
@@ -258,6 +258,43 @@ class TestCount:
         for n in range(1, 6):
             want = TABLE_PAIR_CLASSES["II_III"][n - 1]
             assert count("matching", n, avoid=["123", "312"]).total == want
+
+
+class TestAvoidingWithFixedPoints:
+    def test_scan_times_binomial_equals_enumeration(self):
+        for avoid in (["123"], ["321"], ["231"], ["132", "213"]):
+            for n in range(4):
+                for k in range(7 - n):
+                    shapes: dict[str, int] = {}
+                    for m in matchings_with_fixed_points(n, k):
+                        if _matching_ok(m, avoid):
+                            border = m.shape.steps
+                            shapes[border] = shapes.get(border, 0) + 1
+                    valleys: dict[int, int] = {}
+                    for border, c in shapes.items():
+                        v = statistics(DyckPath(border)).valleys
+                        valleys[v] = valleys.get(v, 0) + c
+                    table = count(
+                        "matching-fp", n, k, avoid=avoid, stats=True, by_shape=True
+                    )
+                    assert table.by_shape == dict(sorted(shapes.items())), (avoid, n, k)
+                    assert table.by_valleys == dict(sorted(valleys.items()))
+                    assert table.total == sum(shapes.values())
+
+    def test_counted_without_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(families, "matchings_with_fixed_points", refuse)
+        assert count("matching-fp", 4, 4, avoid=("321",)).total == 41580
+        # the cap on n + k stays the enumeration's
+        with pytest.raises(ResourceCapError):
+            count("matching-fp", 5, 4, avoid=("321",))
+        # length-4 patterns and the unfiltered count still enumerate
+        with pytest.raises(AssertionError):
+            count("matching-fp", 1, 1, avoid=("1234",))
+        with pytest.raises(AssertionError):
+            count("matching-fp", 1, 1)
 
 
 def _matching_ok(m, avoid):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 import pytest
@@ -10,12 +11,19 @@ from hypothesis import strategies as st
 
 from matchboard.errors import DivisibilityError, SeriesError
 from matchboard.formulas import classII_III_cubic
+from matchboard import series
 from matchboard.series import (
     FE_NAMES,
     Series,
+    _bracket,
     _convolve,
+    _lt2_terms,
+    _marked,
     _pacc,
+    _peak_bracket,
     _pshift,
+    _same,
+    _solve,
     algebraic_solve,
     catalan_series,
     fe_iterate,
@@ -479,6 +487,91 @@ def _G_classV_by_own_loop(order: int) -> Series:
                     _pacc(gn, {(i + 1, m): c})
         G.append(gn)
     return Series(("t", "u"), order, G)
+
+
+def _solve_by_repacking(variables, terms, order: int) -> Series:
+    """The per-order solver that repacked every F_j and G_j at each order
+    through ``_convolve``, which the packed one replaced, kept as its
+    oracle."""
+    K = [{(0,) * len(variables): 1}]
+    sides = [(f, g, [], []) for f, g in terms]
+    for n in range(1, order + 1):
+        kj, kn = K[-1], {}
+        for f, g, xs, ys in sides:
+            if g is None:
+                _pacc(kn, f(kj, n - 1))
+            else:
+                xs.append(f(kj, n - 1))
+                ys.append(g(kj, n - 1))
+                _pacc(kn, _convolve(xs, ys, n - 1, n - 1)[0])
+        K.append(kn)
+    return Series(variables, order, K)
+
+
+def _over_growing_denominators(kj: dict, j: int) -> dict:
+    # F_j = K_j / (j + 2): a new prime enters the lcm at most orders
+    return {k: Fraction(c) / (j + 2) for k, c in kj.items()}
+
+
+def _times_2_to_the_12(kj: dict, j: int) -> dict:
+    # coefficients gain 12 bits per order beyond K_Ll's own growth
+    return {k: c << 12 if type(c) is int else c * 4096 for k, c in kj.items()}
+
+
+# name -> (variables, terms of order) for every equation with a product
+_PRODUCT_EQUATIONS = {
+    "narayana": (("u", "v"), lambda order: [(_same, _marked)]),
+    "K_Ll": (("u",), lambda order: [(_same, _bracket)]),
+    "K_Llv": (("u", "v"), lambda order: [(_marked, _bracket)]),
+    "K_lt2": (("u", "v"), _lt2_terms),
+    "K_peak": (("u",), lambda order: [(_same, _peak_bracket)]),
+    "denominators": (("u", "v"), lambda order: [(_over_growing_denominators, _marked)]),
+    "widths": (("u", "v"), lambda order: [(_times_2_to_the_12, _marked)]),
+}
+
+
+class TestPackedSolver:
+    @pytest.mark.parametrize("name", sorted(_PRODUCT_EQUATIONS))
+    def test_equals_repacking_solver_at_every_order(self, name):
+        # the oracle solves order by order too, so its order-20 solution
+        # holds every lower order's
+        variables, terms = _PRODUCT_EQUATIONS[name]
+        want = _solve_by_repacking(variables, terms(20), 20).dicts()
+        for order in range(21):
+            got = _solve(variables, terms(order), order)
+            assert got.dicts() == want[: order + 1], (name, order)
+
+    def test_synthetic_equations_force_their_regrids(self):
+        # the z^n coefficients' denominators gain a factor at most orders,
+        # and their largest value more than a byte
+        variables, terms = _PRODUCT_EQUATIONS["denominators"]
+        sol = _solve(variables, terms(20), 20)
+        dens = [
+            lcm(*(Fraction(c).denominator for c in p.values())) for p in sol.coeffs
+        ]
+        assert sum(b % a == 0 and b > a for a, b in zip(dens, dens[1:])) >= 10
+        variables, terms = _PRODUCT_EQUATIONS["widths"]
+        sol = _solve(variables, terms(20), 20)
+        bits = [max(map(abs, p.values())).bit_length() for p in sol.coeffs]
+        assert sum(b - a > 8 for a, b in zip(bits, bits[1:])) >= 15
+
+    def test_packs_kept_across_orders(self, monkeypatch):
+        # repacking every F_j and G_j at each order packs 930 times for
+        # K_Llv at order 30
+        packs = []
+        pack = series._pack
+
+        def counted(*args):
+            packs.append(1)
+            return pack(*args)
+
+        monkeypatch.setattr(series, "_pack", counted)
+        fe_iterate.cache_clear()
+        try:
+            fe_iterate("K_Llv", 30)
+        finally:
+            fe_iterate.cache_clear()
+        assert 0 < len(packs) <= 465
 
 
 class TestSubstitution:
