@@ -514,8 +514,8 @@ def _over_growing_denominators(kj: dict, j: int) -> dict:
 
 
 def _times_2_to_the_12(kj: dict, j: int) -> dict:
-    # coefficients gain 12 bits per order beyond K_Ll's own growth
-    return {k: c << 12 if type(c) is int else c * 4096 for k, c in kj.items()}
+    # coefficients gain 12 bits per order beyond the equation's own growth
+    return {k: c * 4096 for k, c in kj.items()}
 
 
 # name -> (variables, terms of order) for every equation with a product
@@ -525,7 +525,9 @@ _PRODUCT_EQUATIONS = {
     "K_Llv": (("u", "v"), lambda order: [(_marked, _bracket)]),
     "K_lt2": (("u", "v"), _lt2_terms),
     "K_peak": (("u",), lambda order: [(_same, _peak_bracket)]),
-    "denominators": (("u", "v"), lambda order: [(_over_growing_denominators, _marked)]),
+    "denominators": (
+        ("u", "v"), lambda order: [(_over_growing_denominators, _marked)]
+    ),
     "widths": (("u", "v"), lambda order: [(_times_2_to_the_12, _marked)]),
 }
 
