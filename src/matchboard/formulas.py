@@ -1,8 +1,9 @@
 """Named coefficient-sequence producers, one per counting sequence.
 
 ``FORMULAS`` maps each formula id to a tuple of routes, every two of which
-must agree, and a brute-force oracle from the families module.  Ids that
-name one sequence list the same routes rather than read each other.
+must agree, and a brute-force oracle from the families module.  The 17 ids
+name 13 sequences: ids that name one sequence list one route tuple, the same
+object, rather than read each other, and each keeps its own oracle.
 ``coefficients`` reads route 0 and ``secondary_coefficients`` route 1
 (route 0 for ``classV_m``, its only route).  ``cross_check`` compares
 formula output against the oracle for every n up to the cap that
@@ -85,17 +86,16 @@ def _at_u0(name: str, order: int) -> Series:
     return fe_iterate(name, order).subs("u", 0)
 
 
-def _valley_marked(name: str, order: int) -> Series:
-    """1 + zK0 / (1 - vzK0), with K0 = K(u=0) of the equation."""
-    K0 = _at_u0(name, order)
-    v = Series.var("v", ("v",), order)
-    zK0 = K0.shift(1).trunc(order)
-    return 1 + zK0 * (1 - v * zK0).inverse()
+def _returns(x: Series) -> Series:
+    """1 + x / (1 - vx): paths cut at their returns into blocks counted by
+    x, with v marking the valley between two blocks."""
+    v = Series.var("v", ("v",), x.order)
+    return 1 + x * (1 - v * x).inverse()
 
 
 def valley_marked_m312(order: int) -> Series:
     """L(v,z): 312-avoiding matchings by size (z) and valleys (v)."""
-    return _valley_marked("K_Llv", order)
+    return _returns(_at_u0("K_Llv", order).shift(1).trunc(order))
 
 
 def _p312_closed(order: int) -> Series:
@@ -132,11 +132,8 @@ def _classI_m_closed(order: int) -> Series:
 
 
 def valley_marked_classI(order: int) -> Series:
-    """A1(v,z) = (1 + z(1-v)C(v,2z)) / (1 - vzC(v,2z))."""
-    C2 = narayana_series(order).scale_z(2)
-    v = Series.var("v", ("v",), order)
-    zC2 = C2.shift(1).trunc(order)
-    return (1 + (1 - v) * zC2) * (1 - v * zC2).inverse()
+    """A1(v,z) = 1 + zC(v,2z) / (1 - vzC(v,2z))."""
+    return _returns(narayana_series(order).scale_z(2).shift(1).trunc(order))
 
 
 def _classI_p_closed(order: int) -> Series:
@@ -148,7 +145,7 @@ def _classI_p_closed(order: int) -> Series:
 
 def valley_marked_classII_III(order: int) -> Series:
     """A2(v,z): {123,231}-avoiding matchings by size and valleys."""
-    return _valley_marked("K_lt2", order)
+    return _returns(_at_u0("K_lt2", order).shift(1).trunc(order))
 
 
 def classII_III_cubic(order: int, v_value) -> list[Series]:
@@ -183,17 +180,12 @@ def _classII_III_p_closed(order: int) -> Series:
 
 def valley_marked_classIV(order: int) -> Series:
     """Q at u = 2: boards of height below 5 weighted 2^eta, by size and
-    valleys, via four nested return decompositions."""
-    v = Series.var("v", ("v",), order)
-    z = Series.z(order)
-
-    def T(x: Series) -> Series:
-        return 1 + x * (1 - v.trunc(x.order) * x).inverse()
-
-    t1 = T(z)
-    t2 = T((z * t1).trunc(order) * 2)
-    t3 = T((z * t2).trunc(order) * 2)
-    return T((z * t3).trunc(order))
+    valleys, via four nested return decompositions: each block is z times
+    the next level's paths, weighted 2, 2 and 1 from the bottom up."""
+    x = Series.z(order)
+    for weight in (2, 2, 1):
+        x = _returns(x).shift(1).trunc(order) * weight
+    return _returns(x)
 
 
 def _classV_series(order: int) -> Series:
@@ -223,12 +215,9 @@ def _s3124_series(order: int) -> Series:
 
 def returns_valleys_series(order: int) -> Series:
     """Border paths counted by returns (t) and valleys (v):
-    (1 + t(1-v)zC(v,z)) / (1 - tvzC(v,z))."""
-    C = narayana_series(order)
-    t = Series.var("t", ("t", "v"), order)
-    v = Series.var("v", ("t", "v"), order)
-    zC = C.shift(1).trunc(order)
-    return (1 + t * (1 - v) * zC) * (1 - t * v * zC).inverse()
+    1 + tzC(v,z) / (1 - tvzC(v,z))."""
+    zC = narayana_series(order).shift(1).trunc(order)
+    return _returns(zC.widen(("t", "v")).times_var("t"))
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +325,19 @@ class Formula:
     oracle: Callable[[int], int]
 
 
+# the route tuples of the sequences that two ids name; each id keeps its own
+# oracle, and in each tuple routes 0 and 1 share no code.  1342 pairs Bona's
+# closed form with the kernel route of the 3124 labeled paths, and 123
+# Gouyou-Beauchamps's determinant with the pair walk.
+_S1342 = (
+    _s1342_closed,
+    _s3124_series,
+    lambda order: _sequence(_kx0_closed(order), order),
+)
+_CLASS_IV = (_classIV_closed, _classIV_rational, _classIV_valleys)
+_CATALAN = (catalan_series, _catalan_closed, _catalan_returns_valleys)
+_GOUYOU = (_gouyou_determinant, _dnk_pairs_walk)
+
 FORMULAS: dict[str, Formula] = {
     "m312": Formula(
         (_m312_closed, lambda order: _sequence(_at_u0("K_Ll", order), order)),
@@ -345,11 +347,8 @@ FORMULAS: dict[str, Formula] = {
         (_p312_closed, _partitions(valley_marked_m312)), _counted("partition", "312")
     ),
     "maps": Formula((_maps_product, lambda order: _at_u0("K_Ll", order)), _maps_oracle),
-    "s1342": Formula(
-        (_s1342_closed, lambda order: _sequence(_kx0_closed(order), order)),
-        _counted("permutation", "1342"),
-    ),
-    "s3124": Formula((_s3124_series, _s1342_closed), _counted("permutation", "3124")),
+    "s1342": Formula(_S1342, _counted("permutation", "1342")),
+    "s3124": Formula(_S1342, _counted("permutation", "3124")),
     "classI_m": Formula(
         (_classI_m_closed, lambda order: valley_marked_classI(order).subs("v", 1)),
         _counted("matching", "123", "213"),
@@ -371,31 +370,19 @@ FORMULAS: dict[str, Formula] = {
         (_partitions(valley_marked_classII_III), _classII_III_p_closed),
         _counted("partition", "123", "231"),
     ),
-    "classIV_m": Formula(
-        (_classIV_rational, _classIV_valleys, _classIV_closed),
-        _counted("matching", "123", "321"),
-    ),
+    "classIV_m": Formula(_CLASS_IV, _counted("matching", "123", "321")),
     "classIV_p": Formula(
         (_classIV_p_closed, _partitions(valley_marked_classIV)),
         _counted("partition", "123", "321"),
     ),
-    "classIV_exact": Formula(
-        (_classIV_closed, _classIV_rational, _classIV_valleys),
-        _counted("matching", "123", "321"),
-    ),
+    "classIV_exact": Formula(_CLASS_IV, _counted("matching", "123", "321")),
     # no second closed route; the residual of the functional equation is
     # the independent check
     "classV_m": Formula((_classV_series,), _counted("matching", "213", "321")),
-    "catalan_v": Formula(
-        (catalan_series, _catalan_closed, _catalan_returns_valleys), _counted("dyck")
-    ),
-    "dyck_rv": Formula(
-        (_catalan_returns_valleys, _catalan_closed, catalan_series), _counted("dyck")
-    ),
-    "gouyou_m123": Formula(
-        (_gouyou_determinant, _dnk_pairs_walk), _counted("matching", "123")
-    ),
-    "dnk_pairs": Formula((_dnk_pairs_walk, _gouyou_determinant), _counted("pair")),
+    "catalan_v": Formula(_CATALAN, _counted("dyck")),
+    "dyck_rv": Formula(_CATALAN, _counted("dyck")),
+    "gouyou_m123": Formula(_GOUYOU, _counted("matching", "123")),
+    "dnk_pairs": Formula(_GOUYOU, _counted("pair")),
 }
 
 FORMULA_IDS = tuple(FORMULAS)

@@ -522,6 +522,18 @@ class Series:
             out.append(d)
         return Series(self.variables, self.order, out)
 
+    def times_var(self, name: str) -> "Series":
+        """Multiply by a variable: each exponent on its axis goes up by 1."""
+        axis = self._axis(name)
+        return Series(
+            self.variables,
+            self.order,
+            [
+                {k[:axis] + (k[axis] + 1,) + k[axis + 1:]: c for k, c in p.items()}
+                for p in self.coeffs
+            ],
+        )
+
     def divide_by_var(self, name: str) -> "Series":
         axis = self._axis(name)
         for n, poly in enumerate(self.coeffs):
@@ -747,49 +759,43 @@ def residual(name: str, sol: Series) -> Series:
     N = sol.order
     if name == "K_Ll":
         K = sol
-        u = Series.var("u", K.variables, N)
         K0 = K.subs("u", 0)
-        inner = K * 2 + u * K + (K - K0).divide_by_var("u")
+        inner = K * 2 + K.times_var("u") + (K - K0).divide_by_var("u")
         return (1 + (K * inner).shift(1).trunc(N)) - K
     if name == "K_Llv":
         K = sol
-        u = Series.var("u", K.variables, N)
-        v = Series.var("v", K.variables, N)
         K0 = K.subs("u", 0)
-        inner = K * 2 + u * K + (K - K0).divide_by_var("u")
-        return (1 + ((v * K - v + 1) * inner).shift(1).trunc(N)) - K
+        inner = K * 2 + K.times_var("u") + (K - K0).divide_by_var("u")
+        return (1 + (((K - 1).times_var("v") + 1) * inner).shift(1).trunc(N)) - K
     if name == "K_lt2":
         K = sol
-        u = Series.var("u", K.variables, N)
-        v = Series.var("v", K.variables, N)
         C = narayana_series(N)
+        Cu = C.widen(K.variables)
         K0 = K.subs("u", 0)
         diff = (K - K0).divide_by_var("u") + (K - K0)
-        mid = (K0 - C) + diff + (1 + u) * C
+        mid = (K0 - C) + diff + Cu + Cu.times_var("u")
         rhs = (
             1
-            + (C * (v * K - v + 1)).shift(1).trunc(N)
-            + (mid * (v * K0 - v + 1)).shift(1).trunc(N)
+            + (C * ((K - 1).times_var("v") + 1)).shift(1).trunc(N)
+            + (mid * ((K0 - 1).times_var("v") + 1)).shift(1).trunc(N)
         )
         return rhs - K
     if name == "K_peak":
         K = sol
-        u = Series.var("u", K.variables, N)
         K0 = K.subs("u", 0)
-        inner = K + u * (K - 1) + (K - 1) + (K - K0).divide_by_var("u")
+        inner = K + (K - 1).times_var("u") + (K - 1) + (K - K0).divide_by_var("u")
         return (1 + (K * inner).shift(1).trunc(N)) - K
     if name == "G_classV":
         G = sol
-        t = Series.var("t", G.variables, N)
-        u = Series.var("u", G.variables, N)
         Gt0 = G.subs("u", 0).widen(G.variables)
         G00 = Gt0.subs("t", 0)
         term2 = (G - Gt0).divide_by_var("t").divide_by_var("u")
         term3 = (Gt0 - G00).divide_by_var("t")
         # the equation times (1 - u), so that its last term needs no division
-        term4 = t * u * (Gt0 - Gt0.subs_prod("t", "u"))
-        rhs = 1 + (t * G + term2 + term3).shift(1).trunc(N)
-        return (1 - u) * (rhs - G) + term4.shift(1).trunc(N)
+        term4 = (Gt0 - Gt0.subs_prod("t", "u")).times_var("t").times_var("u")
+        rhs = 1 + (G.times_var("t") + term2 + term3).shift(1).trunc(N)
+        gap = rhs - G
+        return gap - gap.times_var("u") + term4.shift(1).trunc(N)
     raise SeriesError(f"unknown functional equation {name!r}")
 
 

@@ -75,15 +75,50 @@ class TestPrimaryRoutes:
             coefficients("m312", -1)
 
 
+def one_id_per_route_tuple() -> dict:
+    """Each distinct route tuple, with one id that lists it."""
+    return {f.routes: fid for fid, f in FORMULAS.items()}
+
+
 class TestSecondaryRoutes:
     def test_agreement_at_order_cap(self):
         # every route equals route 0, so every two routes agree; the p312
         # route 1 solves K_Llv through ORDER_CAP
-        for fid, f in FORMULAS.items():
-            for i in range(1, len(f.routes)):
+        for routes, fid in one_id_per_route_tuple().items():
+            for i in range(1, len(routes)):
                 assert formulas._route(fid, i, ORDER_CAP) == coefficients(
                     fid, ORDER_CAP
                 ), (fid, i)
+
+    def test_equal_sequences_share_one_route_tuple(self):
+        # the 17 ids name 13 sequences, and the ids of one sequence list
+        # one tuple object
+        groups: dict = {}
+        for fid, f in FORMULAS.items():
+            groups.setdefault(coefficients(fid, ORDER_CAP), set()).add(id(f.routes))
+        assert len(groups) == 13
+        assert all(len(tuples) == 1 for tuples in groups.values()), groups
+
+    def test_1342_routes_share_no_code(self, monkeypatch):
+        # Bona's closed form takes a square root and the kernel route solves
+        # the 3124 functional equation; each runs with the other's step
+        # refused
+        closed, kernel = FORMULAS["s1342"].routes[:2]
+        want = coefficients("s1342", 10)
+
+        def refuse(*args):
+            raise AssertionError("refused")
+
+        with monkeypatch.context() as m:
+            m.setattr(formulas, "fe_iterate", refuse)
+            assert tuple(closed(10)) == want
+            with pytest.raises(AssertionError):
+                kernel(10)
+        with monkeypatch.context() as m:
+            m.setattr(Series, "sqrt", refuse)
+            assert tuple(kernel(10)) == want
+            with pytest.raises(AssertionError):
+                closed(10)
 
     def test_no_id_lists_a_route_twice(self):
         # a route compared with itself would pass vacuously
@@ -95,15 +130,16 @@ class TestSecondaryRoutes:
         assert single == {"classV_m"}
 
     def test_no_route_reads_another_id(self, monkeypatch):
-        want = {fid: coefficients(fid, 10) for fid in FORMULA_IDS}
+        ids = one_id_per_route_tuple()
+        want = {fid: coefficients(fid, 10) for fid in ids.values()}
 
         def refuse(*args):
             raise AssertionError(f"a route read the coefficients {args}")
 
         monkeypatch.setattr(formulas, "coefficients", refuse)
         monkeypatch.setattr(formulas, "secondary_coefficients", refuse)
-        for fid, f in FORMULAS.items():
-            for i, route in enumerate(f.routes):
+        for routes, fid in ids.items():
+            for i, route in enumerate(routes):
                 assert tuple(route(10)) == want[fid], (fid, i)
 
     def test_catalan_second_routes_skip_narayana(self, monkeypatch):

@@ -82,10 +82,11 @@ def test_cli_loads_only_errors():
     "argv",
     [
         ["series", "--formula", "m312", "--order", "5"],
+        ["series", "--formula", "dnk_pairs", "--order", "5"],
         ["series", "--formula", "x", "--order", "5"],
         ["series", "--help"],
     ],
-    ids=["series", "bad-formula", "help"],
+    ids=["series", "dnk-pairs", "bad-formula", "help"],
 )
 def test_series_command_loads_no_enumeration_code(argv):
     loaded = loaded_modules(f"from matchboard import cli\ncli.main({argv!r})")

@@ -214,6 +214,18 @@ class TestAlgebraProperties:
         assert (got.variables, got.order) == (want.variables, want.order)
         assert got.dicts() == want.dicts()
 
+    @given(series, st.sampled_from("tuv"))
+    @settings(max_examples=60, deadline=None)
+    def test_times_var_equals_product_with_var(self, a, name):
+        if name not in a.variables:
+            with pytest.raises(SeriesError):
+                a.times_var(name)
+            return
+        got = a.times_var(name)
+        want = a * Series.var(name, a.variables, a.order)
+        assert (got.variables, got.order) == (want.variables, want.order)
+        assert got.dicts() == want.dicts()
+
     @given(series)
     @settings(max_examples=60, deadline=None)
     def test_inverse_round_trip(self, a):
