@@ -342,13 +342,14 @@ def _scan(
     fixed_points = k > 0 it counts the matchings of [2n + k] with k fixed
     points in the fixed-point class of the one pattern in pats.
 
-    The vertices are read left to right.  A state is one row per open arc,
-    in opener order; row j holds, for each i < j, the set of positions p of
-    the arcs that closed while i and j were both open, less the positions
-    that can complete no avoided pattern, so that equal states merge.  With
-    fixed points a pair's set may also hold the bit _FIXED, and the key is
-    (state, fixed points left, m), where the first m open arcs opened before
-    the last fixed point.
+    The vertices are read left to right, and every state key is (state,
+    fixed points left, m).  A state is one row per open arc, in opener
+    order; row j holds, for each i < j, the set of positions p of the arcs
+    that closed while i and j were both open, less the positions that can
+    complete no avoided pattern, so that equal states merge, and perhaps
+    the bit _FIXED.  The first m open arcs opened before the last fixed
+    point.  One move rule serves every key; without fixed points m stays 0
+    and no F move is made.
     """
     if any(len(p.perm) != 3 for p in pats):
         raise InvalidObjectError("the scan counts length-3 patterns only")
@@ -359,6 +360,7 @@ def _scan(
     }
     keep = refused[True] | refused[False]
     before, between, after = 1 & keep, 2 & keep, 4 & keep
+    spread = mark = 0
     if fixed_points:
         (tau,) = avoided
         x_first, at_open = _FIXED_POINT_RULES[tau]
@@ -378,39 +380,30 @@ def _scan(
             if j != a
         )
 
-    def moves(state):
-        closed = [s for s in (close(state, a) for a in range(len(state))) if s is not None]
+    def moves(key):
+        """Each key one more vertex leads to, with its border letter."""
+        state, f, m = key
+        closed = [
+            (s, f, m - (a < m))
+            for a, s in enumerate(close(state, a) for a in range(len(state)))
+            if s is not None
+        ]
         if partition:
             # a vertex closes at most one arc, then may open one
-            for s in [state] + closed:
-                yield "", s
-                yield "", s + ((0,) * len(s),)
+            for s, f, m in [key] + closed:
+                yield "", (s, f, m)
+                yield "", (s + ((0,) * len(s),), f, m)
         else:
-            yield "E", state + ((0,) * len(state),)
-            for s in closed:
-                yield "S", s
+            yield "E", (state + ((mark,) * m + (0,) * (len(state) - m),), f, m)
+            for k in closed:
+                yield "S", k
+            if f:
+                placed = tuple(tuple(b | spread for b in row) for row in state)
+                yield "F", (placed, f - 1, len(state))
 
-    def fixed_point_moves(key):
-        state, f, m = key
-        yield "E", (state + ((mark,) * m + (0,) * (len(state) - m),), f, m)
-        for a in range(len(state)):
-            s = close(state, a)
-            if s is not None:
-                yield "S", (s, f, m - (a < m))
-        if f:
-            yield "F", (tuple(tuple(b | spread for b in row) for row in state), f - 1, len(state))
-
-    # each open arc, and each fixed point left, needs a vertex of its own
-    if fixed_points:
-        moves, start = fixed_point_moves, ((), fixed_points, 0)
-
-        def need(key):
-            return len(key[0]) + key[1]
-    else:
-        need, start = len, ()
     out: dict[str, int] = {}
     # depth first, so that only the unread siblings of each level are held
-    stack = [("", {start: 1}, n if partition else 2 * n + fixed_points)]
+    stack = [("", {((), fixed_points, 0): 1}, n if partition else 2 * n + fixed_points)]
     while stack:
         word, states, left = stack.pop()
         if not left:
@@ -418,9 +411,10 @@ def _scan(
             out[word] = sum(states.values())
             continue
         buckets: dict[str, dict] = {}
-        for state, c in states.items():
-            for letter, s in moves(state):
-                if need(s) < left:
+        for key, c in states.items():
+            for letter, s in moves(key):
+                # each open arc, and each fixed point left, needs a vertex
+                if len(s[0]) + s[1] < left:
                     bucket = buckets.setdefault(letter if by_border else "", {})
                     bucket[s] = bucket.get(s, 0) + c
         for letter in reversed(buckets):

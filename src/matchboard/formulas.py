@@ -89,8 +89,7 @@ def _at_u0(name: str, order: int) -> Series:
 def _returns(x: Series) -> Series:
     """1 + x / (1 - vx): paths cut at their returns into blocks counted by
     x, with v marking the valley between two blocks."""
-    v = Series.var("v", ("v",), x.order)
-    return 1 + x * (1 - v * x).inverse()
+    return 1 + x * (1 - x.times_var("v")).inverse()
 
 
 def valley_marked_m312(order: int) -> Series:
@@ -154,10 +153,13 @@ def classII_III_cubic(order: int, v_value) -> list[Series]:
 
     Derived by the kernel method from the functional equation: with
     W = 1-v+vH and D = 1-z+vz(1-C-H), setting u = zW/D kills the kernel
-    and leaves 0 = D + z(1-v)C*D + z^2*W^2*C - H*D^2.
+    and leaves 0 = D + z(1-v)C*D + z^2*W^2*C - H*D^2.  C is the Narayana
+    series at v, the root of vzC^2 + ((1-v)z - 1)C + 1 = 0.
     """
     v = Fraction(v_value)
-    C = narayana_series(order).subs("v", v)
+    C = algebraic_solve(
+        [Series.from_coeffs(c, order) for c in ([1], [-1, 1 - v], [0, v])], 1
+    )
     z = Series.z(order)
     a = 1 - z + z * v - z * v * C
     b = -v
@@ -182,7 +184,7 @@ def valley_marked_classIV(order: int) -> Series:
     """Q at u = 2: boards of height below 5 weighted 2^eta, by size and
     valleys, via four nested return decompositions: each block is z times
     the next level's paths, weighted 2, 2 and 1 from the bottom up."""
-    x = Series.z(order)
+    x = Series.z(order).widen(("v",))
     for weight in (2, 2, 1):
         x = _returns(x).shift(1).trunc(order) * weight
     return _returns(x)

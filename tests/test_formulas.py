@@ -120,6 +120,29 @@ class TestSecondaryRoutes:
             with pytest.raises(AssertionError):
                 closed(10)
 
+    def test_classII_III_m_routes_share_no_code(self, monkeypatch):
+        # the functional-equation route reads the Narayana series inside
+        # K_lt2; the cubic route solves the Narayana quadratic itself
+        kernel, cubic = FORMULAS["classII_III_m"].routes[:2]
+        want = coefficients("classII_III_m", 10)
+
+        def refuse(*args):
+            raise AssertionError("refused")
+
+        with monkeypatch.context() as m:
+            m.setattr(series, "narayana_series", refuse)
+            m.setattr(formulas, "narayana_series", refuse)
+            # uncached, so that K_lt2 is solved again and reads the patch
+            m.setattr(formulas, "fe_iterate", series.fe_iterate.__wrapped__)
+            assert tuple(cubic(10)) == want
+            with pytest.raises(AssertionError):
+                kernel(10)
+        with monkeypatch.context() as m:
+            m.setattr(formulas, "fe_iterate", refuse)
+            assert tuple(cubic(10)) == want
+            with pytest.raises(AssertionError):
+                kernel(10)
+
     def test_no_id_lists_a_route_twice(self):
         # a route compared with itself would pass vacuously
         for fid, f in FORMULAS.items():
