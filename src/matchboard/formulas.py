@@ -147,20 +147,18 @@ def valley_marked_classII_III(order: int) -> Series:
     return _returns(_at_u0("K_lt2", order).shift(1).trunc(order))
 
 
-def classII_III_cubic(order: int, v_value) -> list[Series]:
+def classII_III_cubic(order: int, v) -> list[Series]:
     """Coefficients (ascending in H) of the cubic satisfied by the
-    valley-marked height-below-2 kernel, at a fixed rational v.
+    valley-marked height-below-2 kernel H = K_lt2(0; v, z).  v is a
+    rational value, or ``Series.var("v", ("v",), order)`` to keep v free.
 
     Derived by the kernel method from the functional equation: with
     W = 1-v+vH and D = 1-z+vz(1-C-H), setting u = zW/D kills the kernel
     and leaves 0 = D + z(1-v)C*D + z^2*W^2*C - H*D^2.  C is the Narayana
-    series at v, the root of vzC^2 + ((1-v)z - 1)C + 1 = 0.
+    series, the root of vzC^2 + ((1-v)z - 1)C + 1 = 0 from C(0) = 1.
     """
-    v = Fraction(v_value)
-    C = algebraic_solve(
-        [Series.from_coeffs(c, order) for c in ([1], [-1, 1 - v], [0, v])], 1
-    )
     z = Series.z(order)
+    C = algebraic_solve([Series.constant(1, order), z * (1 - v) - 1, z * v], 1)
     a = 1 - z + z * v - z * v * C
     b = -v
     d0 = a + z * (1 - v) * C * a + z * z * ((1 - v) ** 2) * C
@@ -172,8 +170,8 @@ def classII_III_cubic(order: int, v_value) -> list[Series]:
 
 def _classII_III_p_closed(order: int) -> Series:
     # 1 + z(1-z) / ((1-z)^2 - z*Hsub), with Hsub the diagonal substitution
-    # of the valley-marked kernel
-    H = _at_u0("K_lt2", order)
+    # of the valley-marked kernel H, the root of its cubic with v free
+    H = algebraic_solve(classII_III_cubic(order, Series.var("v", ("v",), order)), 1)
     Hsub = substitution_sum(H, order, extra_denominator=0)
     z = Series.z(order)
     one_minus = Series.from_coeffs([1, -1], order)
@@ -399,7 +397,10 @@ def _formula(formula_id: str) -> Formula:
 
 @lru_cache(maxsize=None)
 def _route(formula_id: str, index: int, order: int) -> tuple[int, ...]:
-    """c_0..c_order of a formula id by its route ``index``."""
+    """c_0..c_order of a formula id by its route ``index``.  The only memo
+    in ``series`` and ``formulas``: ``classV_m`` has one route, so a caller
+    that compares ``coefficients`` with ``secondary_coefficients`` reads it
+    twice, and the memo keeps that from solving G_classV twice."""
     _check_order(order)
     return _ints(_formula(formula_id).routes[index](order))
 

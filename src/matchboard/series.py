@@ -7,20 +7,20 @@ has no variables, so its only key is ().  Every operation serves both cases,
 and a series combined with one over more variables is widened to them;
 substituting a value for a variable gives the series over the others.  On
 top of this the module provides square roots and roots of algebraic
-equations through one Newton loop that doubles the known orders at each
-step (no input is padded with zeros), one per-order solver for the
-functional equations used by the counting formulas (it keeps the factors
-of each product packed from one order to the next and regrids, with a
-fixed headroom, only when an order outgrows the grid), residual checks for
-those equations (G_classV's multiplied through by 1 - u), and the
-substitution that turns a valley-marked matching series into a
-set-partition series.
+equations whose z^0 coefficients are constants, through one Newton loop
+that doubles the known orders at each step (no input is padded with
+zeros), one per-order solver for the functional equations used by the
+counting formulas (it keeps the factors of each product packed from one
+order to the next and regrids, with a fixed headroom, only when an order
+outgrows the grid), residual checks for those equations (G_classV's
+multiplied through by 1 - u), and the substitution that turns a
+valley-marked matching series into a set-partition series.  Nothing is
+memoized: each call computes what it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb, lcm, prod
 from operator import add, ge, mul
@@ -248,19 +248,17 @@ class _Product:
         return _unpack(sum(map(mul, px, reversed(py))), dims, self.width, x.den * y.den)
 
 
-def _pshift(p: dict, axis: int, k: int = 1) -> dict:
-    return {
-        tuple(e + k if i == axis else e for i, e in enumerate(key)): c
-        for key, c in p.items()
-    }
+def _pshift(p: dict, axis: int) -> dict:
+    """p times the variable on the given axis."""
+    return {k[:axis] + (k[axis] + 1,) + k[axis + 1 :]: c for k, c in p.items()}
 
 
 def _pdown(p: dict, axis: int) -> dict:
     """(p - p|var=0) / var for the variable on the given axis; always exact."""
     return {
-        tuple(e - 1 if i == axis else e for i, e in enumerate(key)): c
-        for key, c in p.items()
-        if key[axis] > 0
+        k[:axis] + (k[axis] - 1,) + k[axis + 1 :]: c
+        for k, c in p.items()
+        if k[axis]
     }
 
 
@@ -526,12 +524,7 @@ class Series:
         """Multiply by a variable: each exponent on its axis goes up by 1."""
         axis = self._axis(name)
         return Series(
-            self.variables,
-            self.order,
-            [
-                {k[:axis] + (k[axis] + 1,) + k[axis + 1:]: c for k, c in p.items()}
-                for p in self.coeffs
-            ],
+            self.variables, self.order, [_pshift(p, axis) for p in self.coeffs]
         )
 
     def divide_by_var(self, name: str) -> "Series":
@@ -554,7 +547,6 @@ TruncSeries = AuxSeries = Series
 # Catalan and Narayana series
 
 
-@lru_cache(maxsize=None)
 def narayana_series(order: int) -> Series:
     """Border paths counted by semilength (z) and valleys (v): the series
     C(v,z) with C = 1 + zC + vzC(C-1) = 1 + zC(vC - v + 1)."""
@@ -590,26 +582,29 @@ def _newton(step, seed, like: Series) -> Series:
 
 
 def algebraic_solve(polys, seed, order: int | None = None) -> Series:
-    """Power-series root of sum p_i(z) F^i with F(0) = seed, by Newton
-    iteration; the seed must be a simple root of the z = 0 polynomial, and
-    ``order`` (by default the lowest) may not exceed the order of any p_i."""
+    """Power-series root of sum p_i F^i with F(0) = seed, by Newton
+    iteration.  The p_i may be over any nested variable sets, but their z^0
+    coefficients must be constants.  The seed must be a simple root of the
+    z = 0 polynomial, and ``order`` (by default the lowest) may not exceed
+    the order of any p_i."""
     known = min(p.order for p in polys)
     if order is None:
         order = known
     if order > known:
         raise SeriesError(f"order {order} exceeds the coefficients' order {known}")
+    if any(any(k) for p in polys for k in p.coeffs[0]):
+        raise SeriesError("a z^0 coefficient depends on a variable")
+    heads = [sum(p.coeffs[0].values()) for p in polys]
     seed = _norm(Fraction(seed))
-    value = sum(p[0] * seed**i for i, p in enumerate(polys))
-    if value != 0:
+    if sum(c * seed**i for i, c in enumerate(heads)) != 0:
         raise SeriesError(f"seed {seed} is not a root at z = 0")
-    deriv = sum(i * p[0] * seed ** (i - 1) for i, p in enumerate(polys) if i)
-    if deriv == 0:
+    if sum(i * c * seed ** (i - 1) for i, c in enumerate(heads) if i) == 0:
         raise SeriesError(f"seed {seed} is not a simple root at z = 0")
     dpolys = [p * i for i, p in enumerate(polys) if i]
     f = _newton(
         lambda f: f - poly_eval(polys, f) / poly_eval(dpolys, f),
         seed,
-        Series((), order),
+        Series(max((p.variables for p in polys), key=len), order),
     )
     if poly_eval(polys, f).is_zero():
         return f
@@ -735,7 +730,6 @@ _FE = {
 FE_NAMES = tuple(_FE)
 
 
-@lru_cache(maxsize=None)
 def fe_iterate(name: str, order: int) -> Series:
     """Solve one of the built-in functional equations through z^order."""
     if name not in _FE:

@@ -132,8 +132,6 @@ class TestSecondaryRoutes:
         with monkeypatch.context() as m:
             m.setattr(series, "narayana_series", refuse)
             m.setattr(formulas, "narayana_series", refuse)
-            # uncached, so that K_lt2 is solved again and reads the patch
-            m.setattr(formulas, "fe_iterate", series.fe_iterate.__wrapped__)
             assert tuple(cubic(10)) == want
             with pytest.raises(AssertionError):
                 kernel(10)
@@ -142,6 +140,26 @@ class TestSecondaryRoutes:
             assert tuple(cubic(10)) == want
             with pytest.raises(AssertionError):
                 kernel(10)
+
+    def test_classII_III_p_routes_share_no_code(self, monkeypatch):
+        # route 0 transforms the K_lt2 solve; route 1 solves the cubic in H
+        # with v free, and the two share only substitution_sum
+        kernel, cubic = FORMULAS["classII_III_p"].routes[:2]
+        want = coefficients("classII_III_p", 10)
+
+        def refuse(*args):
+            raise AssertionError("refused")
+
+        with monkeypatch.context() as m:
+            m.setattr(formulas, "fe_iterate", refuse)
+            assert tuple(cubic(10)) == want
+            with pytest.raises(AssertionError):
+                kernel(10)
+        with monkeypatch.context() as m:
+            m.setattr(formulas, "algebraic_solve", refuse)
+            assert tuple(kernel(10)) == want
+            with pytest.raises(AssertionError):
+                cubic(10)
 
     def test_no_id_lists_a_route_twice(self):
         # a route compared with itself would pass vacuously

@@ -290,6 +290,26 @@ class TestAlgebraicSolve:
             7000, 42535, 264356,
         )
 
+    def test_cubic_over_v_equals_fe_iterate(self):
+        # the classII_III cubic with v free, against the K_lt2 solve
+        N = 30
+        h = algebraic_solve(classII_III_cubic(N, Series.var("v", ("v",), N)), 1)
+        assert h.variables == ("v",)
+        assert h.dicts() == fe_iterate("K_lt2", N).subs("u", 0).dicts()
+
+    def test_narayana_quadratic_over_v(self):
+        # v z C^2 + ((1 - v) z - 1) C + 1 = 0 from C(0) = 1
+        N = 20
+        v, z = Series.var("v", ("v",), N), Series.z(N)
+        c = algebraic_solve([Series.constant(1, N), z * (1 - v) - 1, z * v], 1)
+        assert c.dicts() == narayana_series(N).dicts()
+
+    def test_variable_z0_coefficient_refused(self):
+        # a z^0 coefficient 1 - v makes the seed's root condition depend on v
+        v, z = Series.var("v", ("v",), 5), Series.z(5)
+        with pytest.raises(SeriesError, match="z\\^0 coefficient depends"):
+            algebraic_solve([z, v - 1, Series.constant(1, 5)], 0)
+
     def test_valley_marked_cubic_at_v1(self):
         # at v = 1 the valley-marked cubic collapses to a quadratic in S
         one = Series.constant(1, 10)
@@ -457,6 +477,12 @@ class TestFunctionalEquations:
                         continue
                     assert not res.is_zero(), (name, n, key)
 
+    def test_no_public_function_is_memoized(self):
+        # a memo would let one route read what another solved
+        for name, obj in vars(series).items():
+            if not name.startswith("_"):
+                assert not hasattr(obj, "cache_info"), name
+
     def test_unknown_name(self):
         with pytest.raises(SeriesError):
             fe_iterate("K_bogus", 5)
@@ -580,11 +606,7 @@ class TestPackedSolver:
             return pack(*args)
 
         monkeypatch.setattr(series, "_pack", counted)
-        fe_iterate.cache_clear()
-        try:
-            fe_iterate("K_Llv", 30)
-        finally:
-            fe_iterate.cache_clear()
+        fe_iterate("K_Llv", 30)
         assert 0 < len(packs) <= 465
 
 
