@@ -20,6 +20,7 @@ from .model import (
     LabeledDyckPath,
     Matching,
     RookPlacement,
+    _decoded,
     kappa,
 )
 from .patterns import Pattern, find_arc_occurrence, lis_labels, offending_vertex
@@ -78,13 +79,11 @@ class NoncrossingPathPair:
         parts = text.strip().split(";")
         if len(parts) != 2 or not parts[0].startswith("bottom:") or not parts[1].startswith("top:"):
             raise ParseError(f"bad path-pair encoding {text!r}")
-        try:
-            return cls(
-                DyckPath.from_text(parts[0][len("bottom:"):]),
-                DyckPath.from_text(parts[1][len("top:"):]),
-            )
-        except InvalidObjectError as e:
-            raise ParseError(str(e)) from e
+        return _decoded(
+            cls,
+            DyckPath.from_text(parts[0][len("bottom:"):]),
+            DyckPath.from_text(parts[1][len("top:"):]),
+        )
 
 
 def _require_avoiding(p: RookPlacement, pattern: Pattern, map_name: str) -> None:

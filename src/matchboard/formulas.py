@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import islice
 from math import comb, factorial
 
-from .errors import ResourceCapError, SeriesError
+from .errors import MatchboardError, ResourceCapError, SeriesError
 from .series import (
     Series,
     algebraic_solve,
@@ -66,7 +66,7 @@ def _catalan(n: int) -> int:
 
 def _sequence(s: Series, order: int) -> Series:
     """1 / (1 - z s): sequences of blocks counted by s."""
-    return (1 - s.shift(1).trunc(order)).inverse()
+    return (1 - s.shift(1)).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +76,8 @@ def _sequence(s: Series, order: int) -> Series:
 def _m312_closed(order: int) -> Series:
     # 54z / (1 + 36z - (1-12z)^(3/2))
     s = Series.from_coeffs([1, -12], order + 1)
-    den = 1 + Series.z(order + 1) * 36 - s * s.sqrt()
-    num = Series.z(order + 1) * 54
-    return (num.unshift(1)) / (den.unshift(1))
+    den = Series.from_coeffs([1, 36], order + 1) - s * s.sqrt()
+    return den.unshift(1).inverse() * 54
 
 
 def _at_u0(name: str, order: int) -> Series:
@@ -94,7 +93,7 @@ def _returns(x: Series) -> Series:
 
 def valley_marked_m312(order: int) -> Series:
     """L(v,z): 312-avoiding matchings by size (z) and valleys (v)."""
-    return _returns(_at_u0("K_Llv", order).shift(1).trunc(order))
+    return _returns(_at_u0("K_Llv", order).shift(1))
 
 
 def _p312_closed(order: int) -> Series:
@@ -109,13 +108,9 @@ def _p312_closed(order: int) -> Series:
             Series.from_coeffs([0, 0, 4], order),
         ],
         0,
-        order,
     )
-    z3 = Series.z(order) ** 3
-    c2 = z3 * Series.from_coeffs([3, -26, 7, 12], order) * 4
-    c1 = (Series.z(order) ** 2) * Series.from_coeffs(
-        [-12, 81, 50, -179, 48], order
-    )
+    c2 = Series.from_coeffs([12, -104, 28, 48], order).shift(3)
+    c1 = Series.from_coeffs([-12, 81, 50, -179, 48], order).shift(2)
     c0 = Series.from_coeffs([3, -19, 73, -168, 270, -211, 48], order)
     den = (
         Series.from_coeffs([1, -1], order)
@@ -132,19 +127,19 @@ def _classI_m_closed(order: int) -> Series:
 
 def valley_marked_classI(order: int) -> Series:
     """A1(v,z) = 1 + zC(v,2z) / (1 - vzC(v,2z))."""
-    return _returns(narayana_series(order).scale_z(2).shift(1).trunc(order))
+    return _returns(narayana_series(order).scale_z(2).shift(1))
 
 
 def _classI_p_closed(order: int) -> Series:
     s = Series.from_coeffs([1, -6, 1], order).sqrt()
-    num = Series.from_coeffs([2, -3, 1], order) - Series.z(order) * s
+    num = Series.from_coeffs([2, -3, 1], order) - s.shift(1)
     den = Series.from_coeffs([1, -3, 3], order) * 2
     return num / den
 
 
 def valley_marked_classII_III(order: int) -> Series:
     """A2(v,z): {123,231}-avoiding matchings by size and valleys."""
-    return _returns(_at_u0("K_lt2", order).shift(1).trunc(order))
+    return _returns(_at_u0("K_lt2", order).shift(1))
 
 
 def classII_III_cubic(order: int, v) -> list[Series]:
@@ -157,14 +152,15 @@ def classII_III_cubic(order: int, v) -> list[Series]:
     and leaves 0 = D + z(1-v)C*D + z^2*W^2*C - H*D^2.  C is the Narayana
     series, the root of vzC^2 + ((1-v)z - 1)C + 1 = 0 from C(0) = 1.
     """
-    z = Series.z(order)
-    C = algebraic_solve([Series.constant(1, order), z * (1 - v) - 1, z * v], 1)
-    a = 1 - z + z * v - z * v * C
-    b = -v
-    d0 = a + z * (1 - v) * C * a + z * z * ((1 - v) ** 2) * C
-    d1 = z * b + z * (1 - v) * C * z * b + z * z * (2 * v * (1 - v)) * C - a * a
-    d2 = z * z * (v**2) * C - 2 * a * z * b
-    d3 = -(z * z) * v**2
+    v = Series((), order) + v  # a series, also when v is given as a value
+    u = 1 - v
+    C = algebraic_solve([Series.constant(1, order), u.shift(1) - 1, v.shift(1)], 1)
+    zC = C.shift(1)
+    a = 1 - (u + v * C).shift(1)
+    d0 = a + (u * (C * a + u * zC)).shift(1)
+    d1 = (u * v * zC - v).shift(1) - a * a
+    d2 = (v * (v * zC + 2 * a)).shift(1)
+    d3 = -(v * v).shift(2)
     return [d0, d1, d2, d3]
 
 
@@ -173,9 +169,8 @@ def _classII_III_p_closed(order: int) -> Series:
     # of the valley-marked kernel H, the root of its cubic with v free
     H = algebraic_solve(classII_III_cubic(order, Series.var("v", ("v",), order)), 1)
     Hsub = substitution_sum(H, order, extra_denominator=0)
-    z = Series.z(order)
-    one_minus = Series.from_coeffs([1, -1], order)
-    return 1 + (z * one_minus) / (one_minus * one_minus - z * Hsub)
+    den = Series.from_coeffs([1, -2, 1], order) - Hsub.shift(1)
+    return 1 + Series.from_coeffs([0, 1, -1], order) / den
 
 
 def valley_marked_classIV(order: int) -> Series:
@@ -184,7 +179,7 @@ def valley_marked_classIV(order: int) -> Series:
     the next level's paths, weighted 2, 2 and 1 from the bottom up."""
     x = Series.z(order).widen(("v",))
     for weight in (2, 2, 1):
-        x = _returns(x).shift(1).trunc(order) * weight
+        x = _returns(x).shift(1) * weight
     return _returns(x)
 
 
@@ -199,8 +194,7 @@ def _classV_series(order: int) -> Series:
 def _s1342_closed(order: int) -> Series:
     s = Series.from_coeffs([1, -8], order + 1)
     den = Series.from_coeffs([1, 20, -8], order + 1) - s * s.sqrt()
-    num = Series.z(order + 1) * 32
-    return num.unshift(1) / den.unshift(1)
+    return den.unshift(1).inverse() * 32
 
 
 def _kx0_closed(order: int) -> Series:
@@ -216,7 +210,7 @@ def _s3124_series(order: int) -> Series:
 def returns_valleys_series(order: int) -> Series:
     """Border paths counted by returns (t) and valleys (v):
     1 + tzC(v,z) / (1 - tvzC(v,z))."""
-    zC = narayana_series(order).shift(1).trunc(order)
+    zC = narayana_series(order).shift(1)
     return _returns(zC.widen(("t", "v")).times_var("t"))
 
 
@@ -361,7 +355,7 @@ FORMULAS: dict[str, Formula] = {
         (
             lambda order: valley_marked_classII_III(order).subs("v", 1),
             lambda order: _sequence(
-                algebraic_solve(classII_III_cubic(order, 1), 1, order), order
+                algebraic_solve(classII_III_cubic(order, 1), 1), order
             ),
         ),
         _counted("matching", "123", "231"),
@@ -424,6 +418,8 @@ def oracle_value(formula_id: str, n: int) -> int:
 
 def cross_check(formula_id: str, n_max: int) -> dict:
     """Compare the formula against its oracle for n = 0..n_max."""
+    if n_max < 0:
+        raise MatchboardError(f"max-n must be nonnegative, got {n_max}")
     seq = coefficients(formula_id, n_max)
     # largest n first, so that a request past a cap fails before any of the
     # smaller enumerations run

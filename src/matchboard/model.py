@@ -57,6 +57,15 @@ def parse_int_list(text: str, what: str, empty: bool = False) -> tuple[int, ...]
     return tuple(int(t) for t in items)
 
 
+def _decoded(cls, *args):
+    """cls(*args) for an object read from its text: a bad encoding is a
+    ParseError, so an InvalidObjectError is raised as one."""
+    try:
+        return cls(*args)
+    except InvalidObjectError as e:
+        raise ParseError(str(e)) from e
+
+
 @dataclass(frozen=True)
 class DyckPath:
     """A path over steps E (east) and S (south) from (0, n) to (n, 0) that
@@ -143,10 +152,7 @@ class DyckPath:
 
     @classmethod
     def from_text(cls, text: str) -> "DyckPath":
-        try:
-            return cls(text.strip())
-        except InvalidObjectError as e:
-            raise ParseError(str(e)) from e
+        return _decoded(cls, text.strip())
 
 
 @dataclass(frozen=True)
@@ -229,10 +235,7 @@ class RookPlacement:
         border = DyckPath.from_text(parts[0][len("border:"):])
         rook_part = parts[1][len("rooks:"):]
         rooks = parse_int_list(rook_part, f"rook list {rook_part!r}", empty=True)
-        try:
-            return cls(FerrersBoard(border), rooks)
-        except InvalidObjectError as e:
-            raise ParseError(str(e)) from e
+        return _decoded(cls, FerrersBoard(border), rooks)
 
 
 @dataclass(frozen=True)
@@ -311,10 +314,7 @@ class Matching:
             if len(arc) != 2:
                 raise ParseError(f"bad arc ({body}) in {text!r}")
             arcs.append(arc)
-        try:
-            return cls(tuple(arcs), fps)
-        except InvalidObjectError as e:
-            raise ParseError(str(e)) from e
+        return _decoded(cls, tuple(arcs), fps)
 
 
 @dataclass(frozen=True)
@@ -359,10 +359,7 @@ class SetPartition:
             if not close:
                 raise ParseError(f"unbalanced braces in {text!r}")
             blocks.append(parse_int_list(body, f"block {{{body}}} in {text!r}"))
-        try:
-            return cls(tuple(blocks))
-        except InvalidObjectError as e:
-            raise ParseError(str(e)) from e
+        return _decoded(cls, tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -396,10 +393,7 @@ class LabeledDyckPath:
         if not sep:
             raise ParseError(f"bad labeled path encoding {text!r}")
         labels = parse_int_list(label_part, f"label list {label_part!r}")
-        try:
-            return cls(DyckPath.from_text(steps), labels)
-        except InvalidObjectError as e:
-            raise ParseError(str(e)) from e
+        return _decoded(cls, DyckPath.from_text(steps), labels)
 
 
 @dataclass(frozen=True)

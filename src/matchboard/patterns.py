@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import inf
 
 from .errors import InvalidObjectError, ParseError
-from .model import RookPlacement
+from .model import RookPlacement, _decoded
 
 __all__ = [
     "Pattern",
@@ -51,10 +51,7 @@ class Pattern:
         # str.isdigit alone accepts digits such as "²" that int() refuses
         if not (text.isascii() and text.isdigit()):
             raise ParseError(f"bad pattern {text!r}")
-        try:
-            return cls(tuple(int(ch) for ch in text))
-        except InvalidObjectError as e:
-            raise ParseError(str(e)) from e
+        return _decoded(cls, tuple(int(ch) for ch in text))
 
 
 S3_PATTERNS = tuple(

@@ -6,21 +6,22 @@ u, v, t), each a dict from exponent tuple to nonzero value.  A plain series
 has no variables, so its only key is ().  Every operation serves both cases,
 and a series combined with one over more variables is widened to them;
 substituting a value for a variable gives the series over the others.  On
-top of this the module provides square roots and roots of algebraic
-equations whose z^0 coefficients are constants, through one Newton loop
-that doubles the known orders at each step (no input is padded with
-zeros), one per-order solver for the functional equations used by the
-counting formulas (it keeps the factors of each product packed from one
-order to the next and regrids, with a fixed headroom, only when an order
-outgrows the grid), residual checks for those equations (G_classV's
-multiplied through by 1 - u), and the substitution that turns a
-valley-marked matching series into a set-partition series.  Nothing is
-memoized: each call computes what it returns.
+top of this the module provides inverses, square roots and roots of
+algebraic equations whose z^0 coefficients are constants, through one
+windowed Newton loop that doubles the known orders at each step, one
+per-order solver for the functional equations used by the counting formulas
+(it keeps the factors of each product packed from one order to the next and
+regrids, with a fixed headroom, only when an order outgrows the grid),
+residual checks for those equations (G_classV's multiplied through by
+1 - u), and the substitution that turns a valley-marked matching series
+into a set-partition series.  Nothing is memoized: each call computes what
+it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb, lcm, prod
 from operator import add, ge, mul
@@ -437,14 +438,13 @@ class Series:
             raise SeriesError(
                 "inverse requires a constant (variable-free) nonzero z^0 term"
             )
-        # Newton iteration y <- y - y(self*y - 1) doubles the known orders;
-        # self*y - 1 vanishes below them, so only the new orders are formed
-        y = [{zero: _norm(Fraction(1, 1) / c0[zero])}]
-        while len(y) <= self.order:
-            known, new = len(y), min(2 * len(y) - 1, self.order)
-            err = [{}] * known + _convolve(self.coeffs, y, known, new)
-            y += [_pscale(p, -1) for p in _convolve(y, err, known, new)]
-        return Series(self.variables, self.order, y)
+        # the root of self*y - 1, whose slope 1/self is y itself
+        return _newton(
+            lambda y, lo, hi: _convolve(self.coeffs, y, lo, hi),
+            lambda y, n: y[: n + 1],
+            Fraction(1, 1) / c0[zero],
+            self,
+        )
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -459,16 +459,23 @@ class Series:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Series.constant(1, self.order, self.variables)
-        for _ in range(k):
-            out = out * self
-        return out
+        if k == 0:
+            return Series.constant(1, self.order, self.variables)
+        return reduce(mul, [self] * k)
 
     def sqrt(self) -> "Series":
-        """Square root with constant term 1, by Newton iteration."""
+        """Square root with constant term 1: the root of y^2 - self, whose
+        slope is 1/(2y), with y^2 formed only on each step's window."""
         if self.coeffs[0] != {(0,) * len(self.variables): 1}:
             raise SeriesError("sqrt requires constant term 1")
-        return _newton(lambda y: (y + self / y) / 2, 1, self)
+        return _newton(
+            lambda y, lo, hi: (
+                Series(self.variables, hi, [{}] * lo + _convolve(y, y, lo, hi)) - self
+            ).coeffs[lo:],
+            lambda y, n: (Series(self.variables, n, y) * 2).inverse().coeffs,
+            1,
+            self,
+        )
 
     def scale_z(self, factor) -> "Series":
         """Substitute factor*z for z."""
@@ -479,10 +486,10 @@ class Series:
         )
 
     def shift(self, k: int) -> "Series":
-        """Multiply by z^k."""
+        """Multiply by z^k, keeping the order."""
         if k < 0:
             raise SeriesError("shift needs k >= 0; unshift divides by z^k")
-        return Series(self.variables, self.order + k, ({},) * k + self.coeffs)
+        return Series(self.variables, self.order, ({},) * k + self.coeffs)
 
     def unshift(self, k: int) -> "Series":
         """Divide by z^k; the low-order coefficients must vanish."""
@@ -569,29 +576,28 @@ def poly_eval(polys, s: Series) -> Series:
     return res
 
 
-def _newton(step, seed, like: Series) -> Series:
-    """Newton iteration y <- step(y) from the constant seed, to the order of
-    ``like`` and over its variables.  Each step gets y correct through z^p
-    and padded with zeros to z^(2p + 1), and must return it correct through
-    z^(2p + 1)."""
-    y, prec = Series.constant(seed, 0, like.variables), 0
-    while prec < like.order:
-        prec = min(2 * prec + 1, like.order)
-        y = step(Series(y.variables, prec, y.coeffs))
-    return y
+def _newton(phi, slope, seed, like: Series) -> Series:
+    """The root y of Phi(y) = 0 with y(0) = seed, to the order of ``like``
+    and over its variables, by Newton iteration that doubles the known
+    orders (Brent and Kung's windowed step).  With y known through
+    z^(lo - 1), as a list of coefficients, a step sets z^lo .. z^hi,
+    hi = min(2lo - 1, order), to those of -phi*slope: phi(y, lo, hi) gives
+    the z^lo .. z^hi coefficients of Phi(y), which vanishes below z^lo, and
+    slope(y, n) those of 1/Phi'(y) through z^n, n = hi - lo."""
+    y = [{(0,) * len(like.variables): seed}]
+    while len(y) <= like.order:
+        lo, hi = len(y), min(2 * len(y) - 1, like.order)
+        step = _convolve(phi(y, lo, hi), slope(y, hi - lo), 0, hi - lo)
+        y += [_pscale(p, -1) for p in step]
+    return Series(like.variables, like.order, y)
 
 
-def algebraic_solve(polys, seed, order: int | None = None) -> Series:
+def algebraic_solve(polys, seed) -> Series:
     """Power-series root of sum p_i F^i with F(0) = seed, by Newton
-    iteration.  The p_i may be over any nested variable sets, but their z^0
-    coefficients must be constants.  The seed must be a simple root of the
-    z = 0 polynomial, and ``order`` (by default the lowest) may not exceed
-    the order of any p_i."""
-    known = min(p.order for p in polys)
-    if order is None:
-        order = known
-    if order > known:
-        raise SeriesError(f"order {order} exceeds the coefficients' order {known}")
+    iteration, through the lowest order of the p_i.  The p_i may be over
+    any nested variable sets, but their z^0 coefficients must be constants.
+    The seed must be a simple root of the z = 0 polynomial."""
+    order = min(p.order for p in polys)
     if any(any(k) for p in polys for k in p.coeffs[0]):
         raise SeriesError("a z^0 coefficient depends on a variable")
     heads = [sum(p.coeffs[0].values()) for p in polys]
@@ -601,10 +607,12 @@ def algebraic_solve(polys, seed, order: int | None = None) -> Series:
     if sum(i * c * seed ** (i - 1) for i, c in enumerate(heads) if i) == 0:
         raise SeriesError(f"seed {seed} is not a simple root at z = 0")
     dpolys = [p * i for i, p in enumerate(polys) if i]
+    variables = max((p.variables for p in polys), key=len)
     f = _newton(
-        lambda f: f - poly_eval(polys, f) / poly_eval(dpolys, f),
+        lambda y, lo, hi: poly_eval(polys, Series(variables, hi, y)).coeffs[lo:],
+        lambda y, n: poly_eval(dpolys, Series(variables, n, y)).inverse().coeffs,
         seed,
-        Series(max((p.variables for p in polys), key=len), order),
+        Series(variables, order),
     )
     if poly_eval(polys, f).is_zero():
         return f
@@ -755,12 +763,12 @@ def residual(name: str, sol: Series) -> Series:
         K = sol
         K0 = K.subs("u", 0)
         inner = K * 2 + K.times_var("u") + (K - K0).divide_by_var("u")
-        return (1 + (K * inner).shift(1).trunc(N)) - K
+        return (1 + (K * inner).shift(1)) - K
     if name == "K_Llv":
         K = sol
         K0 = K.subs("u", 0)
         inner = K * 2 + K.times_var("u") + (K - K0).divide_by_var("u")
-        return (1 + (((K - 1).times_var("v") + 1) * inner).shift(1).trunc(N)) - K
+        return (1 + (((K - 1).times_var("v") + 1) * inner).shift(1)) - K
     if name == "K_lt2":
         K = sol
         C = narayana_series(N)
@@ -770,15 +778,15 @@ def residual(name: str, sol: Series) -> Series:
         mid = (K0 - C) + diff + Cu + Cu.times_var("u")
         rhs = (
             1
-            + (C * ((K - 1).times_var("v") + 1)).shift(1).trunc(N)
-            + (mid * ((K0 - 1).times_var("v") + 1)).shift(1).trunc(N)
+            + (C * ((K - 1).times_var("v") + 1)).shift(1)
+            + (mid * ((K0 - 1).times_var("v") + 1)).shift(1)
         )
         return rhs - K
     if name == "K_peak":
         K = sol
         K0 = K.subs("u", 0)
         inner = K + (K - 1).times_var("u") + (K - 1) + (K - K0).divide_by_var("u")
-        return (1 + (K * inner).shift(1).trunc(N)) - K
+        return (1 + (K * inner).shift(1)) - K
     if name == "G_classV":
         G = sol
         Gt0 = G.subs("u", 0).widen(G.variables)
@@ -787,9 +795,9 @@ def residual(name: str, sol: Series) -> Series:
         term3 = (Gt0 - G00).divide_by_var("t")
         # the equation times (1 - u), so that its last term needs no division
         term4 = (Gt0 - Gt0.subs_prod("t", "u")).times_var("t").times_var("u")
-        rhs = 1 + (G.times_var("t") + term2 + term3).shift(1).trunc(N)
+        rhs = 1 + (G.times_var("t") + term2 + term3).shift(1)
         gap = rhs - G
-        return gap - gap.times_var("u") + term4.shift(1).trunc(N)
+        return gap - gap.times_var("u") + term4.shift(1)
     raise SeriesError(f"unknown functional equation {name!r}")
 
 

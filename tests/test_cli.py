@@ -118,6 +118,11 @@ class TestCrossCheck:
         payload = json.loads(out)
         assert all(r["equal"] is True for r in payload["results"])
 
+    def test_negative_max_n_names_the_option(self, capsys):
+        code, out, err = run(capsys, "cross-check", "--formula", "m312", "--max-n", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: max-n must be nonnegative, got -1\n"
+
 
 class TestVerify:
     def test_tables_suite(self, capsys):

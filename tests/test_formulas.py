@@ -242,7 +242,7 @@ class TestClosedFormIdentities:
     def test_classII_III_cubic_residual(self):
         # the cubic root is the column series; 1/(1 - zH) gives the counts
         N = 15
-        h = algebraic_solve(classII_III_cubic(N, 1), 1, N)
+        h = algebraic_solve(classII_III_cubic(N, 1), 1)
         assert poly_eval(classII_III_cubic(N, 1), h).is_zero()
         full = (1 - h.shift(1).trunc(N)).inverse()
         assert tuple(full) == coefficients("classII_III_m", N)

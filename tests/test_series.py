@@ -58,9 +58,11 @@ class TestArithmetic:
             (Series.constant(4, 3)).sqrt()
 
     def test_shift_unshift(self):
+        # shift keeps the order; unshift lowers it by k
         z = Series.z(5)
-        assert tuple(z.shift(2)) == (0, 0, 0, 1, 0, 0, 0, 0)
-        assert tuple(z.shift(2).unshift(3)) == (1, 0, 0, 0, 0)
+        assert tuple(z.shift(2)) == (0, 0, 0, 1, 0, 0)
+        assert tuple(z.shift(2).unshift(3)) == (1, 0, 0)
+        assert tuple(z.shift(5)) == (0,) * 6
         with pytest.raises(DivisibilityError):
             (1 + z).unshift(1)
         # a negative k would drop the low coefficients, not divide by z^-k
@@ -226,6 +228,13 @@ class TestAlgebraProperties:
         assert (got.variables, got.order) == (want.variables, want.order)
         assert got.dicts() == want.dicts()
 
+    @given(series, st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_shift_equals_product_with_z_power(self, a, k):
+        got, want = a.shift(k), Series.z(a.order) ** k * a
+        assert (got.variables, got.order) == (want.variables, want.order)
+        assert got.dicts() == want.dicts()
+
     @given(series)
     @settings(max_examples=60, deadline=None)
     def test_inverse_round_trip(self, a):
@@ -281,12 +290,11 @@ class TestAlgebraicSolve:
             algebraic_solve(polys, 1)
 
     def test_order_above_inputs_refused(self):
-        # coefficients known through z^5 say nothing of z^6 on; read as
-        # zeros they gave 7014, 42619, 264812 at z^6..z^8 for 7000, 42535,
-        # 264356
-        with pytest.raises(SeriesError):
-            algebraic_solve(classII_III_cubic(5, 1), 1, 10)
-        assert tuple(algebraic_solve(classII_III_cubic(10, 1), 1, 10))[6:9] == (
+        # the root is solved through the coefficients' own order, the only
+        # one they determine: coefficients known through z^5 and read as
+        # zeros past it gave 7014, 42619, 264812 at z^6..z^8 for 7000,
+        # 42535, 264356
+        assert tuple(algebraic_solve(classII_III_cubic(10, 1), 1))[6:9] == (
             7000, 42535, 264356,
         )
 
@@ -332,6 +340,18 @@ def _sqrt_by_own_loop(s: Series) -> Series:
     return y
 
 
+def _inverse_by_own_loop(s: Series) -> Series:
+    """The windowed loop that ``inverse`` kept before the shared Newton
+    loop took it over, kept as its oracle."""
+    zero = (0,) * len(s.variables)
+    y = [{zero: Fraction(1, 1) / s.coeffs[0][zero]}]
+    while len(y) <= s.order:
+        known, new = len(y), min(2 * len(y) - 1, s.order)
+        err = [{}] * known + _convolve(s.coeffs, y, known, new)
+        y += [{k: -c for k, c in p.items()} for p in _convolve(y, err, known, new)]
+    return Series(s.variables, s.order, y)
+
+
 def _algebraic_solve_at_full_order(polys, seed, order: int) -> Series:
     """The full-order Newton loop that the shared Newton loop replaced,
     kept as its oracle."""
@@ -366,6 +386,14 @@ class TestNewton:
         lambda a: 1 + a.shift(1).trunc(a.order)
     )
 
+    @given(TestAlgebraProperties.over_uv, st.sampled_from([1, -3, Fraction(2, 5)]))
+    @settings(max_examples=80, deadline=None)
+    def test_inverse_equals_own_loop(self, a, head):
+        s = head + a.shift(1)
+        got, want = s.inverse(), _inverse_by_own_loop(s)
+        assert (got.variables, got.order) == (want.variables, want.order)
+        assert got.dicts() == want.dicts()
+
     @given(unit)
     @settings(max_examples=80, deadline=None)
     def test_sqrt_equals_own_loop(self, s):
@@ -388,7 +416,7 @@ class TestNewton:
                 (classII_III_cubic(order, 1), 1),
                 (_p312_root_cubic(order), 0),
             ):
-                got = algebraic_solve(polys, seed, order)
+                got = algebraic_solve(polys, seed)
                 want = _algebraic_solve_at_full_order(polys, seed, order)
                 assert got.order == want.order == order
                 assert got.dicts() == want.dicts()
