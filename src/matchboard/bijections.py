@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 from operator import gt
 
 from .errors import InvalidObjectError, ParseError, PatternViolationError
@@ -23,7 +24,7 @@ from .model import (
     _decoded,
     kappa,
 )
-from .patterns import Pattern, find_arc_occurrence, lis_labels, offending_vertex
+from .patterns import Pattern, as_patterns, find_arc_occurrence, lis_labels, offending_vertex
 
 __all__ = [
     "NoncrossingPathPair",
@@ -235,10 +236,10 @@ def kappa_prime(m: Matching, tau) -> RookPlacement:
     """Close up the k fixed points with k new pairwise-crossing arcs to the
     new top vertices, then apply kappa.  Defined on the fixed-point class of
     tau for tau in {321, 213}."""
-    tau = Pattern.from_text(tau) if isinstance(tau, str) else tau
-    if tau.perm not in {(3, 2, 1), (2, 1, 3)}:
+    pats = as_patterns(tau)
+    if pats not in ((Pattern((3, 2, 1)),), (Pattern((2, 1, 3)),)):
         raise InvalidObjectError("kappa_prime is defined for patterns 321 and 213")
-    check_fixed_point_class(m, tau)
+    check_fixed_point_class(m, pats[0])
     n, k = m.n, len(m.fixed_points)
     size = 2 * n + 2 * k
     new_arcs = tuple(
@@ -286,31 +287,32 @@ def peak_property(lp: LabeledDyckPath) -> bool:
 
 
 class LabeledPathClass(Enum):
-    """Membership predicates for the structured labeled-path families."""
+    """The structured labeled-path families.  Each member states its rule:
+    whether its labels vanish exactly at the diagonal-touching vertices (the
+    L classes) or only at the end (the K classes), its largest label (inf
+    for no cap), and whether the peak rule holds."""
 
-    L = "L"
-    K = "K"
-    K_LT2 = "K_lt2"
-    L_LT3 = "L_lt3"
-    K_PEAK = "K_peak"
-    L_PEAK = "L_peak"
+    L = (True, inf, False)
+    K = (False, inf, False)
+    K_LT2 = (False, 1, False)
+    L_LT3 = (True, 2, False)
+    K_PEAK = (False, inf, True)
+    L_PEAK = (True, inf, True)
+
+    def __init__(self, zero_on_diagonal: bool, max_label: float, peak_rule: bool):
+        self.zero_on_diagonal = zero_on_diagonal
+        self.max_label = max_label
+        self.peak_rule = peak_rule
 
     def contains(self, lp: LabeledDyckPath) -> bool:
-        if min(lp.labels) < 0 or not diagonal_property(lp):
-            return False
-        in_l = zero_condition(lp)
-        in_k = lp.labels[-1] == 0
-        if self is LabeledPathClass.L:
-            return in_l
-        if self is LabeledPathClass.K:
-            return in_k
-        if self is LabeledPathClass.K_LT2:
-            return in_k and max(lp.labels, default=0) < 2
-        if self is LabeledPathClass.L_LT3:
-            return in_l and max(lp.labels, default=0) < 3
-        if self is LabeledPathClass.K_PEAK:
-            return in_k and peak_property(lp)
-        return in_l and peak_property(lp)
+        labels = lp.labels
+        return (
+            0 <= min(labels)
+            and max(labels) <= self.max_label
+            and (zero_condition(lp) if self.zero_on_diagonal else labels[-1] == 0)
+            and diagonal_property(lp)
+            and (not self.peak_rule or peak_property(lp))
+        )
 
 
 def a2_member(pair: NoncrossingPathPair) -> bool:

@@ -75,11 +75,11 @@ def _manifest(command: str, params: dict, started: float) -> None:
 
 def cmd_count(args) -> tuple[dict, bool]:
     from . import families
-    from .patterns import parse_pattern_set
+    from .patterns import as_patterns, parse_pattern_set
 
-    avoid: tuple[str, ...] = ()
+    avoid = ()
     if args.avoid is not None:
-        avoid = tuple(sorted(p.to_text() for p in parse_pattern_set(args.avoid)))
+        avoid = as_patterns(parse_pattern_set(args.avoid))
     table = families.count(
         args.family,
         args.n,
@@ -92,7 +92,7 @@ def cmd_count(args) -> tuple[dict, bool]:
         "family": args.family,
         "n": args.n,
         "k": args.k,
-        "avoid": list(avoid),
+        "avoid": [p.to_text() for p in avoid],
         "total": table.total,
     }
     if table.by_valleys is not None:
@@ -183,6 +183,8 @@ def cmd_apply(args) -> tuple[dict, bool]:
         if not args.pattern:
             raise MatchboardError("kappa-prime needs --pattern 321 or 213")
         result = kappa_prime(Matching.from_text(args.input), args.pattern)
+    elif args.pattern is not None:
+        raise MatchboardError(f"--pattern applies to kappa-prime only, not {args.map}")
     else:
         parse, fn = _maps()[args.map]
         result = fn(parse(args.input))

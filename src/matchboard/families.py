@@ -37,7 +37,7 @@ from .model import (
     SetPartition,
     statistics,
 )
-from .patterns import Pattern, find_arc_occurrence, perm_contains, placement_avoids
+from .patterns import Pattern, as_patterns, find_arc_occurrence, perm_contains, placement_avoids
 
 __all__ = [
     "CountTable",
@@ -202,18 +202,11 @@ def pairs_ending_south(n: int, k: int):
             yield pair
 
 
-_MAX_LABEL = {
-    LabeledPathClass.K_LT2: 1,
-    LabeledPathClass.L_LT3: 2,
-}
-
-
 def labeled_paths(n: int, cls: LabeledPathClass):
     """Labeled borders of semilength n in the given class: per path, start
     labels ascending, then at each step the label kept before the label
     changed."""
-    in_l = cls in (LabeledPathClass.L, LabeledPathClass.L_LT3, LabeledPathClass.L_PEAK)
-    starts = range(1 if in_l else min(n, _MAX_LABEL.get(cls, n)) + 1)
+    starts = range(1 if cls.zero_on_diagonal else min(n, cls.max_label) + 1)
     for path in dyck_paths(n):
         yield from _labelings(path, cls, starts)
 
@@ -222,9 +215,8 @@ def _labelings(path: DyckPath, cls: LabeledPathClass, starts):
     """The labelings of the path in the class whose start label is in
     starts (ascending), in the order of ``labeled_paths``."""
     n, steps = path.n, path.steps
-    cap = _MAX_LABEL.get(cls, n)
-    # a label never exceeds the south steps left, nor the cap
-    bound = [min(steps.count("S", i), cap) for i in range(2 * n + 1)]
+    # a label never exceeds the south steps left, nor the class's cap
+    bound = [min(steps.count("S", i), cls.max_label) for i in range(2 * n + 1)]
     # the aligned partner of each S step's endpoint, whose label bounds it
     partner = [None] * (2 * n + 1)
     for i, j in path.aligned_pairs():
@@ -422,13 +414,6 @@ def _scan(
     return out
 
 
-def _as_patterns(avoid) -> tuple[Pattern, ...]:
-    out = []
-    for item in avoid:
-        out.append(Pattern.from_text(item) if isinstance(item, str) else item)
-    return tuple(sorted(out, key=lambda p: p.perm))
-
-
 @dataclass(frozen=True)
 class CountTable:
     total: int
@@ -557,7 +542,7 @@ def count(
         raise InvalidObjectError(
             f"family {family!r} has no board border to break down by"
         )
-    pats = _as_patterns(avoid)
+    pats = as_patterns(avoid)
     if row.takes_k and k is None:
         raise InvalidObjectError(f"family {family!r} needs a value for k")
     if pats and row.avoids is None:
@@ -596,11 +581,12 @@ def count_fixed_point_class(n: int, k: int, tau) -> int:
     tau (reduction avoids tau and no forbidden five-vertex configuration),
     by the scan over 2n + k vertices; ``matchings_with_fixed_points``
     filtered by ``bijections.check_fixed_point_class`` is its oracle."""
-    tau = Pattern.from_text(tau) if isinstance(tau, str) else tau
+    pats = as_patterns(tau)
     check_cap("matching-fp", n, k)
-    if tau.perm not in _FIXED_POINT_RULES:
-        raise InvalidObjectError(f"no fixed-point class for pattern {tau.to_text()}")
-    return sum(_scan(n, (tau,), fixed_points=k).values())
+    if len(pats) != 1 or pats[0].perm not in _FIXED_POINT_RULES:
+        text = ",".join(map(Pattern.to_text, pats))
+        raise InvalidObjectError(f"no fixed-point class for pattern {text}")
+    return sum(_scan(n, pats, fixed_points=k).values())
 
 
 def _pair_walk(steps: int):

@@ -64,7 +64,7 @@ def _catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _sequence(s: Series, order: int) -> Series:
+def _sequence(s: Series) -> Series:
     """1 / (1 - z s): sequences of blocks counted by s."""
     return (1 - s.shift(1)).inverse()
 
@@ -204,7 +204,7 @@ def _kx0_closed(order: int) -> Series:
 
 
 def _s3124_series(order: int) -> Series:
-    return _sequence(_at_u0("K_peak", order), order)
+    return _sequence(_at_u0("K_peak", order))
 
 
 def returns_valleys_series(order: int) -> Series:
@@ -326,7 +326,7 @@ class Formula:
 _S1342 = (
     _s1342_closed,
     _s3124_series,
-    lambda order: _sequence(_kx0_closed(order), order),
+    lambda order: _sequence(_kx0_closed(order)),
 )
 _CLASS_IV = (_classIV_closed, _classIV_rational, _classIV_valleys)
 _CATALAN = (catalan_series, _catalan_closed, _catalan_returns_valleys)
@@ -334,7 +334,7 @@ _GOUYOU = (_gouyou_determinant, _dnk_pairs_walk)
 
 FORMULAS: dict[str, Formula] = {
     "m312": Formula(
-        (_m312_closed, lambda order: _sequence(_at_u0("K_Ll", order), order)),
+        (_m312_closed, lambda order: _sequence(_at_u0("K_Ll", order))),
         _counted("matching", "312"),
     ),
     "p312": Formula(
@@ -354,9 +354,7 @@ FORMULAS: dict[str, Formula] = {
     "classII_III_m": Formula(
         (
             lambda order: valley_marked_classII_III(order).subs("v", 1),
-            lambda order: _sequence(
-                algebraic_solve(classII_III_cubic(order, 1), 1), order
-            ),
+            lambda order: _sequence(algebraic_solve(classII_III_cubic(order, 1), 1)),
         ),
         _counted("matching", "123", "231"),
     ),
@@ -420,6 +418,8 @@ def cross_check(formula_id: str, n_max: int) -> dict:
     """Compare the formula against its oracle for n = 0..n_max."""
     if n_max < 0:
         raise MatchboardError(f"max-n must be nonnegative, got {n_max}")
+    if n_max > ORDER_CAP:
+        raise ResourceCapError(f"max-n {n_max} exceeds the cap {ORDER_CAP}")
     seq = coefficients(formula_id, n_max)
     # largest n first, so that a request past a cap fails before any of the
     # smaller enumerations run

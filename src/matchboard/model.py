@@ -405,21 +405,14 @@ class PathStats:
     eta: int
 
 
-def statistics(x) -> PathStats:
-    """Path statistics of a Dyck path, a board border, or a matching shape.
+def statistics(path: DyckPath) -> PathStats:
+    """Path statistics of a Dyck path, such as a board border or a matching
+    shape.
 
     valleys/peaks are SE/ES corners, returns are south steps landing on the
     diagonal, height is the maximum diagonal distance, and eta counts
     vertices at distance exactly 2.
     """
-    if isinstance(x, Matching):
-        path = x.shape
-    elif isinstance(x, FerrersBoard):
-        path = x.border
-    elif isinstance(x, DyckPath):
-        path = x
-    else:
-        raise TypeError(f"no statistics for {type(x).__name__}")
     hs = path.heights
     returns = sum(
         1 for i, ch in enumerate(path.steps) if ch == "S" and hs[i + 1] == 0

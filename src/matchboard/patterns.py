@@ -20,6 +20,7 @@ from .model import RookPlacement, _decoded
 __all__ = [
     "Pattern",
     "S3_PATTERNS",
+    "as_patterns",
     "perm_contains",
     "placement_avoids",
     "offending_vertex",
@@ -36,6 +37,8 @@ class Pattern:
 
     def __post_init__(self):
         object.__setattr__(self, "perm", tuple(int(v) for v in self.perm))
+        if not self.perm:
+            raise InvalidObjectError("a pattern has at least one entry")
         if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
             raise InvalidObjectError(f"{self.perm} is not a permutation of [k]")
 
@@ -57,6 +60,17 @@ class Pattern:
 S3_PATTERNS = tuple(
     Pattern(p) for p in [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
 )
+
+
+def as_patterns(avoid) -> tuple[Pattern, ...]:
+    """The distinct patterns of a pattern argument, sorted by their entries:
+    a Pattern, its text, or an iterable of either.  Every request that takes
+    patterns reads them here once; the per-object tests below take them as
+    they are."""
+    if isinstance(avoid, (str, Pattern)):
+        avoid = (avoid,)
+    pats = {Pattern.from_text(t) if isinstance(t, str) else t for t in avoid}
+    return tuple(sorted(pats, key=lambda p: p.perm))
 
 
 def parse_pattern_set(text: str) -> frozenset[Pattern]:
@@ -131,7 +145,8 @@ def offending_vertex(p: RookPlacement, t, all_vertices: bool = False) -> int | N
     The rook rows under each vertex are tested as they stand: containment
     depends only on their relative order, so the ranking that
     ``gamma_restriction`` applies would change nothing."""
-    plans = [_plan(_values(pat)) for pat in _as_pattern_tuple(t)]
+    pats = (t,) if isinstance(t, Pattern) else t
+    plans = [_plan(_values(pat)) for pat in pats]
     border = p.board.border
     vertices = border.vertices
     rows = p.rook_rows
@@ -144,12 +159,6 @@ def offending_vertex(p: RookPlacement, t, all_vertices: bool = False) -> int | N
     return None
 
 
-def _as_pattern_tuple(t) -> tuple[Pattern, ...]:
-    if isinstance(t, Pattern):
-        return (t,)
-    return tuple(t)
-
-
 def find_arc_occurrence(arcs, t: Pattern):
     """Return the 2k vertices of an occurrence of t among the arcs, or None.
 
@@ -158,7 +167,7 @@ def find_arc_occurrence(arcs, t: Pattern):
     """
     k = len(t.perm)
     arcs = sorted(arcs)
-    if k == 0 or len(arcs) < k:
+    if len(arcs) < k:
         return None
     # the closers, in opener order, form t's complement: an entry below
     # another in t closes after it, so slot k bounds from above, k + 1 below

@@ -368,11 +368,6 @@ class Series:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def trunc(self, order: int) -> "Series":
-        if order >= self.order:
-            return self
-        return Series(self.variables, order, self.coeffs)
-
     # arithmetic -------------------------------------------------------
 
     def _operands(self, other):

@@ -123,6 +123,11 @@ class TestCrossCheck:
         assert (code, out) == (2, "")
         assert err == "error: max-n must be nonnegative, got -1\n"
 
+    def test_max_n_past_the_order_cap_names_the_option(self, capsys):
+        code, out, err = run(capsys, "cross-check", "--formula", "catalan_v", "--max-n", "31")
+        assert (code, out) == (3, "")
+        assert err == "error: max-n 31 exceeds the cap 30\n"
+
 
 class TestVerify:
     def test_tables_suite(self, capsys):
@@ -198,6 +203,11 @@ class TestApply:
             "--input", "(1,4)(3,6);fp:2,5", "--pattern", "321",
         )
         assert code == 0
+
+    def test_pattern_refused_for_other_maps(self, capsys):
+        code, out, err = run(capsys, "apply", "--map", "chi", "--input", "2,1", "--pattern", "321")
+        assert (code, out) == (2, "")
+        assert err == "error: --pattern applies to kappa-prime only, not chi\n"
 
     def test_bad_input_exit_code(self, capsys):
         code, _, _ = run(capsys, "apply", "--map", "kappa", "--input", "garbage")

@@ -5,7 +5,7 @@ from math import comb, prod
 
 import pytest
 
-from matchboard import bijections, families
+from matchboard import bijections, checks, families
 from matchboard.bijections import LabeledPathClass
 from matchboard.checks import board_difference, run
 from matchboard.errors import InvalidObjectError, ResourceCapError
@@ -259,6 +259,22 @@ class TestCount:
             want = TABLE_PAIR_CLASSES["II_III"][n - 1]
             assert count("matching", n, avoid=["123", "312"]).total == want
 
+    @pytest.mark.parametrize("pat", ["1234", "4321"])
+    def test_length_4_pattern_filters_the_enumeration(self, pat):
+        # no scan counts a length-4 pattern, so every object is tested; an
+        # occurrence takes four arcs on eight vertices, openers first, and
+        # the one matching, and the one partition, of [8] that has it is
+        # four nested arcs (1234) or four mutually crossing arcs (4321)
+        bell = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+        for n in range(4):
+            assert count("matching", n, avoid=(pat,)).total == prod(range(1, 2 * n, 2))
+        assert count("matching", 4, avoid=(pat,)).total == 105 - 1
+        for n in range(8):
+            assert count("partition", n, avoid=(pat,)).total == bell[n]
+        assert count("partition", 8, avoid=(pat,)).total == bell[8] - 1
+        # two arcs hold no occurrence, wherever the two fixed points sit
+        assert count("matching-fp", 2, 2, avoid=(pat,)).total == comb(6, 2) * 3
+
 
 class TestAvoidingWithFixedPoints:
     def test_scan_times_binomial_equals_enumeration(self):
@@ -377,6 +393,51 @@ class TestBoardFormulas:
         assert run("classIV", 4) == [
             {"name": "classIV-board-formula", "pass": True, "failures": [], "suite": "classIV"}
         ]
+
+
+# a patch that makes one map or rule of the verify suites wrong, the suite,
+# and the check that must then fail
+BROKEN_CHECKS = [
+    (lambda mp: mp.setattr(checks, "kappa_inv", lambda p: None), "bijections", "kappa-roundtrip"),
+    (
+        lambda mp: mp.setattr(checks, "delta321_by_switch", lambda p: None),
+        "bijections",
+        "delta321-equals-switch",
+    ),
+    (
+        lambda mp: mp.setattr(checks, "delta213_inv", bijections.delta321_inv),
+        "bijections",
+        "delta-inverses",
+    ),
+    (
+        lambda mp: mp.setattr(
+            checks,
+            "delta213",
+            lambda p: bijections.NoncrossingPathPair(p.board.border, p.board.border),
+        ),
+        "bijections",
+        "delta-images-cover-pairs",
+    ),
+    (
+        lambda mp: mp.setattr(families, "pair_count_ending_south", lambda n, k: 0),
+        "bijections",
+        "fixed-point-classes",
+    ),
+    (
+        lambda mp: mp.setitem(
+            checks._BOARD_RULES, "classI", (families.CLASS_PAIRS["I"], lambda st, n: 0)
+        ),
+        "classI",
+        "classI-board-formula",
+    ),
+]
+
+
+@pytest.mark.parametrize("patch, suite, name", BROKEN_CHECKS, ids=[n for *_, n in BROKEN_CHECKS])
+def test_each_check_can_fail(monkeypatch, patch, suite, name):
+    patch(monkeypatch)
+    verdicts = {c["name"]: c["pass"] for c in run(suite, 4)}
+    assert verdicts[name] is False
 
 
 class TestFixedPointClasses:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from matchboard.bijections import NoncrossingPathPair
+from matchboard.bijections import NoncrossingPathPair, kappa_prime
 from matchboard.errors import InvalidObjectError, ParseError
+from matchboard.families import count_fixed_point_class
 from matchboard.model import (
     DyckPath,
     FerrersBoard,
@@ -245,13 +246,41 @@ VALIDATOR_MESSAGES = [
     ),
     (lambda: gamma_restriction(_placement(), 5), "vertex index 5 out of range 0..4"),
     (lambda: gamma_restriction(_placement(), -1), "vertex index -1 out of range 0..4"),
+    (
+        lambda: DyckPath.from_heights([0, 1]),
+        "height sequence [0, 1] must start and end at 0",
+    ),
+    (
+        lambda: DyckPath.from_heights([0, 2, 0]),
+        "height sequence [0, 2, 0] has a jump of 2",
+    ),
+    (
+        lambda: kappa_prime(Matching(()), "123"),
+        "kappa_prime is defined for patterns 321 and 213",
+    ),
+    # several patterns where one is expected
+    (
+        lambda: kappa_prime(Matching(()), ("321", "213")),
+        "kappa_prime is defined for patterns 321 and 213",
+    ),
+    (
+        lambda: count_fixed_point_class(1, 1, ("321", "213")),
+        "no fixed-point class for pattern 213,321",
+    ),
+]
+
+# the same for the parsers, which raise ParseError
+PARSER_MESSAGES = [
+    (lambda: Matching.from_text("(1,2,3)"), "bad arc (1,2,3) in '(1,2,3)'"),
+]
+
+MESSAGES = [(InvalidObjectError, *row) for row in VALIDATOR_MESSAGES] + [
+    (ParseError, *row) for row in PARSER_MESSAGES
 ]
 
 
-@pytest.mark.parametrize(
-    "build, message", VALIDATOR_MESSAGES, ids=[m for _, m in VALIDATOR_MESSAGES]
-)
-def test_validator_messages(build, message):
-    with pytest.raises(InvalidObjectError) as info:
+@pytest.mark.parametrize("error, build, message", MESSAGES, ids=[m for *_, m in MESSAGES])
+def test_validator_messages(error, build, message):
+    with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
