@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 # the modules that define the names of __all__, searched in this order
-_SOURCES = ("errors", "model", "patterns")
+_SOURCES = ("errors", "patterns", "model")
 
 
 def __getattr__(name):

@@ -14,14 +14,13 @@ from enum import Enum
 from math import inf
 from operator import gt
 
-from .errors import InvalidObjectError, ParseError, PatternViolationError
+from .errors import InvalidObjectError, ParseError, PatternViolationError, _decoded
 from .model import (
     DyckPath,
     FerrersBoard,
     LabeledDyckPath,
     Matching,
     RookPlacement,
-    _decoded,
     kappa,
 )
 from .patterns import Pattern, as_patterns, find_arc_occurrence, lis_labels, offending_vertex

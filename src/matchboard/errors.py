@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all matchboard modules."""
+"""Exception hierarchy shared by all matchboard modules, and the helper
+that reports an object decoded from bad text as a ParseError."""
 
 __all__ = [
     "MatchboardError",
@@ -46,3 +47,12 @@ class SeriesError(MatchboardError):
 
 class DivisibilityError(SeriesError):
     """An exact division in the series layer left a remainder."""
+
+
+def _decoded(cls, *args):
+    """cls(*args) for an object read from its text: a bad encoding is a
+    ParseError, so an InvalidObjectError is raised as one."""
+    try:
+        return cls(*args)
+    except InvalidObjectError as e:
+        raise ParseError(str(e)) from e

@@ -8,35 +8,21 @@ opened (and whether a fixed point forbids one of them to close first).
 Arc avoidance and the border ignore fixed points, so the matchings with k
 fixed points that avoid length-3 patterns are the scan's matchings times
 the C(2n + k, k) places of the fixed points.
-Per-board counts and valley histograms come from the border words it
-reports.  Every other count enumerates the family; the generators, the
-avoidance tests in ``patterns`` and ``bijections.check_fixed_point_class``
-remain the brute-force oracles.
+Per-board counts come from the border words it reports, and valley
+histograms from the valleys it counts in its state keys.  Every other count
+enumerates the family; the generators, the avoidance tests in ``patterns``
+and ``bijections.check_fixed_point_class`` remain the brute-force oracles.
+Only the generators, and so only an enumerating count, load the object
+model (``model`` and ``bijections``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations as iter_permutations, product
 from math import comb
 
-from .bijections import (
-    LabeledPathClass,
-    NoncrossingPathPair,
-    a2_member,
-    chi,
-)
 from .errors import InvalidObjectError, ResourceCapError
-from .model import (
-    DyckPath,
-    FerrersBoard,
-    LabeledDyckPath,
-    Matching,
-    RookPlacement,
-    SetPartition,
-    statistics,
-)
 from .patterns import Pattern, as_patterns, find_arc_occurrence, perm_contains, placement_avoids
 
 __all__ = [
@@ -101,11 +87,15 @@ def _words_under(ceiling):
 
 def dyck_paths(n: int):
     """All border paths of semilength n."""
+    from .model import DyckPath
+
     highest = [min(i, 2 * n - i) for i in range(2 * n + 1)]  # the heights of E^n S^n
     yield from map(DyckPath, _words_under(highest))
 
 
 def boards(n: int):
+    from .model import FerrersBoard
+
     for d in dyck_paths(n):
         yield FerrersBoard(d)
 
@@ -117,6 +107,8 @@ def matchings(n: int):
 
 def matchings_with_fixed_points(n: int, k: int):
     """All matchings of [2n + k] with exactly k fixed points."""
+    from .model import Matching
+
     ground = tuple(range(1, 2 * n + k + 1))
     for fps in combinations(ground, k):
         rest = tuple(v for v in ground if v not in fps)
@@ -138,13 +130,16 @@ def _pairings(free: tuple[int, ...]):
 
 def set_partitions(n: int):
     """All partitions of [n], by restricted-growth assignment."""
-    yield from _growth(1, n, [])
+    from .model import SetPartition
+
+    yield from map(SetPartition, _growth(1, n, []))
 
 
 def _growth(v: int, n: int, blocks: list[list[int]]):
-    """The partitions that put v..n into the blocks or new ones after them."""
+    """The block tuples of the partitions that put v..n into the blocks or
+    new ones after them."""
     if v > n:
-        yield SetPartition(tuple(tuple(b) for b in blocks))
+        yield tuple(tuple(b) for b in blocks)
         return
     for b in blocks:
         b.append(v)
@@ -155,8 +150,10 @@ def _growth(v: int, n: int, blocks: list[list[int]]):
     blocks.pop()
 
 
-def placements_on_board(board: FerrersBoard):
-    """All full rook placements on the board."""
+def placements_on_board(board):
+    """All full rook placements on the Ferrers board."""
+    from .model import RookPlacement
+
     n = board.n
     heights = board.column_heights
     # popped in order: columns left to right, each one's row ascending
@@ -179,6 +176,8 @@ def placements(n: int):
 
 def minimal_placements(n: int):
     """Board-minimal placements, one per permutation of [n]."""
+    from .bijections import chi
+
     for perm in iter_permutations(range(1, n + 1)):
         yield chi(perm)
 
@@ -189,6 +188,8 @@ def permutations(n: int):
 
 def noncrossing_pairs(n: int):
     """Pairs (bottom, top) of borders with bottom pointwise below top."""
+    from .bijections import NoncrossingPathPair
+
     paths = {d.steps: d for d in dyck_paths(n)}
     for top in paths.values():
         for steps in _words_under(top.heights):
@@ -202,18 +203,20 @@ def pairs_ending_south(n: int, k: int):
             yield pair
 
 
-def labeled_paths(n: int, cls: LabeledPathClass):
-    """Labeled borders of semilength n in the given class: per path, start
-    labels ascending, then at each step the label kept before the label
-    changed."""
+def labeled_paths(n: int, cls):
+    """Labeled borders of semilength n in the ``LabeledPathClass`` cls: per
+    path, start labels ascending, then at each step the label kept before
+    the label changed."""
     starts = range(1 if cls.zero_on_diagonal else min(n, cls.max_label) + 1)
     for path in dyck_paths(n):
         yield from _labelings(path, cls, starts)
 
 
-def _labelings(path: DyckPath, cls: LabeledPathClass, starts):
+def _labelings(path, cls, starts):
     """The labelings of the path in the class whose start label is in
     starts (ascending), in the order of ``labeled_paths``."""
+    from .model import LabeledDyckPath
+
     n, steps = path.n, path.steps
     # a label never exceeds the south steps left, nor the class's cap
     bound = [min(steps.count("S", i), cls.max_label) for i in range(2 * n + 1)]
@@ -239,9 +242,12 @@ def _labelings(path: DyckPath, cls: LabeledPathClass, starts):
                 stack.append(labels + (b,))
 
 
-def e2_pairs(board: FerrersBoard):
+def e2_pairs(board):
     """Pairs over the board whose bottom heights follow the height-below-5
     forcing rules; empty when the board has height 5 or more."""
+    from .bijections import NoncrossingPathPair
+    from .model import DyckPath
+
     hs = board.border.heights
     if max(hs) >= 5:
         return
@@ -258,6 +264,8 @@ def e2_pairs(board: FerrersBoard):
 
 
 def a2_pairs(n: int):
+    from .bijections import a2_member
+
     for pair in noncrossing_pairs(n):
         if a2_member(pair):
             yield pair
@@ -326,22 +334,29 @@ _FIXED_POINT_RULES = {
 
 
 def _scan(
-    n: int, pats, partition: bool = False, by_border: bool = False, fixed_points: int = 0
-) -> dict[str, int]:
+    n: int,
+    pats,
+    partition: bool = False,
+    by_border: bool = False,
+    fixed_points: int = 0,
+    valleys: bool = False,
+) -> dict:
     """Number of matchings of [2n], or partitions of [n], whose arcs avoid
     the length-3 patterns, by border word (E at an opener, S at a closer;
-    the only key is "" without by_border and for partitions).  With
+    the only key is "" without by_border and for partitions), or, with
+    valleys, by the number of valleys (an S then an E) of the border.  With
     fixed_points = k > 0 it counts the matchings of [2n + k] with k fixed
     points in the fixed-point class of the one pattern in pats.
 
     The vertices are read left to right, and every state key is (state,
-    fixed points left, m).  A state is one row per open arc, in opener
-    order; row j holds, for each i < j, the set of positions p of the arcs
-    that closed while i and j were both open, less the positions that can
-    complete no avoided pattern, so that equal states merge, and perhaps
-    the bit _FIXED.  The first m open arcs opened before the last fixed
-    point.  One move rule serves every key; without fixed points m stays 0
-    and no F move is made.
+    fixed points left, m, last letter, valleys so far).  A state is one row
+    per open arc, in opener order; row j holds, for each i < j, the set of
+    positions p of the arcs that closed while i and j were both open, less
+    the positions that can complete no avoided pattern, so that equal
+    states merge, and perhaps the bit _FIXED.  The first m open arcs opened
+    before the last fixed point.  One move rule serves every key; without
+    fixed points m stays 0 and no F move is made, and without valleys the
+    last letter stays "" and the valleys 0.
     """
     if any(len(p.perm) != 3 for p in pats):
         raise InvalidObjectError("the scan counts length-3 patterns only")
@@ -372,35 +387,44 @@ def _scan(
             if j != a
         )
 
+    # the letters a key records: none without valleys, so that keys which
+    # differ only in their last letter merge
+    up, down = ("E", "S") if valleys else ("", "")
+
     def moves(key):
         """Each key one more vertex leads to, with its border letter."""
-        state, f, m = key
+        state, f, m, last, v = key
         closed = [
-            (s, f, m - (a < m))
+            (s, f, m - (a < m), down, v)
             for a, s in enumerate(close(state, a) for a in range(len(state)))
             if s is not None
         ]
         if partition:
             # a vertex closes at most one arc, then may open one
-            for s, f, m in [key] + closed:
-                yield "", (s, f, m)
-                yield "", (s + ((0,) * len(s),), f, m)
+            for s, f, m, last, v in [key] + closed:
+                yield "", (s, f, m, last, v)
+                yield "", (s + ((0,) * len(s),), f, m, last, v)
         else:
-            yield "E", (state + ((mark,) * m + (0,) * (len(state) - m),), f, m)
+            # an E after an S ends a valley
+            opened = state + ((mark,) * m + (0,) * (len(state) - m),)
+            yield "E", (opened, f, m, up, v + (last == "S"))
             for k in closed:
                 yield "S", k
             if f:
                 placed = tuple(tuple(b | spread for b in row) for row in state)
-                yield "F", (placed, f - 1, len(state))
+                yield "F", (placed, f - 1, len(state), last, v)
 
-    out: dict[str, int] = {}
+    out: dict = {}
     # depth first, so that only the unread siblings of each level are held
-    stack = [("", {((), fixed_points, 0): 1}, n if partition else 2 * n + fixed_points)]
+    start = ((), fixed_points, 0, up, 0)
+    stack = [("", {start: 1}, n if partition else 2 * n + fixed_points)]
     while stack:
         word, states, left = stack.pop()
         if not left:
-            # the one state left has no open arc and no fixed point to place
-            out[word] = sum(states.values())
+            # no key left has an open arc or a fixed point to place
+            for key, c in states.items():
+                at = key[4] if valleys else word
+                out[at] = out.get(at, 0) + c
             continue
         buckets: dict[str, dict] = {}
         for key, c in states.items():
@@ -414,11 +438,11 @@ def _scan(
     return out
 
 
-@dataclass(frozen=True)
-class CountTable:
-    total: int
-    by_valleys: dict[int, int] | None = None
-    by_shape: dict[str, int] | None = None
+class CountTable(namedtuple("CountTable", "total by_valleys by_shape", defaults=(None, None))):
+    """A count, and its histograms by valleys and by border word when asked
+    for (else None)."""
+
+    __slots__ = ()
 
 
 def _arcs_avoid(obj, pats) -> bool:
@@ -429,26 +453,42 @@ def _perm_avoids(perm, pats) -> bool:
     return not any(perm_contains(perm, p) for p in pats)
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(
+    namedtuple(
+        "_Family",
+        "cap label generate takes_k scan avoids border",
+        defaults=(False, None, None, None),
+    )
+):
     """What ``count`` knows of one family.  The callables look the layer
     functions up by name when called, so a wrapper bound over a module
-    attribute (the benchmark's layer trace) sees every call."""
+    attribute (the benchmark's layer trace) sees every call.
 
-    cap: int  # the largest n, or n + k for a family with k, it enumerates
-    label: str  # what the cap error calls the objects
-    generate: Callable  # (n, k) -> the objects
-    takes_k: bool = False
-    # the _scan that counts length-3 pattern sets: "matching", "partition",
-    # or "matching-fp", the matching scan of the arcs times C(2n + k, k):
-    # arc avoidance and the border ignore where the k fixed points sit
-    scan: str | None = None
-    avoids: Callable | None = None  # (object, patterns) -> bool, if filterable
-    border: Callable | None = None  # object -> its board border, for breakdowns
+    - cap: the largest n, or n + k for a family with k, it enumerates;
+    - label: what the cap error calls the objects;
+    - generate: (n, k) -> the objects;
+    - takes_k: whether the family takes k;
+    - scan: the _scan that counts length-3 pattern sets: "matching",
+      "partition", or "matching-fp", the matching scan of the arcs times
+      C(2n + k, k): arc avoidance and the border ignore where the k fixed
+      points sit;
+    - avoids: (object, patterns) -> bool, if filterable;
+    - border: object -> its board border, for breakdowns.
+    """
+
+    __slots__ = ()
 
 
-def _labeled(cls: LabeledPathClass) -> _Family:
-    return _Family(7, "labeled path", lambda n, k: labeled_paths(n, cls))
+def _labeled(member: str) -> _Family:
+    """The family of a ``LabeledPathClass`` member, named so that the table
+    loads no object model."""
+
+    def generate(n, k):
+        from .bijections import LabeledPathClass
+
+        return labeled_paths(n, LabeledPathClass[member])
+
+    return _Family(7, "labeled path", generate)
 
 
 _FAMILIES = {
@@ -487,12 +527,12 @@ _FAMILIES = {
     ),
     "pair-a2": _Family(9, "path pair", lambda n, k: a2_pairs(n)),
     "pair-b2": _Family(14, "lattice path", lambda n, k: b2_pairs(n)),
-    "labeled-L": _labeled(LabeledPathClass.L),
-    "labeled-K": _labeled(LabeledPathClass.K),
-    "labeled-K-lt2": _labeled(LabeledPathClass.K_LT2),
-    "labeled-L-lt3": _labeled(LabeledPathClass.L_LT3),
-    "labeled-K-peak": _labeled(LabeledPathClass.K_PEAK),
-    "labeled-L-peak": _labeled(LabeledPathClass.L_PEAK),
+    "labeled-L": _labeled("L"),
+    "labeled-K": _labeled("K"),
+    "labeled-K-lt2": _labeled("K_LT2"),
+    "labeled-L-lt3": _labeled("L_LT3"),
+    "labeled-K-peak": _labeled("K_PEAK"),
+    "labeled-L-peak": _labeled("L_PEAK"),
 }
 
 FAMILY_NAMES = tuple(_FAMILIES)
@@ -552,13 +592,22 @@ def count(
     scanned = bool(row.scan and pats) and all(len(p.perm) == 3 for p in pats)
     check_cap(family, n, k, scan=scanned)
 
-    breakdown = stats or by_shape
     if scanned:
-        shapes = _scan(n, pats, partition=row.scan == "partition", by_border=breakdown)
+        # the scan counts the valleys in its keys; with by_shape they are
+        # read off the border words it reports instead
+        counts = _scan(
+            n, pats, partition=row.scan == "partition", by_border=by_shape,
+            valleys=stats and not by_shape,
+        )
         if k:
             places = comb(2 * n + k, k)
-            shapes = {border: c * places for border, c in shapes.items()}
+            counts = {key: c * places for key, c in counts.items()}
+        if not by_shape:
+            by_valleys = dict(sorted(counts.items())) if stats else None
+            return CountTable(sum(counts.values()), by_valleys=by_valleys)
+        shapes = counts
     else:
+        breakdown = stats or by_shape
         shapes = {}
         for obj in row.generate(n, k):
             if not pats or row.avoids(obj, pats):
@@ -566,6 +615,8 @@ def count(
                 shapes[border] = shapes.get(border, 0) + 1
     valleys: dict[int, int] = {}
     if stats:
+        from .model import DyckPath, statistics
+
         for border, c in shapes.items():
             v = statistics(DyckPath(border)).valleys
             valleys[v] = valleys.get(v, 0) + c

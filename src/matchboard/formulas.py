@@ -15,8 +15,7 @@ enumeration code.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -308,15 +307,13 @@ def _catalan_returns_valleys(order: int) -> Series:
     return returns_valleys_series(order).subs("t", 1).subs("v", 1)
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(namedtuple("Formula", "routes oracle")):
     """The routes to one sequence.  Each of ``routes`` maps an order to
     c_0..c_order, as a series or a sequence, and every two of them agree;
     ``oracle(n)`` gives c_n by brute force.  Route 0 is the one
     ``coefficients`` reads."""
 
-    routes: tuple[Callable[[int], Series | tuple[int, ...]], ...]
-    oracle: Callable[[int], int]
+    __slots__ = ()
 
 
 # the route tuples of the sequences that two ids name; each id keeps its own

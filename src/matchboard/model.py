@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import sub
 
-from .errors import InvalidObjectError, ParseError
+from .errors import InvalidObjectError, ParseError, _decoded
 
 __all__ = [
     "DyckPath",
@@ -55,15 +55,6 @@ def parse_int_list(text: str, what: str, empty: bool = False) -> tuple[int, ...]
     if not all(_INT.fullmatch(t) for t in items):
         raise ParseError(f"bad {what}")
     return tuple(int(t) for t in items)
-
-
-def _decoded(cls, *args):
-    """cls(*args) for an object read from its text: a bad encoding is a
-    ParseError, so an InvalidObjectError is raised as one."""
-    try:
-        return cls(*args)
-    except InvalidObjectError as e:
-        raise ParseError(str(e)) from e
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,10 @@ necessarily openers and the last k closers.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 
-from .errors import InvalidObjectError, ParseError
-from .model import RookPlacement, _decoded
+from .errors import InvalidObjectError, ParseError, _decoded
 
 __all__ = [
     "Pattern",
@@ -31,16 +29,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Pattern:
-    perm: tuple[int, ...]
+    """A permutation of [k] in one-line notation.  It is immutable, and two
+    patterns are equal when their entries are."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(int(v) for v in self.perm))
-        if not self.perm:
+    __slots__ = ("perm",)
+
+    def __init__(self, perm):
+        perm = tuple(int(v) for v in perm)
+        if not perm:
             raise InvalidObjectError("a pattern has at least one entry")
-        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
-            raise InvalidObjectError(f"{self.perm} is not a permutation of [k]")
+        if sorted(perm) != list(range(1, len(perm) + 1)):
+            raise InvalidObjectError(f"{perm} is not a permutation of [k]")
+        object.__setattr__(self, "perm", perm)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.perm == other.perm if isinstance(other, Pattern) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.perm,))
+
+    def __repr__(self):
+        return f"Pattern(perm={self.perm!r})"
+
+    def __reduce__(self):
+        return Pattern, (self.perm,)
 
     def __len__(self):
         return len(self.perm)
@@ -131,20 +150,20 @@ def _extend(pv, plan, vals, a: int, start: int) -> bool:
     return False
 
 
-def placement_avoids(p: RookPlacement, t, all_vertices: bool = False) -> bool:
-    """True when no border-vertex restriction of the placement contains any
-    of the patterns.  By default only peak vertices are tested, since every
-    other restriction embeds in a peak's; all_vertices=True forces the
-    direct definition."""
+def placement_avoids(p, t, all_vertices: bool = False) -> bool:
+    """True when no border-vertex restriction of the rook placement p
+    contains any of the patterns.  By default only peak vertices are tested,
+    since every other restriction embeds in a peak's; all_vertices=True
+    forces the direct definition."""
     return offending_vertex(p, t, all_vertices) is None
 
 
-def offending_vertex(p: RookPlacement, t, all_vertices: bool = False) -> int | None:
-    """Index of the first border vertex (a peak, unless all_vertices) whose
-    restriction contains one of the patterns, or None when there is none.
-    The rook rows under each vertex are tested as they stand: containment
-    depends only on their relative order, so the ranking that
-    ``gamma_restriction`` applies would change nothing."""
+def offending_vertex(p, t, all_vertices: bool = False) -> int | None:
+    """Index of the first border vertex of the rook placement p (a peak,
+    unless all_vertices) whose restriction contains one of the patterns, or
+    None when there is none.  The rook rows under each vertex are tested
+    as they stand: containment depends only on their relative order, so the
+    ranking that ``gamma_restriction`` applies would change nothing."""
     pats = (t,) if isinstance(t, Pattern) else t
     plans = [_plan(_values(pat)) for pat in pats]
     border = p.board.border
@@ -206,14 +225,15 @@ def lis_length(perm) -> int:
     return len(tails)
 
 
-def lis_labels(p: RookPlacement) -> tuple[int, ...]:
-    """For each border vertex V_i = (x, y), the length of the longest
-    increasing rook sequence inside the rectangle under V_i, read from the
-    rook rows as they stand (``gamma_restriction`` ranks them, which keeps
-    every increasing run).  One patience sort reads a column at each E
-    step: once it has read x columns, tails[l] is the lowest row at which
-    an increasing run of length l + 1 among them ends, so the longest run
-    with every row <= y is as long as the number of tails <= y."""
+def lis_labels(p) -> tuple[int, ...]:
+    """For each border vertex V_i = (x, y) of the rook placement p, the
+    length of the longest increasing rook sequence inside the rectangle
+    under V_i, read from the rook rows as they stand (``gamma_restriction``
+    ranks them, which keeps every increasing run).  One patience sort reads
+    a column at each E step: once it has read x columns, tails[l] is the
+    lowest row at which an increasing run of length l + 1 among them ends,
+    so the longest run with every row <= y is as long as the number of
+    tails <= y."""
     rows = p.rook_rows
     tails: list[int] = []
     labels = []

@@ -1,11 +1,11 @@
 """Enumeration of object families, counting tables, and per-board checks."""
 
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from math import comb, prod
 
 import pytest
 
-from matchboard import bijections, checks, families
+from matchboard import bijections, checks, families, model
 from matchboard.bijections import LabeledPathClass
 from matchboard.checks import board_difference, run
 from matchboard.errors import InvalidObjectError, ResourceCapError
@@ -29,6 +29,7 @@ from matchboard.families import (
 )
 from matchboard.formulas import _gouyou_determinant, coefficients
 from matchboard.model import DyckPath, FerrersBoard, LabeledDyckPath, statistics
+from matchboard.patterns import S3_PATTERNS
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 from matchboard.series import fe_iterate
 
@@ -296,6 +297,10 @@ class TestAvoidingWithFixedPoints:
                     assert table.by_shape == dict(sorted(shapes.items())), (avoid, n, k)
                     assert table.by_valleys == dict(sorted(valleys.items()))
                     assert table.total == sum(shapes.values())
+                    # without by_shape the valleys come from the scan's keys
+                    keyed = count("matching-fp", n, k, avoid=avoid, stats=True)
+                    assert keyed.by_valleys == table.by_valleys, (avoid, n, k)
+                    assert keyed.by_shape is None
 
     def test_counted_without_enumeration(self, monkeypatch):
         def refuse(*args):
@@ -465,7 +470,8 @@ class TestFixedPointClasses:
             raise AssertionError("enumerated")
 
         monkeypatch.setattr(families, "matchings_with_fixed_points", refuse)
-        monkeypatch.setattr(families, "Matching", refuse)
+        # the generator reads Matching from the model when it runs
+        monkeypatch.setattr(model, "Matching", refuse)
         monkeypatch.setattr(families, "check_fixed_point_class", refuse, raising=False)
         monkeypatch.setattr(bijections, "check_fixed_point_class", refuse)
         assert count_fixed_point_class(4, 2, "213") == pair_count_ending_south(4, 2)
@@ -540,14 +546,14 @@ def _pair_count_by_own_dp(n: int, k: int) -> int:
     return states.get((k, k), 0)
 
 
-def partition_count_via_matchings(n: int, avoid) -> int:
-    """Rebuild the number of avoiding partitions of [n] from the valley
-    histograms of avoiding matchings: each valley may merge into a
-    transitory vertex, then singletons are inserted in all positions."""
+def partition_count_via_matchings(n: int, hists) -> int:
+    """Rebuild the number of avoiding partitions of [n] from hists[m], the
+    valley histograms of the avoiding matchings of [2m] for m < n: each
+    valley may merge into a transitory vertex, then singletons are inserted
+    in all positions."""
     total = 0
     for m in range(0, max(n, 1)):
-        hist = count("matching", m, avoid=avoid, stats=True).by_valleys
-        for v, cnt in hist.items():
+        for v, cnt in hists[m].items():
             for j in range(v + 1):
                 s = n - 2 * m + j
                 if s < 0:
@@ -558,13 +564,16 @@ def partition_count_via_matchings(n: int, avoid) -> int:
 
 class TestPartitionReconstruction:
     def test_rebuild_from_valley_histograms(self):
-        avoids = [["312"], ["123"], ["132"]] + [
-            ["123", "213"], ["123", "231"], ["123", "312"], ["123", "321"], ["213", "321"],
-        ]
+        # every singleton and every pair of length-3 patterns, classes V-VII
+        # included, up to the matching scan's cap
+        texts = [t.to_text() for t in S3_PATTERNS]
+        avoids = [[t] for t in texts] + [list(pair) for pair in combinations(texts, 2)]
+        assert len(avoids) == 21
         for avoid in avoids:
-            for n in range(0, 9):
+            hists = [count("matching", m, avoid=avoid, stats=True).by_valleys for m in range(10)]
+            for n in range(0, 11):
                 want = count("partition", n, avoid=avoid).total
-                assert partition_count_via_matchings(n, avoid) == want, (avoid, n)
+                assert partition_count_via_matchings(n, hists) == want, (avoid, n)
 
 
 class TestValleyHistogram:

@@ -41,12 +41,16 @@ def test_every_import_is_used(name):
 
 
 def loaded_modules(code: str) -> set[str]:
-    """The matchboard modules held by a fresh interpreter after running code."""
+    """The matchboard modules held by a fresh interpreter after running code,
+    and "dataclasses" when the code loaded it."""
     src = os.path.dirname(matchboard.__path__[0])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    report = "import sys; print(*(m for m in sys.modules if m.split('.')[0] == 'matchboard'))"
+    report = (
+        "print(*(m for m in sys.modules if m.split('.')[0] == 'matchboard'"
+        " or m == 'dataclasses' and m not in before))"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{report}"],
+        [sys.executable, "-c", f"import sys; before = set(sys.modules)\n{code}\n{report}"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     )
     return set(done.stdout.splitlines()[-1].split())
@@ -58,14 +62,26 @@ def loaded_modules(code: str) -> set[str]:
         ["count", "--family", "matching", "--n", "4", "--avoid", "123,321", "--by-shape"],
         ["count", "--family", "partition", "--n", "5", "--avoid", "312"],
         ["count", "--family", "matching", "--n", "4", "--avoid", "312", "--stat", "valleys"],
+        ["count", "--family", "matching", "--n", "7", "--avoid", "123"],
     ],
-    ids=["by-shape", "partition", "valleys"],
+    ids=["by-shape", "partition", "valleys", "matching"],
 )
 def test_count_loads_no_series_code(argv):
+    # a count that the scan answers loads no series code, no object model
+    # (model, bijections) and no dataclasses
     loaded = loaded_modules(f"from matchboard import cli\nassert cli.main({argv!r}) == 0")
-    unused = {f"matchboard.{m}" for m in ("series", "formulas", "checks", "reference")}
+    assert loaded == {
+        "matchboard", "matchboard.errors", "matchboard.cli", "matchboard.patterns",
+        "matchboard.families",
+    }, sorted(loaded)
+
+
+def test_cross_check_with_a_scan_oracle_loads_no_object_model():
+    argv = ["cross-check", "--formula", "p312", "--max-n", "5"]
+    loaded = loaded_modules(f"from matchboard import cli\nassert cli.main({argv!r}) == 0")
     assert "matchboard.families" in loaded
-    assert not loaded & unused, sorted(loaded & unused)
+    unused = {"matchboard.model", "matchboard.bijections", "dataclasses"}
+    assert not loaded & unused, sorted(loaded)
 
 
 def test_series_loads_only_errors():
@@ -92,7 +108,7 @@ def test_series_command_loads_no_enumeration_code(argv):
     loaded = loaded_modules(f"from matchboard import cli\ncli.main({argv!r})")
     enumeration = {f"matchboard.{m}" for m in ("families", "bijections", "model", "patterns")}
     assert "matchboard.formulas" in loaded
-    assert not loaded & enumeration, sorted(loaded & enumeration)
+    assert not loaded & (enumeration | {"dataclasses"}), sorted(loaded)
 
 
 def test_formulas_load_no_enumeration_code():

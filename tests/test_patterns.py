@@ -1,6 +1,7 @@
 """Pattern containment on permutations, placements, and arc diagrams."""
 
 import gc
+import pickle
 import random
 from collections import Counter
 from itertools import combinations, permutations
@@ -44,6 +45,20 @@ class TestPattern:
             Pattern.from_text("311")
         with pytest.raises(InvalidObjectError):
             Pattern((1, 3))
+
+    def test_value_semantics(self):
+        p = Pattern([1, 3, 2])
+        assert p == Pattern((1, 3, 2)) and hash(p) == hash(Pattern((1, 3, 2)))
+        assert p != Pattern((1, 2, 3)) and p != (1, 3, 2)
+        assert repr(p) == "Pattern(perm=(1, 3, 2))"
+        assert pickle.loads(pickle.dumps(p)) == p
+        with pytest.raises(AttributeError):
+            p.perm = (1, 2, 3)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        with pytest.raises(AttributeError):
+            del p.perm
+        assert p.perm == (1, 3, 2)
 
     def test_parse_set(self):
         s = parse_pattern_set("123, 321")
@@ -267,6 +282,10 @@ class TestScanAgainstBruteForce:
                 assert table.by_shape == dict(shapes), (n, avoid)
                 assert table.by_valleys == dict(valleys), (n, avoid)
                 assert table.total == sum(shapes.values())
+                # without by_shape the scan counts the valleys in its keys
+                keyed = count("matching", n, avoid=sorted(avoid), stats=True)
+                assert keyed.by_valleys == dict(valleys), (n, avoid)
+                assert keyed.total == table.total
 
     def test_partitions(self):
         for n in range(0, 9):
