@@ -215,6 +215,7 @@ def labeled_paths(n: int, cls):
 def _labelings(path, cls, starts):
     """The labelings of the path in the class whose start label is in
     starts (ascending), in the order of ``labeled_paths``."""
+    from .bijections import peak_property, zero_condition
     from .model import LabeledDyckPath
 
     n, steps = path.n, path.steps
@@ -230,8 +231,10 @@ def _labelings(path, cls, starts):
         labels = stack.pop()
         i = len(labels)
         if i > 2 * n:
+            # the stack kept the cap, the partners' bounds and a K path's end at 0
             lp = LabeledDyckPath(path, labels)
-            if cls.contains(lp):
+            zero_ok = not cls.zero_on_diagonal or zero_condition(lp)
+            if zero_ok and (not cls.peak_rule or peak_property(lp)):
                 yield lp
             continue
         a = labels[-1]

@@ -1,5 +1,6 @@
 """Enumeration of object families, counting tables, and per-board checks."""
 
+from functools import partial
 from itertools import accumulate, combinations, product
 from math import comb, prod
 
@@ -400,9 +401,41 @@ class TestBoardFormulas:
         ]
 
 
-# a patch that makes one map or rule of the verify suites wrong, the suite,
-# and the check that must then fail
+def _with_rule(name, rule):
+    """A patch that gives the named board-formula claim another rule."""
+    return lambda mp: mp.setattr(
+        checks,
+        "CLAIMS",
+        tuple(c._replace(check=partial(c.check, rule=rule)) if c.name == name else c
+              for c in checks.CLAIMS),
+    )
+
+
+def _miscount_at_3(mp):
+    """A patch that makes every total at n = 3 one too many."""
+    real = families.count
+
+    def count(family, n, **kw):
+        table = real(family, n, **kw)
+        return table._replace(total=table.total + (n == 3))
+
+    mp.setattr(families, "count", count)
+
+
+# a patch that makes one count, map or rule of the verify suites wrong, the
+# suite, and the check that must then fail
 BROKEN_CHECKS = [
+    (_miscount_at_3, "tables", "matchings-123"),
+    (
+        lambda mp: mp.setattr(checks, "board_difference", lambda a, b, n: (1, "ES", 1, 0)),
+        "shape-wilf",
+        "singleton-123~321",
+    ),
+    (
+        lambda mp: mp.setattr(checks, "board_difference", lambda a, b, n: None),
+        "shape-wilf",
+        "II-vs-III-separated-per-board",
+    ),
     (lambda mp: mp.setattr(checks, "kappa_inv", lambda p: None), "bijections", "kappa-roundtrip"),
     (
         lambda mp: mp.setattr(checks, "delta321_by_switch", lambda p: None),
@@ -428,12 +461,12 @@ BROKEN_CHECKS = [
         "bijections",
         "fixed-point-classes",
     ),
+    (_with_rule("classI-board-formula", lambda st, n: 0), "classI", "classI-board-formula"),
+    # the class IV rule without its cut at height 5 is wrong only at n = 5
     (
-        lambda mp: mp.setitem(
-            checks._BOARD_RULES, "classI", (families.CLASS_PAIRS["I"], lambda st, n: 0)
-        ),
-        "classI",
-        "classI-board-formula",
+        _with_rule("classIV-board-formula", lambda st, n: 2**st.eta),
+        "classIV",
+        "classIV-board-formula",
     ),
 ]
 
@@ -441,7 +474,7 @@ BROKEN_CHECKS = [
 @pytest.mark.parametrize("patch, suite, name", BROKEN_CHECKS, ids=[n for *_, n in BROKEN_CHECKS])
 def test_each_check_can_fail(monkeypatch, patch, suite, name):
     patch(monkeypatch)
-    verdicts = {c["name"]: c["pass"] for c in run(suite, 4)}
+    verdicts = {c["name"]: c["pass"] for c in run(suite, 5)}
     assert verdicts[name] is False
 
 
