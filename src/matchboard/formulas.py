@@ -42,6 +42,7 @@ __all__ = [
     "cross_check",
     "oracle_value",
     "valley_marked_m312",
+    "m312_kernel_cubic",
     "valley_marked_classI",
     "valley_marked_classII_III",
     "valley_marked_classIV",
@@ -90,9 +91,38 @@ def _returns(x: Series) -> Series:
     return 1 + x * (1 - x.times_var("v")).inverse()
 
 
+def m312_kernel_cubic(order: int) -> list[Series]:
+    """Coefficients (ascending in K0, over ("v",)) of the cubic satisfied by
+    the valley-marked kernel K0 = K_Llv(0; v, z), whose root is K0(0) = 1.
+
+    Derived by Brown's quadratic method from the functional equation
+    K = 1 + z(vK - v + 1)(2K + uK + (K - K0)/u): times u it is a quadratic
+    in K, and its discriminant in K has a double root in u, so the
+    discriminant in u of that discriminant vanishes.  It factors as
+    -256 v^2 z^4 (vzK0 - 1)^2 times this cubic, and vzK0 - 1 is -1 at
+    z = 0.  Row i lists the z^0, z^1, ... coefficients of the K0^i
+    coefficient, each as its v^0, v^1, ... coefficients:
+    c0 = -1 + 8z(1+v) - 16z^2(1-v)^2,
+    c1 = 1 - 2z(5+4v) + 8z^2(1-v)(4-v) - 32z^3(1-v)^3,
+    c2 = z^2(8v^2+20v-1) + 8z^3(1-v)^2(1-4v) - 16z^4(1-v)^4,
+    c3 = -16vz^4(1-v)^3.
+    """
+    rows = (
+        ((-1,), (8, 8), (-16, 32, -16)),
+        ((1,), (-10, -8), (32, -40, 8), (-32, 96, -96, 32)),
+        ((), (), (-1, 20, 8), (8, -48, 72, -32), (-16, 64, -96, 64, -16)),
+        ((), (), (), (), (0, -16, 48, -48, 16)),
+    )
+    return [
+        Series(("v",), order, [{(k,): c for k, c in enumerate(p)} for p in row])
+        for row in rows
+    ]
+
+
 def valley_marked_m312(order: int) -> Series:
-    """L(v,z): 312-avoiding matchings by size (z) and valleys (v)."""
-    return _returns(_at_u0("K_Llv", order).shift(1))
+    """L(v,z) = 1 + zK0 / (1 - vzK0): 312-avoiding matchings by size (z)
+    and valleys (v), with K0 the root of ``m312_kernel_cubic``."""
+    return _returns(algebraic_solve(m312_kernel_cubic(order), 1).shift(1))
 
 
 def _p312_closed(order: int) -> Series:

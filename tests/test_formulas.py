@@ -82,8 +82,7 @@ def one_id_per_route_tuple() -> dict:
 
 class TestSecondaryRoutes:
     def test_agreement_at_order_cap(self):
-        # every route equals route 0, so every two routes agree; the p312
-        # route 1 solves K_Llv through ORDER_CAP
+        # every route equals route 0, so every two routes agree
         for routes, fid in one_id_per_route_tuple().items():
             for i in range(1, len(routes)):
                 assert formulas._route(fid, i, ORDER_CAP) == coefficients(
@@ -160,6 +159,31 @@ class TestSecondaryRoutes:
             assert tuple(kernel(10)) == want
             with pytest.raises(AssertionError):
                 cubic(10)
+
+    def test_p312_routes_share_no_code(self, monkeypatch):
+        # route 0 solves the closed cubic in R; route 1 transforms the root
+        # of the eliminated K_Llv cubic, with no functional equation.  The
+        # two share only algebraic_solve, which checks its own root, and
+        # they solve different cubics with it
+        closed, kernel = FORMULAS["p312"].routes[:2]
+        want = coefficients("p312", 10)
+
+        def refuse(*args):
+            raise AssertionError("refused")
+
+        with monkeypatch.context() as m:
+            m.setattr(formulas, "fe_iterate", refuse)
+            assert tuple(kernel(10)) == want
+        with monkeypatch.context() as m:
+            m.setattr(formulas, "partition_transform", refuse)
+            assert tuple(closed(10)) == want
+            with pytest.raises(AssertionError):
+                kernel(10)
+
+    def test_p312_routes_agree_past_the_cap(self):
+        # the route functions themselves, since _route enforces ORDER_CAP
+        closed, kernel = FORMULAS["p312"].routes[:2]
+        assert tuple(kernel(60)) == tuple(closed(60))
 
     def test_no_id_lists_a_route_twice(self):
         # a route compared with itself would pass vacuously

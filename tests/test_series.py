@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchboard.errors import DivisibilityError, SeriesError
-from matchboard.formulas import classII_III_cubic
+from matchboard.formulas import classII_III_cubic, m312_kernel_cubic
 from matchboard import series
 from matchboard.series import (
     FE_NAMES,
@@ -305,6 +305,13 @@ class TestAlgebraicSolve:
         assert h.variables == ("v",)
         assert h.dicts() == fe_iterate("K_lt2", N).subs("u", 0).dicts()
 
+    def test_m312_kernel_cubic_equals_fe_iterate(self):
+        # the eliminated K_Llv cubic, against the K_Llv solve at u = 0
+        N = 30
+        k0 = algebraic_solve(m312_kernel_cubic(N), 1)
+        assert k0.variables == ("v",)
+        assert k0.dicts() == fe_iterate("K_Llv", N).subs("u", 0).dicts()
+
     def test_narayana_quadratic_over_v(self):
         # v z C^2 + ((1 - v) z - 1) C + 1 = 0 from C(0) = 1
         N = 20
@@ -356,12 +363,13 @@ def _algebraic_solve_at_full_order(polys, seed, order: int) -> Series:
     """The full-order Newton loop that the shared Newton loop replaced,
     kept as its oracle."""
     seed = Fraction(seed)
-    if sum(p[0] * seed**i for i, p in enumerate(polys)) != 0:
+    heads = [p.coefficient(0, (0,) * len(p.variables)) for p in polys]
+    if sum(c * seed**i for i, c in enumerate(heads)) != 0:
         raise SeriesError(f"seed {seed} is not a root at z = 0")
-    if sum(i * p[0] * seed ** (i - 1) for i, p in enumerate(polys) if i) == 0:
+    if sum(i * c * seed ** (i - 1) for i, c in enumerate(heads) if i) == 0:
         raise SeriesError(f"seed {seed} is not a simple root at z = 0")
     dpolys = [p * i for i, p in enumerate(polys) if i]
-    f = Series.constant(seed, order)
+    f = Series.constant(seed, order, max((p.variables for p in polys), key=len))
     for _ in range(order + 2):
         val = poly_eval(polys, f)
         if val.is_zero():
@@ -413,6 +421,7 @@ class TestNewton:
             for polys, seed in (
                 (classII_III_cubic(order, 1), 1),
                 (_p312_root_cubic(order), 0),
+                (m312_kernel_cubic(order), 1),
             ):
                 got = algebraic_solve(polys, seed)
                 want = _algebraic_solve_at_full_order(polys, seed, order)
