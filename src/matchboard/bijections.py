@@ -9,10 +9,8 @@ points and permutations enter through kappa_prime and chi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import inf
-from operator import gt
 
 from .errors import InvalidObjectError, ParseError, PatternViolationError, _decoded
 from .model import (
@@ -21,6 +19,7 @@ from .model import (
     LabeledDyckPath,
     Matching,
     RookPlacement,
+    Value,
     kappa,
 )
 from .patterns import Pattern, as_patterns, find_arc_occurrence, lis_labels, offending_vertex
@@ -46,22 +45,24 @@ __all__ = [
     "check_fixed_point_class",
 ]
 
+# the constructor fills slots past the refusing __setattr__ of Value
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class NoncrossingPathPair:
+
+class NoncrossingPathPair(Value):
     """A pair of equal-length border paths with the bottom one never rising
     above the top one."""
 
-    bottom: DyckPath
-    top: DyckPath
+    _fields = ("bottom", "top")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        if len(self.bottom.steps) != len(self.top.steps):
+    def __init__(self, bottom: DyckPath, top: DyckPath):
+        if len(bottom.steps) != len(top.steps):
             raise InvalidObjectError("paths in a pair must have equal semilength")
-        if any(map(gt, self.bottom.heights, self.top.heights)):
-            raise InvalidObjectError(
-                f"bottom path {self.bottom.steps} rises above top {self.top.steps}"
-            )
+        if not bottom.never_above(top):
+            raise InvalidObjectError(f"bottom path {bottom.steps} rises above top {top.steps}")
+        _set(self, "bottom", bottom)
+        _set(self, "top", top)
 
     @property
     def n(self) -> int:

@@ -10,19 +10,35 @@ rows 1..n bottom to top, so a board in F_n sits under its border, a
 south-east lattice path from (0, n) to (n, 0) that stays weakly above the
 diagonal y = n - x.  Border vertices V_0..V_2n are 0-indexed; matching
 vertices are 1-indexed.
+
+Value protocol: every type here (and ``bijections.NoncrossingPathPair``)
+is a slotted subclass of ``Value``.  A constructor checks its input in one
+pass and refuses bad input with ``InvalidObjectError``; integer fields are
+read with ``operator.index``, so 1.5 or "1" is refused, never truncated or
+parsed.  The fields cannot be assigned or deleted.  ``==`` holds between
+objects of the same class with equal fields, ``hash`` is the hash of the
+tuple of fields, ``repr`` names every field, and pickling or copying
+rebuilds the object through its constructor.  An attribute such as
+``DyckPath.vertices`` is lazy: its slot holds None until the first read,
+which computes it once.
+
+Lane rule: ``DyckPath.never_above`` packs the heights of a path of
+semilength n into one int, one lane of w = n.bit_length() // 8 + 1 bytes
+per vertex, so every height is below 2^(8w - 1), the lane's top bit.  G
+has the top bit of every lane set, and bottom never rises above top iff
+((top | G) - bottom) & G == G.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, chain
+from operator import attrgetter, gt, index, lshift, sub
 
 from .errors import InvalidObjectError, ParseError, _decoded
 
 __all__ = [
+    "Value",
     "DyckPath",
     "FerrersBoard",
     "RookPlacement",
@@ -42,6 +58,78 @@ _INT = re.compile(r"-?[0-9]+")
 _STEP = {"E": 1, "S": -1}
 # (step, label change) of every jump a labeled path may make
 _JUMPS = {("E", 0), ("E", 1), ("S", 0), ("S", -1)}
+# the constructors fill slots past the refusing __setattr__ of Value
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value classes.  A subclass names its fields,
+    in constructor order, in ``_fields``, and lists them in its slots with
+    any attribute derived from them: an eager one such as
+    ``DyckPath.heights``, or the private slot of a lazy one, which holds
+    None until ``_keep`` fills it on the first read."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # reads the tuple of fields, or the field itself when there is one
+        cls._get = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        values = self._get(self)
+        return values if len(self._fields) > 1 else (values,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._get(self) == other._get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _keep(obj: Value, slot: str, value):
+    """Fill the slot of a lazy attribute on its first read; returns value."""
+    _set(obj, slot, value)
+    return value
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """The values read with ``operator.index``; the first value that is not
+    an integer is named in an InvalidObjectError."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for v in values:
+            try:
+                index(v)
+            except TypeError:
+                raise InvalidObjectError(f"{what} {v!r} is not an integer") from None
+        raise
+
+
+def _arc(arc) -> tuple[int, int]:
+    try:
+        i, j = arc
+        return index(i), index(j)
+    except (TypeError, ValueError):
+        raise InvalidObjectError(f"arc {arc!r} is not a pair of integers") from None
 
 
 def parse_int_list(text: str, what: str, empty: bool = False) -> tuple[int, ...]:
@@ -57,32 +145,41 @@ def parse_int_list(text: str, what: str, empty: bool = False) -> tuple[int, ...]
     return tuple(int(t) for t in items)
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(Value):
     """A path over steps E (east) and S (south) from (0, n) to (n, 0) that
-    stays weakly above the diagonal y = n - x."""
+    stays weakly above the diagonal y = n - x.  ``heights`` holds the
+    distances d_0..d_2n from each vertex to the diagonal; it is not a field."""
 
-    steps: str = ""
-    # distances d_0..d_2n from each vertex to the diagonal
-    heights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("steps",)
+    __slots__ = _fields + ("heights", "_vertices", "_peaks", "_aligned", "_lanes")
 
-    def __post_init__(self):
-        if set(self.steps) - {"E", "S"}:
-            raise InvalidObjectError(f"bad step characters in {self.steps!r}")
-        hs = tuple(accumulate(map(_STEP.__getitem__, self.steps), initial=0))
+    def __init__(self, steps: str = ""):
+        if not isinstance(steps, str):
+            raise InvalidObjectError(f"steps {steps!r} are not a string")
+        try:
+            hs = tuple(accumulate(map(_STEP.__getitem__, steps), initial=0))
+        except KeyError:
+            raise InvalidObjectError(f"bad step characters in {steps!r}") from None
         if min(hs) < 0:
-            raise InvalidObjectError(f"path {self.steps!r} crosses the diagonal")
+            raise InvalidObjectError(f"path {steps!r} crosses the diagonal")
         if hs[-1]:
-            raise InvalidObjectError(f"path {self.steps!r} is unbalanced")
-        object.__setattr__(self, "heights", hs)
+            raise InvalidObjectError(f"path {steps!r} is unbalanced")
+        _set(self, "steps", steps)
+        _set(self, "heights", hs)
+        _set(self, "_vertices", None)
+        _set(self, "_peaks", None)
+        _set(self, "_aligned", None)
+        _set(self, "_lanes", None)
 
     @property
     def n(self) -> int:
         return len(self.steps) // 2
 
-    @cached_property
+    @property
     def vertices(self) -> tuple[tuple[int, int], ...]:
         """Cartesian coordinates of V_0..V_2n."""
+        if self._vertices is not None:
+            return self._vertices
         x, y = 0, self.n
         out = [(x, y)]
         for ch in self.steps:
@@ -91,16 +188,15 @@ class DyckPath:
             else:
                 y -= 1
             out.append((x, y))
-        return tuple(out)
+        return _keep(self, "_vertices", tuple(out))
 
     def peak_indices(self) -> tuple[int, ...]:
         """Vertex indices i with an E step arriving and an S step leaving."""
-        return self._peak_indices
-
-    @cached_property
-    def _peak_indices(self) -> tuple[int, ...]:
+        if self._peaks is not None:
+            return self._peaks
         s = self.steps
-        return tuple(i for i in range(1, len(s)) if s[i - 1] == "E" and s[i] == "S")
+        peaks = tuple(i for i in range(1, len(s)) if s[i - 1] == "E" and s[i] == "S")
+        return _keep(self, "_peaks", peaks)
 
     def valley_indices(self) -> tuple[int, ...]:
         s = self.steps
@@ -110,10 +206,8 @@ class DyckPath:
         """Pairs (i, j) of vertex indices at equal height where the segment
         between them runs strictly under the path: each E step's start vertex
         paired with the end vertex of the matching S step."""
-        return self._aligned_pairs
-
-    @cached_property
-    def _aligned_pairs(self) -> tuple[tuple[int, int], ...]:
+        if self._aligned is not None:
+            return self._aligned
         stack: list[int] = []
         out = []
         for idx, ch in enumerate(self.steps):
@@ -121,7 +215,32 @@ class DyckPath:
                 stack.append(idx)
             else:
                 out.append((stack.pop(), idx + 1))
-        return tuple(sorted(out))
+        return _keep(self, "_aligned", tuple(sorted(out)))
+
+    def _pack(self) -> tuple[int, int]:
+        """The heights packed into one int, d_i in lane i, and the guard G
+        with the top bit of every lane set (see ``never_above``), kept in
+        the lazy slot ``_lanes``."""
+        w = self.n.bit_length() // 8 + 1
+        hs = self.heights
+        packed = sum(map(lshift, hs, range(0, 8 * w * len(hs), 8 * w)))
+        guard = int.from_bytes((bytes(w - 1) + b"\x80") * len(hs), "little")
+        return _keep(self, "_lanes", (packed, guard))
+
+    def never_above(self, other: "DyckPath") -> bool:
+        """True when no vertex of this path lies above the same vertex of
+        other, a path of the same semilength n.
+
+        Each lane is w = n.bit_length() // 8 + 1 bytes wide.  Since
+        8w - 1 >= n.bit_length(), every height b (here) and t (other) is
+        below 2^(8w - 1), the lane's top bit, so ``other | G`` holds
+        t + 2^(8w - 1) in each lane.  Subtracting b leaves
+        t + 2^(8w - 1) - b in the lane, which is at least 1 and below 2^(8w):
+        no lane borrows from the next, so the lanes of the difference are
+        computed independently, and each has its top bit set iff t >= b."""
+        bottom = (self._lanes or self._pack())[0]
+        top, guard = other._lanes or other._pack()
+        return ((top | guard) - bottom) & guard == guard
 
     @classmethod
     def from_heights(cls, heights) -> "DyckPath":
@@ -146,11 +265,15 @@ class DyckPath:
         return _decoded(cls, text.strip())
 
 
-@dataclass(frozen=True)
-class FerrersBoard:
+class FerrersBoard(Value):
     """A Ferrers board in F_n, stored as its border path."""
 
-    border: DyckPath
+    _fields = ("border",)
+    __slots__ = _fields + ("_column_heights",)
+
+    def __init__(self, border: DyckPath):
+        _set(self, "border", border)
+        _set(self, "_column_heights", None)
 
     @property
     def n(self) -> int:
@@ -171,8 +294,10 @@ class FerrersBoard:
         steps.append("S" * y)
         return cls(DyckPath("".join(steps)))
 
-    @cached_property
+    @property
     def column_heights(self) -> tuple[int, ...]:
+        if self._column_heights is not None:
+            return self._column_heights
         out = []
         y = self.n
         for ch in self.border.steps:
@@ -180,32 +305,31 @@ class FerrersBoard:
                 out.append(y)
             else:
                 y -= 1
-        return tuple(out)
+        return _keep(self, "_column_heights", tuple(out))
 
 
-@dataclass(frozen=True)
-class RookPlacement:
+class RookPlacement(Value):
     """A full rook placement: one rook in each row and column of the board.
 
     rook_rows[c-1] is the row of the rook in column c.
     """
 
-    board: FerrersBoard
-    rook_rows: tuple[int, ...]
+    _fields = ("board", "rook_rows")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        object.__setattr__(self, "rook_rows", tuple(self.rook_rows))
-        n = self.board.n
-        if sorted(self.rook_rows) != list(range(1, n + 1)):
-            raise InvalidObjectError(
-                f"rook rows {self.rook_rows} are not a permutation of 1..{n}"
+    def __init__(self, board: FerrersBoard, rook_rows):
+        rows = tuple(rook_rows)
+        n = board.n
+        if sorted(rows) != list(range(1, n + 1)):
+            raise InvalidObjectError(f"rook rows {rows} are not a permutation of 1..{n}")
+        heights = board.column_heights
+        if any(map(gt, rows, heights)):
+            c, r, h = next(
+                (c, r, h) for c, (r, h) in enumerate(zip(rows, heights), start=1) if r > h
             )
-        heights = self.board.column_heights
-        for c, r in enumerate(self.rook_rows, start=1):
-            if r > heights[c - 1]:
-                raise InvalidObjectError(
-                    f"rook ({c},{r}) lies outside column of height {heights[c - 1]}"
-                )
+            raise InvalidObjectError(f"rook ({c},{r}) lies outside column of height {h}")
+        _set(self, "board", board)
+        _set(self, "rook_rows", rows)
 
     @property
     def n(self) -> int:
@@ -229,29 +353,27 @@ class RookPlacement:
         return _decoded(cls, FerrersBoard(border), rooks)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Value):
     """A matching of [2n + k] given by n arcs (opener, closer) and k fixed
     points (vertices of degree 0); perfect when fixed_points is empty."""
 
-    arcs: tuple[tuple[int, int], ...]
-    fixed_points: tuple[int, ...] = ()
+    _fields = ("arcs", "fixed_points")
+    __slots__ = _fields + ("_shape",)
 
-    def __post_init__(self):
-        arcs = tuple(sorted((int(i), int(j)) for i, j in self.arcs))
-        fps = tuple(sorted(int(v) for v in self.fixed_points))
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "fixed_points", fps)
-        size = 2 * len(arcs) + len(fps)
-        seen = list(fps)
+    def __init__(self, arcs, fixed_points=()):
+        arcs = tuple(sorted(map(_arc, arcs)))
+        fps = tuple(sorted(_ints(fixed_points, "fixed point")))
         for i, j in arcs:
             if not i < j:
                 raise InvalidObjectError(f"arc ({i},{j}) must have opener < closer")
-            seen.extend((i, j))
-        if sorted(seen) != list(range(1, size + 1)):
+        size = 2 * len(arcs) + len(fps)
+        if sorted(chain(fps, *arcs)) != list(range(1, size + 1)):
             raise InvalidObjectError(
                 f"arcs {arcs} and fixed points {fps} do not partition [{size}]"
             )
+        _set(self, "arcs", arcs)
+        _set(self, "fixed_points", fps)
+        _set(self, "_shape", None)
 
     @property
     def n(self) -> int:
@@ -261,9 +383,11 @@ class Matching:
     def size(self) -> int:
         return 2 * len(self.arcs) + len(self.fixed_points)
 
-    @cached_property
+    @property
     def shape(self) -> DyckPath:
         """Border path read off the opener/closer word, fixed points skipped."""
+        if self._shape is not None:
+            return self._shape
         fixed = set(self.fixed_points)
         openers = {i for i, _ in self.arcs}
         steps = [
@@ -271,7 +395,7 @@ class Matching:
             for v in range(1, self.size + 1)
             if v not in fixed
         ]
-        return DyckPath("".join(steps))
+        return _keep(self, "_shape", DyckPath("".join(steps)))
 
     def to_text(self) -> str:
         arc_part = "".join(f"({i},{j})" for i, j in self.arcs)
@@ -308,32 +432,33 @@ class Matching:
         return _decoded(cls, tuple(arcs), fps)
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(Value):
     """A partition of [n] into blocks, with arcs joining consecutive
     elements inside each block."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    _fields = ("blocks",)
+    __slots__ = _fields + ("_arcs",)
 
-    def __post_init__(self):
-        blocks = tuple(
-            sorted((tuple(sorted(int(v) for v in b)) for b in self.blocks if b))
-        )
-        object.__setattr__(self, "blocks", blocks)
-        elems = sorted(v for b in blocks for v in b)
+    def __init__(self, blocks):
+        blocks = tuple(sorted(tuple(sorted(_ints(b, "block element"))) for b in blocks if b))
+        elems = sorted(chain(*blocks))
         if elems != list(range(1, len(elems) + 1)):
             raise InvalidObjectError(f"blocks {blocks} do not partition [{len(elems)}]")
+        _set(self, "blocks", blocks)
+        _set(self, "_arcs", None)
 
     @property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    @cached_property
+    @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
+        if self._arcs is not None:
+            return self._arcs
         out = []
         for b in self.blocks:
             out.extend(zip(b, b[1:]))
-        return tuple(sorted(out))
+        return _keep(self, "_arcs", tuple(sorted(out)))
 
     def to_text(self) -> str:
         return "".join("{" + ",".join(str(v) for v in b) + "}" for b in self.blocks)
@@ -353,27 +478,27 @@ class SetPartition:
         return _decoded(cls, tuple(blocks))
 
 
-@dataclass(frozen=True)
-class LabeledDyckPath:
+class LabeledDyckPath(Value):
     """A Dyck path whose vertices carry integer labels that change by at
     most one along each step, rising weakly on E and falling weakly on S."""
 
-    path: DyckPath
-    labels: tuple[int, ...]
+    _fields = ("path", "labels")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        labels = tuple(map(int, self.labels))
-        object.__setattr__(self, "labels", labels)
-        steps = self.path.steps
+    def __init__(self, path: DyckPath, labels):
+        labels = _ints(labels, "label")
+        steps = path.steps
         if len(labels) != len(steps) + 1:
-            raise InvalidObjectError(
-                f"expected {len(steps) + 1} labels, got {len(labels)}"
+            raise InvalidObjectError(f"expected {len(steps) + 1} labels, got {len(labels)}")
+        if not _JUMPS.issuperset(zip(steps, map(sub, labels[1:], labels))):
+            idx, ch, a, b = next(
+                (idx, ch, a, b)
+                for idx, (ch, a, b) in enumerate(zip(steps, labels, labels[1:]))
+                if (ch, b - a) not in _JUMPS
             )
-        if _JUMPS.issuperset(zip(steps, map(sub, labels[1:], labels))):
-            return
-        for idx, (ch, a, b) in enumerate(zip(steps, labels, labels[1:])):
-            if (ch, b - a) not in _JUMPS:
-                raise InvalidObjectError(f"label jump {a}->{b} on {ch} step {idx}")
+            raise InvalidObjectError(f"label jump {a}->{b} on {ch} step {idx}")
+        _set(self, "path", path)
+        _set(self, "labels", labels)
 
     def to_text(self) -> str:
         return self.path.steps + ";" + ",".join(str(a) for a in self.labels)
@@ -387,13 +512,13 @@ class LabeledDyckPath:
         return _decoded(cls, DyckPath.from_text(steps), labels)
 
 
-@dataclass(frozen=True)
-class PathStats:
-    valleys: int
-    peaks: int
-    returns: int
-    height: int
-    eta: int
+class PathStats(Value):
+    _fields = ("valleys", "peaks", "returns", "height", "eta")
+    __slots__ = _fields
+
+    def __init__(self, valleys: int, peaks: int, returns: int, height: int, eta: int):
+        for name, value in zip(self._fields, (valleys, peaks, returns, height, eta)):
+            _set(self, name, value)
 
 
 def statistics(path: DyckPath) -> PathStats:

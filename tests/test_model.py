@@ -1,6 +1,12 @@
 """Core object model: paths, boards, placements, matchings, partitions."""
 
+import copy
+import pickle
+from operator import gt
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchboard.bijections import NoncrossingPathPair, kappa_prime
 from matchboard.errors import InvalidObjectError, ParseError
@@ -10,6 +16,7 @@ from matchboard.model import (
     FerrersBoard,
     LabeledDyckPath,
     Matching,
+    PathStats,
     RookPlacement,
     SetPartition,
     gamma_restriction,
@@ -267,6 +274,14 @@ VALIDATOR_MESSAGES = [
         lambda: count_fixed_point_class(1, 1, ("321", "213")),
         "no fixed-point class for pattern 213,321",
     ),
+    # integer fields are read with operator.index: nothing is truncated,
+    # parsed or unpacked into a ValueError
+    (lambda: Matching(((1.5, 2),)), "arc (1.5, 2) is not a pair of integers"),
+    (lambda: Matching((("a", 2),)), "arc ('a', 2) is not a pair of integers"),
+    (lambda: Matching(((1, 2, 3),)), "arc (1, 2, 3) is not a pair of integers"),
+    (lambda: SetPartition(((1, 2.0),)), "block element 2.0 is not an integer"),
+    (lambda: LabeledDyckPath(DyckPath("ES"), (0, 1.0, 0)), "label 1.0 is not an integer"),
+    (lambda: DyckPath(["E", "S"]), "steps ['E', 'S'] are not a string"),
 ]
 
 # the same for the parsers, which raise ParseError
@@ -284,3 +299,130 @@ def test_validator_messages(error, build, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+# one object of each value class, its fields by name, and its repr as the
+# frozen dataclasses printed it
+_D = DyckPath("EESESS")
+VALUES = [
+    (_D, {"steps": "EESESS"}, "DyckPath(steps='EESESS')"),
+    (FerrersBoard(_D), {"border": _D}, "FerrersBoard(border=DyckPath(steps='EESESS'))"),
+    (
+        RookPlacement(FerrersBoard(_D), (3, 1, 2)),
+        {"board": FerrersBoard(_D), "rook_rows": (3, 1, 2)},
+        "RookPlacement(board=FerrersBoard(border=DyckPath(steps='EESESS')),"
+        " rook_rows=(3, 1, 2))",
+    ),
+    (
+        Matching(((1, 6), (3, 4)), (2, 5)),
+        {"arcs": ((1, 6), (3, 4)), "fixed_points": (2, 5)},
+        "Matching(arcs=((1, 6), (3, 4)), fixed_points=(2, 5))",
+    ),
+    (
+        SetPartition(((1, 3), (2,), (4,))),
+        {"blocks": ((1, 3), (2,), (4,))},
+        "SetPartition(blocks=((1, 3), (2,), (4,)))",
+    ),
+    (
+        LabeledDyckPath(DyckPath("ES"), (0, 1, 0)),
+        {"path": DyckPath("ES"), "labels": (0, 1, 0)},
+        "LabeledDyckPath(path=DyckPath(steps='ES'), labels=(0, 1, 0))",
+    ),
+    (
+        statistics(_D),
+        {"valleys": 1, "peaks": 2, "returns": 1, "height": 2, "eta": 2},
+        "PathStats(valleys=1, peaks=2, returns=1, height=2, eta=2)",
+    ),
+    (
+        NoncrossingPathPair(DyckPath("ESESES"), _D),
+        {"bottom": DyckPath("ESESES"), "top": _D},
+        "NoncrossingPathPair(bottom=DyckPath(steps='ESESES'), top=DyckPath(steps='EESESS'))",
+    ),
+]
+
+
+@pytest.mark.parametrize("obj, fields, text", VALUES, ids=[type(v[0]).__name__ for v in VALUES])
+class TestValueClass:
+    def test_equality_and_hash_read_the_fields(self, obj, fields, text):
+        values = tuple(fields.values())
+        for twin in (type(obj)(*values), type(obj)(**fields)):
+            assert twin == obj and not twin != obj
+            assert hash(twin) == hash(obj) == hash(values)
+        # same class only: never equal to its fields or to another class
+        assert obj != values and obj != values[0]
+        assert all(obj != other for other, *_ in VALUES if other is not obj)
+
+    def test_repr(self, obj, fields, text):
+        assert repr(obj) == text
+
+    def test_fields_cannot_be_assigned_or_deleted(self, obj, fields, text):
+        for name in [*fields, "other"]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert [getattr(obj, name) for name in fields] == list(fields.values())
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal(self, obj, fields, text, clone):
+        got = clone(obj)
+        assert type(got) is type(obj) and got == obj and repr(got) == text
+
+
+def test_path_equality_ignores_heights_and_lazy_attributes():
+    a, b = DyckPath("EESESS"), DyckPath("EESESS")
+    a.vertices, a.peak_indices(), a.aligned_pairs(), a.never_above(a)
+    assert a == b and hash(a) == hash(b) == hash(("EESESS",))
+    assert Matching(((1, 2),)) != ((1, 2),)
+    assert PathStats(0, 1, 1, 1, 0) == statistics(DyckPath("ES"))
+
+
+SEMILENGTHS = [*range(1, 9), *range(126, 131)]
+
+
+@st.composite
+def dyck_heights(draw, n: int) -> list[int]:
+    """The heights of a Dyck path of semilength n.  It climbs a drawn number
+    of steps first, so paths whose heights reach the top bit of a one-byte
+    lane (64 and up at n = 126, 127) are common."""
+    climb = draw(st.integers(0, n))
+    hs, east = [0], 0
+    for i in range(2 * n):
+        h = hs[-1]
+        up = east < n and (i < climb or h == 0 or draw(st.booleans()))
+        east += up
+        hs.append(h + 1 if up else h - 1)
+    return hs
+
+
+def _moved(hs: list[int]) -> list[int]:
+    """hs with one vertex moved by 2: its first valley raised, or the first
+    peak of height 2 or more lowered (a path of semilength >= 2 has one)."""
+    for i in range(1, len(hs) - 1):
+        if hs[i - 1] == hs[i + 1] and (hs[i] < hs[i - 1] or hs[i] >= 2):
+            return hs[:i] + [hs[i] + (2 if hs[i] < hs[i - 1] else -2)] + hs[i + 1:]
+    return hs
+
+
+@pytest.mark.parametrize("n", SEMILENGTHS)
+def test_packed_check_equals_the_definition(n):
+    # never_above against "no bottom height exceeds the top height" on random
+    # pairs, their pointwise min and max, and pairs one vertex apart
+    seen = set()
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def check(data):
+        x, y = data.draw(dyck_heights(n)), data.draw(dyck_heights(n))
+        lo, hi = [min(a, b) for a, b in zip(x, y)], [max(a, b) for a, b in zip(x, y)]
+        for bottom, top in [(x, y), (y, x), (lo, hi), (hi, lo), (x, _moved(x)), (_moved(x), x)]:
+            b, t = DyckPath.from_heights(bottom), DyckPath.from_heights(top)
+            want = not any(map(gt, b.heights, t.heights))
+            assert b.never_above(t) is want
+            seen.add(want)
+
+    check()
+    assert seen == ({True} if n == 1 else {True, False})

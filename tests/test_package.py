@@ -42,12 +42,12 @@ def test_every_import_is_used(name):
 
 def loaded_modules(code: str) -> set[str]:
     """The matchboard modules held by a fresh interpreter after running code,
-    and "dataclasses" when the code loaded it."""
+    and "dataclasses" or "inspect" when the code loaded it."""
     src = os.path.dirname(matchboard.__path__[0])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     report = (
         "print(*(m for m in sys.modules if m.split('.')[0] == 'matchboard'"
-        " or m == 'dataclasses' and m not in before))"
+        " or m in ('dataclasses', 'inspect') and m not in before))"
     )
     done = subprocess.run(
         [sys.executable, "-c", f"import sys; before = set(sys.modules)\n{code}\n{report}"],
@@ -82,6 +82,40 @@ def test_cross_check_with_a_scan_oracle_loads_no_object_model():
     assert "matchboard.families" in loaded
     unused = {"matchboard.model", "matchboard.bijections", "dataclasses"}
     assert not loaded & unused, sorted(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "all", "--max-n", "4"],
+        ["apply", "--map", "kappa", "--input", "(1,6)(2,12)(3,4)(5,7)(8,10)(9,11)"],
+        ["apply", "--map", "delta321", "--input", "border:EEESESSEESSS;rooks:5,1,6,4,3,2"],
+        ["count", "--family", "pair", "--n", "4"],
+        ["count", "--family", "placement-minimal", "--n", "4", "--avoid", "321"],
+        ["count", "--family", "labeled-L-peak", "--n", "4"],
+        ["cross-check", "--formula", "dnk_pairs", "--max-n", "5"],
+    ],
+    ids=["verify", "apply-kappa", "apply-delta321", "count-pairs", "count-minimal",
+         "count-labeled", "cross-check-dnk-pairs"],
+)
+def test_object_model_loads_no_dataclasses(argv):
+    # the value classes are slotted classes, so building objects loads
+    # neither dataclasses nor the inspect module it imports
+    loaded = loaded_modules(f"from matchboard import cli\nassert cli.main({argv!r}) == 0")
+    assert "matchboard.model" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_dataclasses(name):
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "dataclasses" not in imported
 
 
 def test_series_loads_only_errors():
