@@ -11,15 +11,15 @@ from __future__ import annotations
 
 from enum import Enum
 from math import inf
+from operator import gt
 
-from .errors import InvalidObjectError, ParseError, PatternViolationError, _decoded
+from .errors import InvalidObjectError, ParseError, PatternViolationError, Value, _decoded
 from .model import (
     DyckPath,
     FerrersBoard,
     LabeledDyckPath,
     Matching,
     RookPlacement,
-    Value,
     kappa,
 )
 from .patterns import Pattern, as_patterns, find_arc_occurrence, lis_labels, offending_vertex
@@ -59,7 +59,7 @@ class NoncrossingPathPair(Value):
     def __init__(self, bottom: DyckPath, top: DyckPath):
         if len(bottom.steps) != len(top.steps):
             raise InvalidObjectError("paths in a pair must have equal semilength")
-        if not bottom.never_above(top):
+        if any(map(gt, bottom.heights, top.heights)):
             raise InvalidObjectError(f"bottom path {bottom.steps} rises above top {top.steps}")
         _set(self, "bottom", bottom)
         _set(self, "top", top)

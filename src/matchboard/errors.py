@@ -1,5 +1,8 @@
-"""Exception hierarchy shared by all matchboard modules, and the helper
-that reports an object decoded from bad text as a ParseError."""
+"""Exception hierarchy shared by all matchboard modules, the base of the
+immutable value classes, and the helper that reports an object decoded
+from bad text as a ParseError."""
+
+from operator import attrgetter
 
 __all__ = [
     "MatchboardError",
@@ -9,6 +12,7 @@ __all__ = [
     "ResourceCapError",
     "SeriesError",
     "DivisibilityError",
+    "Value",
 ]
 
 
@@ -56,3 +60,44 @@ def _decoded(cls, *args):
         return cls(*args)
     except InvalidObjectError as e:
         raise ParseError(str(e)) from e
+
+
+class Value:
+    """Base of the immutable value classes.  A subclass names its fields,
+    in constructor order, in ``_fields``, and lists them in its slots with
+    any attribute derived from them: an eager one such as
+    ``DyckPath.heights``, or the private slot of a lazy one, which holds
+    None until the first read fills it."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # reads the tuple of fields, or the field itself when there is one
+        cls._get = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        values = self._get(self)
+        return values if len(self._fields) > 1 else (values,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._get(self) == other._get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()

@@ -12,33 +12,28 @@ diagonal y = n - x.  Border vertices V_0..V_2n are 0-indexed; matching
 vertices are 1-indexed.
 
 Value protocol: every type here (and ``bijections.NoncrossingPathPair``)
-is a slotted subclass of ``Value``.  A constructor checks its input in one
-pass and refuses bad input with ``InvalidObjectError``; integer fields are
-read with ``operator.index``, so 1.5 or "1" is refused, never truncated or
-parsed.  The fields cannot be assigned or deleted.  ``==`` holds between
-objects of the same class with equal fields, ``hash`` is the hash of the
-tuple of fields, ``repr`` names every field, and pickling or copying
-rebuilds the object through its constructor.  An attribute such as
-``DyckPath.vertices`` is lazy: its slot holds None until the first read,
-which computes it once.
-
-Lane rule: ``DyckPath.never_above`` packs the heights of a path of
-semilength n into one int, one lane of w = n.bit_length() // 8 + 1 bytes
-per vertex, so every height is below 2^(8w - 1), the lane's top bit.  G
-has the top bit of every lane set, and bottom never rises above top iff
-((top | G) - bottom) & G == G.
+is a slotted subclass of ``errors.Value``.  A constructor checks its input
+in one pass and refuses bad input with ``InvalidObjectError``; integer
+fields (rook rows, arcs, fixed points, block elements, labels) are read
+with ``operator.index``, so 1.5 or "1" is refused, never truncated or
+parsed.  ``PathStats``, the record ``statistics`` returns, checks nothing
+and keeps its fields as given.  The fields cannot be assigned or
+deleted.  ``==`` holds between objects of the same class with equal
+fields, ``hash`` is the hash of the tuple of fields, ``repr`` names every
+field, and pickling or copying rebuilds the object through its
+constructor.  An attribute such as ``DyckPath.vertices`` is lazy: its slot
+holds None until the first read, which computes it once.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import accumulate, chain
-from operator import attrgetter, gt, index, lshift, sub
+from operator import gt, index, sub
 
-from .errors import InvalidObjectError, ParseError, _decoded
+from .errors import InvalidObjectError, ParseError, Value, _decoded
 
 __all__ = [
-    "Value",
     "DyckPath",
     "FerrersBoard",
     "RookPlacement",
@@ -60,47 +55,6 @@ _STEP = {"E": 1, "S": -1}
 _JUMPS = {("E", 0), ("E", 1), ("S", 0), ("S", -1)}
 # the constructors fill slots past the refusing __setattr__ of Value
 _set = object.__setattr__
-
-
-class Value:
-    """Base of the immutable value classes.  A subclass names its fields,
-    in constructor order, in ``_fields``, and lists them in its slots with
-    any attribute derived from them: an eager one such as
-    ``DyckPath.heights``, or the private slot of a lazy one, which holds
-    None until ``_keep`` fills it on the first read."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        # reads the tuple of fields, or the field itself when there is one
-        cls._get = attrgetter(*cls._fields)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        values = self._get(self)
-        return values if len(self._fields) > 1 else (values,)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._get(self) == other._get(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 def _keep(obj: Value, slot: str, value):
@@ -151,7 +105,7 @@ class DyckPath(Value):
     distances d_0..d_2n from each vertex to the diagonal; it is not a field."""
 
     _fields = ("steps",)
-    __slots__ = _fields + ("heights", "_vertices", "_peaks", "_aligned", "_lanes")
+    __slots__ = _fields + ("heights", "_vertices", "_peaks", "_aligned")
 
     def __init__(self, steps: str = ""):
         if not isinstance(steps, str):
@@ -169,7 +123,6 @@ class DyckPath(Value):
         _set(self, "_vertices", None)
         _set(self, "_peaks", None)
         _set(self, "_aligned", None)
-        _set(self, "_lanes", None)
 
     @property
     def n(self) -> int:
@@ -216,31 +169,6 @@ class DyckPath(Value):
             else:
                 out.append((stack.pop(), idx + 1))
         return _keep(self, "_aligned", tuple(sorted(out)))
-
-    def _pack(self) -> tuple[int, int]:
-        """The heights packed into one int, d_i in lane i, and the guard G
-        with the top bit of every lane set (see ``never_above``), kept in
-        the lazy slot ``_lanes``."""
-        w = self.n.bit_length() // 8 + 1
-        hs = self.heights
-        packed = sum(map(lshift, hs, range(0, 8 * w * len(hs), 8 * w)))
-        guard = int.from_bytes((bytes(w - 1) + b"\x80") * len(hs), "little")
-        return _keep(self, "_lanes", (packed, guard))
-
-    def never_above(self, other: "DyckPath") -> bool:
-        """True when no vertex of this path lies above the same vertex of
-        other, a path of the same semilength n.
-
-        Each lane is w = n.bit_length() // 8 + 1 bytes wide.  Since
-        8w - 1 >= n.bit_length(), every height b (here) and t (other) is
-        below 2^(8w - 1), the lane's top bit, so ``other | G`` holds
-        t + 2^(8w - 1) in each lane.  Subtracting b leaves
-        t + 2^(8w - 1) - b in the lane, which is at least 1 and below 2^(8w):
-        no lane borrows from the next, so the lanes of the difference are
-        computed independently, and each has its top bit set iff t >= b."""
-        bottom = (self._lanes or self._pack())[0]
-        top, guard = other._lanes or other._pack()
-        return ((top | guard) - bottom) & guard == guard
 
     @classmethod
     def from_heights(cls, heights) -> "DyckPath":
@@ -318,7 +246,7 @@ class RookPlacement(Value):
     __slots__ = _fields
 
     def __init__(self, board: FerrersBoard, rook_rows):
-        rows = tuple(rook_rows)
+        rows = _ints(rook_rows, "rook row")
         n = board.n
         if sorted(rows) != list(range(1, n + 1)):
             raise InvalidObjectError(f"rook rows {rows} are not a permutation of 1..{n}")

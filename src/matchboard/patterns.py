@@ -13,7 +13,7 @@ import bisect
 from functools import lru_cache
 from math import inf
 
-from .errors import InvalidObjectError, ParseError, _decoded
+from .errors import InvalidObjectError, ParseError, Value, _decoded
 
 __all__ = [
     "Pattern",
@@ -29,11 +29,12 @@ __all__ = [
 ]
 
 
-class Pattern:
+class Pattern(Value):
     """A permutation of [k] in one-line notation.  It is immutable, and two
     patterns are equal when their entries are."""
 
-    __slots__ = ("perm",)
+    _fields = ("perm",)
+    __slots__ = _fields
 
     def __init__(self, perm):
         perm = tuple(int(v) for v in perm)
@@ -42,24 +43,6 @@ class Pattern:
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise InvalidObjectError(f"{perm} is not a permutation of [k]")
         object.__setattr__(self, "perm", perm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return self.perm == other.perm if isinstance(other, Pattern) else NotImplemented
-
-    def __hash__(self):
-        return hash((self.perm,))
-
-    def __repr__(self):
-        return f"Pattern(perm={self.perm!r})"
-
-    def __reduce__(self):
-        return Pattern, (self.perm,)
 
     def __len__(self):
         return len(self.perm)

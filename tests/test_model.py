@@ -2,11 +2,8 @@
 
 import copy
 import pickle
-from operator import gt
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from matchboard.bijections import NoncrossingPathPair, kappa_prime
 from matchboard.errors import InvalidObjectError, ParseError
@@ -25,6 +22,7 @@ from matchboard.model import (
     partition_to_matching,
     statistics,
 )
+from matchboard.patterns import Pattern
 
 
 class TestDyckPath:
@@ -282,6 +280,10 @@ VALIDATOR_MESSAGES = [
     (lambda: SetPartition(((1, 2.0),)), "block element 2.0 is not an integer"),
     (lambda: LabeledDyckPath(DyckPath("ES"), (0, 1.0, 0)), "label 1.0 is not an integer"),
     (lambda: DyckPath(["E", "S"]), "steps ['E', 'S'] are not a string"),
+    (
+        lambda: RookPlacement(FerrersBoard(DyckPath("EESS")), (2.0, 1)),
+        "rook row 2.0 is not an integer",
+    ),
 ]
 
 # the same for the parsers, which raise ParseError
@@ -301,8 +303,9 @@ def test_validator_messages(error, build, message):
     assert str(info.value) == message
 
 
-# one object of each value class, its fields by name, and its repr as the
-# frozen dataclasses printed it
+# one object of each value class, its fields by name, and its repr as it
+# was printed before the classes shared Value: by the frozen dataclasses of
+# the model types and by the hand-written protocol of Pattern
 _D = DyckPath("EESESS")
 VALUES = [
     (_D, {"steps": "EESESS"}, "DyckPath(steps='EESESS')"),
@@ -338,6 +341,7 @@ VALUES = [
         {"bottom": DyckPath("ESESES"), "top": _D},
         "NoncrossingPathPair(bottom=DyckPath(steps='ESESES'), top=DyckPath(steps='EESESS'))",
     ),
+    (Pattern((2, 1, 3)), {"perm": (2, 1, 3)}, "Pattern(perm=(2, 1, 3))"),
 ]
 
 
@@ -374,55 +378,7 @@ class TestValueClass:
 
 def test_path_equality_ignores_heights_and_lazy_attributes():
     a, b = DyckPath("EESESS"), DyckPath("EESESS")
-    a.vertices, a.peak_indices(), a.aligned_pairs(), a.never_above(a)
+    a.vertices, a.peak_indices(), a.aligned_pairs()
     assert a == b and hash(a) == hash(b) == hash(("EESESS",))
     assert Matching(((1, 2),)) != ((1, 2),)
     assert PathStats(0, 1, 1, 1, 0) == statistics(DyckPath("ES"))
-
-
-SEMILENGTHS = [*range(1, 9), *range(126, 131)]
-
-
-@st.composite
-def dyck_heights(draw, n: int) -> list[int]:
-    """The heights of a Dyck path of semilength n.  It climbs a drawn number
-    of steps first, so paths whose heights reach the top bit of a one-byte
-    lane (64 and up at n = 126, 127) are common."""
-    climb = draw(st.integers(0, n))
-    hs, east = [0], 0
-    for i in range(2 * n):
-        h = hs[-1]
-        up = east < n and (i < climb or h == 0 or draw(st.booleans()))
-        east += up
-        hs.append(h + 1 if up else h - 1)
-    return hs
-
-
-def _moved(hs: list[int]) -> list[int]:
-    """hs with one vertex moved by 2: its first valley raised, or the first
-    peak of height 2 or more lowered (a path of semilength >= 2 has one)."""
-    for i in range(1, len(hs) - 1):
-        if hs[i - 1] == hs[i + 1] and (hs[i] < hs[i - 1] or hs[i] >= 2):
-            return hs[:i] + [hs[i] + (2 if hs[i] < hs[i - 1] else -2)] + hs[i + 1:]
-    return hs
-
-
-@pytest.mark.parametrize("n", SEMILENGTHS)
-def test_packed_check_equals_the_definition(n):
-    # never_above against "no bottom height exceeds the top height" on random
-    # pairs, their pointwise min and max, and pairs one vertex apart
-    seen = set()
-
-    @given(st.data())
-    @settings(max_examples=25, deadline=None)
-    def check(data):
-        x, y = data.draw(dyck_heights(n)), data.draw(dyck_heights(n))
-        lo, hi = [min(a, b) for a, b in zip(x, y)], [max(a, b) for a, b in zip(x, y)]
-        for bottom, top in [(x, y), (y, x), (lo, hi), (hi, lo), (x, _moved(x)), (_moved(x), x)]:
-            b, t = DyckPath.from_heights(bottom), DyckPath.from_heights(top)
-            want = not any(map(gt, b.heights, t.heights))
-            assert b.never_above(t) is want
-            seen.add(want)
-
-    check()
-    assert seen == ({True} if n == 1 else {True, False})
