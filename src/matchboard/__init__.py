@@ -17,7 +17,6 @@ __all__ = [
     "ResourceCapError",
     "SeriesError",
     "DyckPath",
-    "FerrersBoard",
     "LabeledDyckPath",
     "Matching",
     "PathStats",

@@ -10,13 +10,13 @@ points and permutations enter through kappa_prime and chi.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import accumulate
 from math import inf
 from operator import gt
 
 from .errors import InvalidObjectError, ParseError, PatternViolationError, Value, _decoded
 from .model import (
     DyckPath,
-    FerrersBoard,
     LabeledDyckPath,
     Matching,
     RookPlacement,
@@ -99,7 +99,7 @@ def _require_avoiding(p: RookPlacement, pattern: Pattern, map_name: str) -> None
 
 def j_sequence(p: RookPlacement) -> tuple[int, ...]:
     """The sequence 2*lis_i - h_i along the border."""
-    hs = p.board.border.heights
+    hs = p.border.heights
     return tuple(2 * l - h for l, h in zip(lis_labels(p), hs))
 
 
@@ -107,7 +107,7 @@ def delta321(p: RookPlacement) -> NoncrossingPathPair:
     """Bottom path with height sequence 2*lis_i - h_i under the board border."""
     _require_avoiding(p, Pattern((3, 2, 1)), "delta321")
     bottom = DyckPath.from_heights(j_sequence(p))
-    return NoncrossingPathPair(bottom, p.board.border)
+    return NoncrossingPathPair(bottom, p.border)
 
 
 def delta321_by_switch(p: RookPlacement) -> NoncrossingPathPair:
@@ -116,12 +116,12 @@ def delta321_by_switch(p: RookPlacement) -> NoncrossingPathPair:
     _require_avoiding(p, Pattern((3, 2, 1)), "delta321_by_switch")
     labels = lis_labels(p)
     flipped = []
-    for idx, ch in enumerate(p.board.border.steps):
+    for idx, ch in enumerate(p.border.steps):
         if labels[idx] == labels[idx + 1]:
             flipped.append("S" if ch == "E" else "E")
         else:
             flipped.append(ch)
-    return NoncrossingPathPair(DyckPath("".join(flipped)), p.board.border)
+    return NoncrossingPathPair(DyckPath("".join(flipped)), p.border)
 
 
 def delta321_inv(pair: NoncrossingPathPair) -> RookPlacement:
@@ -140,10 +140,10 @@ def delta321_inv(pair: NoncrossingPathPair) -> RookPlacement:
     for v, h, j in zip(pair.top.vertices, pair.top.heights, pair.bottom.heights):
         l = (h + j) // 2
         shape[v] = (l, h - l)
-    board = FerrersBoard(pair.top)
-    rook_rows = [0] * board.n
-    for c in range(board.n, 0, -1):
-        for r in range(board.column_heights[c - 1], 0, -1):
+    n = pair.n
+    rook_rows = [0] * n
+    for c in range(n, 0, -1):
+        for r in range(pair.top.column_heights[c - 1], 0, -1):
             lam, mu, nu = shape[c, r], shape[c - 1, r], shape[c, r - 1]
             if mu != nu:
                 rho = (min(mu[0], nu[0]), min(mu[1], nu[1]))
@@ -156,47 +156,46 @@ def delta321_inv(pair: NoncrossingPathPair) -> RookPlacement:
             else:
                 rho = (mu[0] - 1, mu[1])
             shape[c - 1, r - 1] = rho
-    return RookPlacement(board, tuple(rook_rows))
+    return RookPlacement(pair.top, tuple(rook_rows))
 
 
-def minimal_board(rook_rows) -> FerrersBoard:
-    """Smallest Ferrers board containing rooks at (c, rook_rows[c-1])."""
-    rows = list(rook_rows)
-    heights = []
-    running = 0
-    for r in reversed(rows):
-        running = max(running, r)
-        heights.append(running)
-    heights.reverse()
-    return FerrersBoard.from_column_heights(heights)
+def minimal_board(rook_rows) -> DyckPath:
+    """Border of the smallest Ferrers board containing rooks at
+    (c, rook_rows[c-1]): column c is as high as the highest rook from c on."""
+    rows = tuple(rook_rows)
+    steps = []
+    y = len(rows)
+    for h in reversed(tuple(accumulate(reversed(rows), max))):
+        steps.append("S" * (y - h) + "E")
+        y = h
+    return DyckPath("".join(steps) + "S" * y)
 
 
 def delta213(p: RookPlacement) -> NoncrossingPathPair:
     """Bottom path given by the border of the smallest board containing the
     rooks."""
     _require_avoiding(p, Pattern((2, 1, 3)), "delta213")
-    return NoncrossingPathPair(minimal_board(p.rook_rows).border, p.board.border)
+    return NoncrossingPathPair(minimal_board(p.rook_rows), p.border)
 
 
 def delta213_inv(pair: NoncrossingPathPair) -> RookPlacement:
     """Rebuild the rooks from the bottom board, filling rows top to bottom
     with a rook in the rightmost unused column, then embed in the top board."""
-    inner = FerrersBoard(pair.bottom)
-    n = inner.n
-    heights = inner.column_heights
+    n = pair.n
+    heights = pair.bottom.column_heights
     used: set[int] = set()
     rook_rows = [0] * n
     for r in range(n, 0, -1):
         col = max(c for c in range(1, n + 1) if heights[c - 1] >= r and c not in used)
         used.add(col)
         rook_rows[col - 1] = r
-    return RookPlacement(FerrersBoard(pair.top), tuple(rook_rows))
+    return RookPlacement(pair.top, tuple(rook_rows))
 
 
 def pi_labeling(p: RookPlacement) -> LabeledDyckPath:
     """Label each border vertex with its increasing-subsequence length."""
     _require_avoiding(p, Pattern((3, 1, 2)), "pi_labeling")
-    return LabeledDyckPath(p.board.border, lis_labels(p))
+    return LabeledDyckPath(p.border, lis_labels(p))
 
 
 _FP_CONFIGS = {
@@ -251,10 +250,10 @@ def kappa_prime(m: Matching, tau) -> RookPlacement:
 def board_minimal(p: RookPlacement) -> bool:
     """True when the board is the smallest one containing the rooks, i.e.
     every peak corner square holds a rook."""
-    verts = p.board.border.vertices
+    verts = p.border.vertices
     return all(
         p.rook_row(verts[i][0]) == verts[i][1]
-        for i in p.board.border.peak_indices()
+        for i in p.border.peak_indices()
     )
 
 
@@ -319,7 +318,7 @@ def a2_member(pair: NoncrossingPathPair) -> bool:
     """No bottom-path peak lies strictly south and strictly west of a vertex
     of the top path."""
     n = pair.n
-    top_heights = FerrersBoard(pair.top).column_heights
+    top_heights = pair.top.column_heights
     verts = pair.bottom.vertices
     for i in pair.bottom.peak_indices():
         x, y = verts[i]

@@ -65,12 +65,12 @@ def _kappa_roundtrip(sizes) -> dict:
 
 
 def _avoiders(sizes, perm):
-    """Each board of each size, with its placements that avoid perm."""
+    """Each border of each size, with its placements that avoid perm."""
     pats = (Pattern(perm),)
     for n in sizes:
-        for board in families.boards(n):
-            ps = families.placements_on_board(board)
-            yield board, [p for p in ps if placement_avoids(p, pats)]
+        for border in families.boards(n):
+            ps = families.placements_on_board(border)
+            yield border, [p for p in ps if placement_avoids(p, pats)]
 
 
 def _delta321_switch(sizes) -> dict:
@@ -95,9 +95,9 @@ def _delta_inverses(sizes) -> dict:
 
 def _delta_images(sizes) -> dict:
     ok = all(
-        {delta(p).bottom.steps for p in ps} == set(families._words_under(board.border.heights))
+        {delta(p).bottom.steps for p in ps} == set(families._words_under(border.heights))
         for perm, delta, _ in _deltas()
-        for board, ps in _avoiders(sizes, perm)
+        for border, ps in _avoiders(sizes, perm)
     )
     return {"pass": ok}
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all matchboard modules, the base of the
-immutable value classes, and the helper that reports an object decoded
-from bad text as a ParseError."""
+immutable value classes, the helper that reads their integer fields, and
+the helper that reports an object decoded from bad text as a ParseError."""
 
-from operator import attrgetter
+from operator import attrgetter, index
 
 __all__ = [
     "MatchboardError",
@@ -51,6 +51,21 @@ class SeriesError(MatchboardError):
 
 class DivisibilityError(SeriesError):
     """An exact division in the series layer left a remainder."""
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """The values read with ``operator.index``; the first value that is not
+    an integer is named in an InvalidObjectError."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for v in values:
+            try:
+                index(v)
+            except TypeError:
+                raise InvalidObjectError(f"{what} {v!r} is not an integer") from None
+        raise
 
 
 def _decoded(cls, *args):

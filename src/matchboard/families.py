@@ -94,10 +94,8 @@ def dyck_paths(n: int):
 
 
 def boards(n: int):
-    from .model import FerrersBoard
-
-    for d in dyck_paths(n):
-        yield FerrersBoard(d)
+    """The boards of F_n, each given by its border path."""
+    return dyck_paths(n)
 
 
 def matchings(n: int):
@@ -150,19 +148,19 @@ def _growth(v: int, n: int, blocks: list[list[int]]):
     blocks.pop()
 
 
-def placements_on_board(board):
-    """All full rook placements on the Ferrers board."""
+def placements_on_board(border):
+    """All full rook placements on the Ferrers board under the border path."""
     from .model import RookPlacement
 
-    n = board.n
-    heights = board.column_heights
+    n = border.n
+    heights = border.column_heights
     # popped in order: columns left to right, each one's row ascending
     stack = [()]
     while stack:
         rows = stack.pop()
         c = len(rows)
         if c == n:
-            yield RookPlacement(board, rows)
+            yield RookPlacement(border, rows)
             continue
         for r in range(heights[c], 0, -1):
             if r not in rows:
@@ -170,8 +168,8 @@ def placements_on_board(board):
 
 
 def placements(n: int):
-    for board in boards(n):
-        yield from placements_on_board(board)
+    for border in boards(n):
+        yield from placements_on_board(border)
 
 
 def minimal_placements(n: int):
@@ -245,13 +243,13 @@ def _labelings(path, cls, starts):
                 stack.append(labels + (b,))
 
 
-def e2_pairs(board):
-    """Pairs over the board whose bottom heights follow the height-below-5
-    forcing rules; empty when the board has height 5 or more."""
+def e2_pairs(border):
+    """Pairs over the border path whose bottom heights follow the
+    height-below-5 forcing rules; empty when the border reaches height 5."""
     from .bijections import NoncrossingPathPair
     from .model import DyckPath
 
-    hs = board.border.heights
+    hs = border.heights
     if max(hs) >= 5:
         return
     slots = [i for i, h in enumerate(hs) if h == 2]
@@ -263,7 +261,7 @@ def e2_pairs(board):
         js = list(base)
         for i, b in zip(slots, bits):
             js[i] = b
-        yield NoncrossingPathPair(DyckPath.from_heights(js), board.border)
+        yield NoncrossingPathPair(DyckPath.from_heights(js), border)
 
 
 def a2_pairs(n: int):
@@ -512,12 +510,12 @@ _FAMILIES = {
     "placement": _Family(
         8, "placement", lambda n, k: placements(n), scan="matching",
         avoids=lambda p, pats: placement_avoids(p, pats),
-        border=lambda p: p.board.border,
+        border=lambda p: p.border,
     ),
     "placement-minimal": _Family(
         9, "permutation", lambda n, k: minimal_placements(n),
         avoids=lambda p, pats: placement_avoids(p, pats),
-        border=lambda p: p.board.border,
+        border=lambda p: p.border,
     ),
     "pair": _Family(9, "path pair", lambda n, k: noncrossing_pairs(n)),
     "pair-nk": _Family(
@@ -618,10 +616,8 @@ def count(
                 shapes[border] = shapes.get(border, 0) + 1
     valleys: dict[int, int] = {}
     if stats:
-        from .model import DyckPath, statistics
-
         for border, c in shapes.items():
-            v = statistics(DyckPath(border)).valleys
+            v = border.count("SE")  # a valley is an S step then an E step
             valleys[v] = valleys.get(v, 0) + c
     return CountTable(
         sum(shapes.values()),

@@ -1,15 +1,16 @@
 """Core value types for the workbench.
 
 Matchings of [2n] (optionally with unmatched vertices), set partitions of
-[n], Dyck borders of Ferrers boards, full rook placements, and labeled
-Dyck paths, together with the opener/closer correspondence between
-perfect matchings and placements.
+[n], Dyck paths, full rook placements, and labeled Dyck paths, together
+with the opener/closer correspondence between perfect matchings and
+placements.
 
-Coordinate conventions: board columns are numbered 1..n left to right and
-rows 1..n bottom to top, so a board in F_n sits under its border, a
-south-east lattice path from (0, n) to (n, 0) that stays weakly above the
-diagonal y = n - x.  Border vertices V_0..V_2n are 0-indexed; matching
-vertices are 1-indexed.
+Coordinate conventions: a board in F_n is given by its border, a
+``DyckPath``: a south-east lattice path from (0, n) to (n, 0) that stays
+weakly above the diagonal y = n - x, with the board's cells under it.
+Board columns are numbered 1..n left to right and rows 1..n bottom to top;
+``DyckPath.column_heights`` holds the height of each column.  Border
+vertices V_0..V_2n are 0-indexed; matching vertices are 1-indexed.
 
 Value protocol: every type here (and ``bijections.NoncrossingPathPair``)
 is a slotted subclass of ``errors.Value``.  A constructor checks its input
@@ -31,11 +32,10 @@ import re
 from itertools import accumulate, chain
 from operator import gt, index, sub
 
-from .errors import InvalidObjectError, ParseError, Value, _decoded
+from .errors import InvalidObjectError, ParseError, Value, _decoded, _ints
 
 __all__ = [
     "DyckPath",
-    "FerrersBoard",
     "RookPlacement",
     "Matching",
     "SetPartition",
@@ -61,21 +61,6 @@ def _keep(obj: Value, slot: str, value):
     """Fill the slot of a lazy attribute on its first read; returns value."""
     _set(obj, slot, value)
     return value
-
-
-def _ints(values, what: str) -> tuple[int, ...]:
-    """The values read with ``operator.index``; the first value that is not
-    an integer is named in an InvalidObjectError."""
-    values = tuple(values)
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        for v in values:
-            try:
-                index(v)
-            except TypeError:
-                raise InvalidObjectError(f"{what} {v!r} is not an integer") from None
-        raise
 
 
 def _arc(arc) -> tuple[int, int]:
@@ -105,7 +90,7 @@ class DyckPath(Value):
     distances d_0..d_2n from each vertex to the diagonal; it is not a field."""
 
     _fields = ("steps",)
-    __slots__ = _fields + ("heights", "_vertices", "_peaks", "_aligned")
+    __slots__ = _fields + ("heights", "_vertices", "_peaks", "_aligned", "_column_heights")
 
     def __init__(self, steps: str = ""):
         if not isinstance(steps, str):
@@ -123,6 +108,7 @@ class DyckPath(Value):
         _set(self, "_vertices", None)
         _set(self, "_peaks", None)
         _set(self, "_aligned", None)
+        _set(self, "_column_heights", None)
 
     @property
     def n(self) -> int:
@@ -142,6 +128,16 @@ class DyckPath(Value):
                 y -= 1
             out.append((x, y))
         return _keep(self, "_vertices", tuple(out))
+
+    @property
+    def column_heights(self) -> tuple[int, ...]:
+        """Heights of the board columns under the path, left to right: the E
+        step leaving V_i tops a column of height n - (i - d_i)/2."""
+        if self._column_heights is not None:
+            return self._column_heights
+        n, hs = self.n, self.heights
+        out = tuple(n - (i - hs[i]) // 2 for i, ch in enumerate(self.steps) if ch == "E")
+        return _keep(self, "_column_heights", out)
 
     def peak_indices(self) -> tuple[int, ...]:
         """Vertex indices i with an E step arriving and an S step leaving."""
@@ -193,82 +189,40 @@ class DyckPath(Value):
         return _decoded(cls, text.strip())
 
 
-class FerrersBoard(Value):
-    """A Ferrers board in F_n, stored as its border path."""
-
-    _fields = ("border",)
-    __slots__ = _fields + ("_column_heights",)
-
-    def __init__(self, border: DyckPath):
-        _set(self, "border", border)
-        _set(self, "_column_heights", None)
-
-    @property
-    def n(self) -> int:
-        return self.border.n
-
-    @classmethod
-    def from_column_heights(cls, heights) -> "FerrersBoard":
-        hs = list(heights)
-        n = len(hs)
-        if hs and (hs[0] != n or any(a < b for a, b in zip(hs, hs[1:])) or hs[-1] < 1):
-            raise InvalidObjectError(f"{hs} is not a valid column-height list")
-        steps = []
-        y = n
-        for c, h in enumerate(hs, start=1):
-            steps.append("S" * (y - h))
-            steps.append("E")
-            y = h
-        steps.append("S" * y)
-        return cls(DyckPath("".join(steps)))
-
-    @property
-    def column_heights(self) -> tuple[int, ...]:
-        if self._column_heights is not None:
-            return self._column_heights
-        out = []
-        y = self.n
-        for ch in self.border.steps:
-            if ch == "E":
-                out.append(y)
-            else:
-                y -= 1
-        return _keep(self, "_column_heights", tuple(out))
-
-
 class RookPlacement(Value):
-    """A full rook placement: one rook in each row and column of the board.
+    """A full rook placement: one rook in each row and column of the board
+    under the border path.
 
     rook_rows[c-1] is the row of the rook in column c.
     """
 
-    _fields = ("board", "rook_rows")
+    _fields = ("border", "rook_rows")
     __slots__ = _fields
 
-    def __init__(self, board: FerrersBoard, rook_rows):
+    def __init__(self, border: DyckPath, rook_rows):
         rows = _ints(rook_rows, "rook row")
-        n = board.n
+        n = border.n
         if sorted(rows) != list(range(1, n + 1)):
             raise InvalidObjectError(f"rook rows {rows} are not a permutation of 1..{n}")
-        heights = board.column_heights
+        heights = border.column_heights
         if any(map(gt, rows, heights)):
             c, r, h = next(
                 (c, r, h) for c, (r, h) in enumerate(zip(rows, heights), start=1) if r > h
             )
             raise InvalidObjectError(f"rook ({c},{r}) lies outside column of height {h}")
-        _set(self, "board", board)
+        _set(self, "border", border)
         _set(self, "rook_rows", rows)
 
     @property
     def n(self) -> int:
-        return self.board.n
+        return self.border.n
 
     def rook_row(self, col: int) -> int:
         return self.rook_rows[col - 1]
 
     def to_text(self) -> str:
         rooks = ",".join(str(r) for r in self.rook_rows)
-        return f"border:{self.board.border.steps};rooks:{rooks}"
+        return f"border:{self.border.steps};rooks:{rooks}"
 
     @classmethod
     def from_text(cls, text: str) -> "RookPlacement":
@@ -278,7 +232,7 @@ class RookPlacement(Value):
         border = DyckPath.from_text(parts[0][len("border:"):])
         rook_part = parts[1][len("rooks:"):]
         rooks = parse_int_list(rook_part, f"rook list {rook_part!r}", empty=True)
-        return _decoded(cls, FerrersBoard(border), rooks)
+        return _decoded(cls, border, rooks)
 
 
 class Matching(Value):
@@ -486,14 +440,14 @@ def kappa(m: Matching) -> RookPlacement:
     rook_rows = [0] * n
     for i, j in m.arcs:
         rook_rows[col_of[i] - 1] = row_of[j]
-    return RookPlacement(FerrersBoard(m.shape), tuple(rook_rows))
+    return RookPlacement(m.shape, tuple(rook_rows))
 
 
 def kappa_inv(p: RookPlacement) -> Matching:
     """Inverse of kappa: read openers and closers off the border steps."""
     n = p.n
-    openers = [idx + 1 for idx, ch in enumerate(p.board.border.steps) if ch == "E"]
-    closers = [idx + 1 for idx, ch in enumerate(p.board.border.steps) if ch == "S"]
+    openers = [idx + 1 for idx, ch in enumerate(p.border.steps) if ch == "E"]
+    closers = [idx + 1 for idx, ch in enumerate(p.border.steps) if ch == "S"]
     arcs = []
     for a in range(1, n + 1):
         r = p.rook_row(a)
@@ -530,7 +484,7 @@ def partition_to_matching(p: SetPartition) -> Matching:
 def gamma_restriction(p: RookPlacement, v: int) -> tuple[int, ...]:
     """Permutation induced by the rooks inside the rectangle spanned by the
     origin and border vertex V_v, empty rows and columns disregarded."""
-    vertices = p.board.border.vertices
+    vertices = p.border.vertices
     if not 0 <= v < len(vertices):
         raise InvalidObjectError(f"vertex index {v} out of range 0..{2 * p.n}")
     x, y = vertices[v]

@@ -13,7 +13,7 @@ import bisect
 from functools import lru_cache
 from math import inf
 
-from .errors import InvalidObjectError, ParseError, Value, _decoded
+from .errors import InvalidObjectError, ParseError, Value, _decoded, _ints
 
 __all__ = [
     "Pattern",
@@ -37,7 +37,7 @@ class Pattern(Value):
     __slots__ = _fields
 
     def __init__(self, perm):
-        perm = tuple(int(v) for v in perm)
+        perm = _ints(perm, "pattern entry")
         if not perm:
             raise InvalidObjectError("a pattern has at least one entry")
         if sorted(perm) != list(range(1, len(perm) + 1)):
@@ -149,10 +149,9 @@ def offending_vertex(p, t, all_vertices: bool = False) -> int | None:
     ranking that ``gamma_restriction`` applies would change nothing."""
     pats = (t,) if isinstance(t, Pattern) else t
     plans = [_plan(_values(pat)) for pat in pats]
-    border = p.board.border
-    vertices = border.vertices
+    vertices = p.border.vertices
     rows = p.rook_rows
-    for v in range(len(vertices)) if all_vertices else border.peak_indices():
+    for v in range(len(vertices)) if all_vertices else p.border.peak_indices():
         x, y = vertices[v]
         inside = [r for r in rows[:x] if r <= y]
         for plan in plans:
@@ -221,7 +220,7 @@ def lis_labels(p) -> tuple[int, ...]:
     tails: list[int] = []
     labels = []
     read = 0
-    for x, y in p.board.border.vertices:
+    for x, y in p.border.vertices:
         if x > read:  # the E step into V_i brings in column x
             r = rows[read]
             i = bisect.bisect_left(tails, r)

@@ -177,7 +177,7 @@ def test_criterion_7_bijection_suites(claims):
             wantL = {
                 lp.to_text()
                 for lp in families.labeled_paths(n, LabeledPathClass.L)
-                if lp.path == board.border
+                if lp.path == board
             }
             ok &= imgL == wantL
     # doubly restricted images: {123,321} placements and the forced pairs;
@@ -193,7 +193,7 @@ def test_criterion_7_bijection_suites(claims):
             ]
             images = {delta321(p).to_text() for p in ps}
             ok &= images == {pr.to_text() for pr in e2_pairs(board)}
-            ok &= len(ps) == rule(statistics(board.border), n)
+            ok &= len(ps) == rule(statistics(board), n)
     _report(7, ok, 180.0, time.monotonic() - start)
 
 

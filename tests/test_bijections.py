@@ -1,7 +1,8 @@
 """Bijections between restricted placements and path families."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
+from operator import le
 
 import pytest
 
@@ -38,7 +39,6 @@ from matchboard.families import (
 )
 from matchboard.model import (
     DyckPath,
-    FerrersBoard,
     LabeledDyckPath,
     Matching,
     RookPlacement,
@@ -51,22 +51,21 @@ from matchboard.patterns import (
 )
 
 
-def _avoiding(board, pattern):
+def _avoiding(border, pattern):
     return [
-        p for p in placements_on_board(board) if placement_avoids(p, pattern)
+        p for p in placements_on_board(border) if placement_avoids(p, pattern)
     ]
 
 
-def _pairs_under(board):
-    top = board.border.steps
-    return {pr.to_text() for pr in noncrossing_pairs(board.n) if pr.top.steps == top}
+def _pairs_under(border):
+    return {pr.to_text() for pr in noncrossing_pairs(border.n) if pr.top == border}
 
 
-def _delta321_lookup(board):
+def _delta321_lookup(border):
     """Bottom path -> placement over the forward images of every 321-avoiding
     placement on the board: the per-board lookup that delta321_inv replaced,
     kept as its oracle."""
-    return {delta321(p).bottom.steps: p for p in _avoiding(board, Pattern((3, 2, 1)))}
+    return {delta321(p).bottom.steps: p for p in _avoiding(border, Pattern((3, 2, 1)))}
 
 
 class TestDelta321:
@@ -74,7 +73,7 @@ class TestDelta321:
         p = RookPlacement.from_text("border:EEESESSEESSS;rooks:5,1,6,4,3,2")
         pair = delta321(p)
         assert pair.bottom.steps == "ESESEESESESS"
-        assert pair.top == p.board.border
+        assert pair.top == p.border
         assert j_sequence(p) == pair.bottom.heights
 
     def test_switch_description_agrees(self):
@@ -106,7 +105,7 @@ class TestDelta321:
         # the placement the lookup finds
         for n in range(0, 6):
             for top in dyck_paths(n):
-                lookup = _delta321_lookup(FerrersBoard(top))
+                lookup = _delta321_lookup(top)
                 pairs = [pr for pr in noncrossing_pairs(n) if pr.top == top]
                 assert sorted(lookup) == sorted(pr.bottom.steps for pr in pairs)
                 for pair in pairs:
@@ -119,12 +118,12 @@ class TestDelta213:
     def test_worked_example(self):
         p = RookPlacement.from_text("border:EEESESSEESSS;rooks:6,5,1,4,3,2")
         pair = delta213(p)
-        assert FerrersBoard(pair.bottom).column_heights == (6, 5, 4, 4, 3, 2)
+        assert pair.bottom.column_heights == (6, 5, 4, 4, 3, 2)
 
     def test_minimal_board(self):
-        assert minimal_board((2, 1)).border.steps == "ESES"
-        assert minimal_board((1, 2)).border.steps == "EESS"
-        assert minimal_board((1,)).border.steps == "ES"
+        assert minimal_board((2, 1)).steps == "ESES"
+        assert minimal_board((1, 2)).steps == "EESS"
+        assert minimal_board((1,)).steps == "ES"
 
     def test_bijection_onto_pairs(self):
         for n in range(1, 5):
@@ -150,14 +149,14 @@ class TestPiLabeling:
                 images = set()
                 for p in _avoiding(board, Pattern((3, 1, 2))):
                     lp = pi_labeling(p)
-                    assert lp.path == board.border
+                    assert lp.path == board
                     assert LabeledPathClass.L.contains(lp)
                     assert lp.to_text() not in images
                     images.add(lp.to_text())
                 expected = {
                     lp.to_text()
                     for lp in labeled_paths(n, LabeledPathClass.L)
-                    if lp.path == board.border
+                    if lp.path == board
                 }
                 assert images == expected
 
@@ -190,7 +189,7 @@ class TestRestrictedImages:
                 assert images == expected
                 from matchboard.model import statistics
 
-                st = statistics(board.border)
+                st = statistics(board)
                 if st.height >= 5:
                     assert len(ps) == 0
                 else:
@@ -211,7 +210,7 @@ class TestRestrictedImages:
                 expected = {
                     pr.to_text()
                     for pr in noncrossing_pairs(n)
-                    if pr.top == board.border and a2_member(pr)
+                    if pr.top == board and a2_member(pr)
                 }
                 assert images == expected
 
@@ -394,21 +393,33 @@ class TestFixedPointClasses:
     def test_kappa_prime_example(self):
         m = Matching(((1, 4), (3, 6)), (2, 5))
         p = kappa_prime(m, "321")
-        assert p.board.n == 4
+        assert p.n == 4
         assert find_arc_occurrence(m.arcs, Pattern((3, 2, 1))) is None
 
 
 class TestChi:
+    def test_minimal_board_is_the_least_board_holding_the_rooks(self):
+        # chi puts every permutation on a minimal board, and every board of
+        # F_n that holds the rooks is at least as high in every column
+        for n in range(8):
+            least = {}
+            for perm in permutations(range(1, n + 1)):
+                assert board_minimal(chi(perm)), perm
+                least[perm] = minimal_board(perm).column_heights
+            for border in dyck_paths(n):
+                for p in placements_on_board(border):
+                    assert all(map(le, least[p.rook_rows], border.column_heights)), p
+
     def test_minimal_placement(self):
         p = chi((6, 5, 1, 4, 3, 2))
         assert board_minimal(p)
-        assert p.board.column_heights == (6, 5, 4, 4, 3, 2)
+        assert p.border.column_heights == (6, 5, 4, 4, 3, 2)
 
     def test_identity(self):
         # the identity needs the full square: column c holds a rook no lower
         # than the rooks to its right
         p = chi((1, 2, 3))
-        assert p.board.border.steps == "EEESSS"
+        assert p.border.steps == "EEESSS"
         assert board_minimal(p)
 
     def test_not_minimal_when_embedded(self):

@@ -29,7 +29,7 @@ from matchboard.families import (
     set_partitions,
 )
 from matchboard.formulas import _gouyou_determinant, coefficients
-from matchboard.model import DyckPath, FerrersBoard, LabeledDyckPath, statistics
+from matchboard.model import DyckPath, LabeledDyckPath, statistics
 from matchboard.patterns import S3_PATTERNS
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 from matchboard.series import fe_iterate
@@ -189,12 +189,11 @@ class TestGeneratorsAgainstBruteForce:
         # rook rows column by column, lexicographically
         for n in range(6):
             for d in dyck_paths(n):
-                board = FerrersBoard(d)
                 want = [
                     perm for perm in permutations(n)
-                    if all(r <= h for r, h in zip(perm, board.column_heights))
+                    if all(r <= h for r, h in zip(perm, d.column_heights))
                 ]
-                assert [p.rook_rows for p in placements_on_board(board)] == want, d
+                assert [p.rook_rows for p in placements_on_board(d)] == want, d
 
     def test_b2_pairs(self):
         for n in range(10):
@@ -374,10 +373,10 @@ class TestShapeWilf:
     def test_specific_board_difference(self):
         # the board with column heights (5,5,5,4,4) also separates II from III
         from matchboard.families import placements_on_board
-        from matchboard.model import FerrersBoard
         from matchboard.patterns import Pattern, placement_avoids
 
-        board = FerrersBoard.from_column_heights((5, 5, 5, 4, 4))
+        board = DyckPath("EEESEESSSS")
+        assert board.column_heights == (5, 5, 5, 4, 4)
         counts = {}
         for key in ("231", "312"):
             pats = (Pattern((1, 2, 3)), Pattern.from_text(key))
@@ -451,7 +450,7 @@ BROKEN_CHECKS = [
         lambda mp: mp.setattr(
             checks,
             "delta213",
-            lambda p: bijections.NoncrossingPathPair(p.board.border, p.board.border),
+            lambda p: bijections.NoncrossingPathPair(p.border, p.border),
         ),
         "bijections",
         "delta-images-cover-pairs",

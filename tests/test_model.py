@@ -7,10 +7,9 @@ import pytest
 
 from matchboard.bijections import NoncrossingPathPair, kappa_prime
 from matchboard.errors import InvalidObjectError, ParseError
-from matchboard.families import count_fixed_point_class
+from matchboard.families import count_fixed_point_class, dyck_paths
 from matchboard.model import (
     DyckPath,
-    FerrersBoard,
     LabeledDyckPath,
     Matching,
     PathStats,
@@ -62,19 +61,23 @@ class TestDyckPath:
 
 
 class TestFerrersBoard:
+    """A board in F_n is given by its border path."""
+
     def test_column_heights(self):
-        b = FerrersBoard(DyckPath("EEESESSEESSS"))
-        assert b.column_heights == (6, 6, 6, 5, 3, 3)
+        assert DyckPath("EEESESSEESSS").column_heights == (6, 6, 6, 5, 3, 3)
 
-    def test_from_column_heights(self):
-        b = FerrersBoard.from_column_heights((6, 6, 6, 5, 3, 3))
-        assert b.border.steps == "EEESESSEESSS"
-
-    def test_from_column_heights_invalid(self):
-        with pytest.raises(InvalidObjectError):
-            FerrersBoard.from_column_heights((2, 3))
-        with pytest.raises(InvalidObjectError):
-            FerrersBoard.from_column_heights((2, 1, 1))  # first must equal n
+    def test_column_heights_follow_the_border(self):
+        # walking the border from (0, n), each E step tops a column as high
+        # as the walk stands, and each S step lowers the walk by one
+        for n in range(7):
+            for d in dyck_paths(n):
+                want, y = [], n
+                for ch in d.steps:
+                    if ch == "E":
+                        want.append(y)
+                    else:
+                        y -= 1
+                assert d.column_heights == tuple(want), d
 
 
 class TestRookPlacement:
@@ -84,14 +87,12 @@ class TestRookPlacement:
         assert p.to_text() == "border:EESS;rooks:2,1"
 
     def test_rook_outside_board(self):
-        b = FerrersBoard.from_column_heights((2, 1))
         with pytest.raises(InvalidObjectError):
-            RookPlacement(b, (1, 2))
+            RookPlacement(DyckPath("ESES"), (1, 2))  # column 2 has height 1
 
     def test_not_a_permutation(self):
-        b = FerrersBoard.from_column_heights((2, 2))
         with pytest.raises(InvalidObjectError):
-            RookPlacement(b, (1, 1))
+            RookPlacement(DyckPath("EESS"), (1, 1))
 
     def test_bad_text(self):
         with pytest.raises(ParseError):
@@ -157,7 +158,7 @@ class TestKappa:
     def test_figure_example(self):
         m = Matching(((1, 6), (2, 12), (3, 4), (5, 7), (8, 10), (9, 11)))
         p = kappa(m)
-        assert p.board.border.steps == "EEESESSEESSS"
+        assert p.border.steps == "EEESESSEESSS"
         assert p.rook_rows == (5, 1, 6, 4, 3, 2)
         assert kappa_inv(p) == m
 
@@ -280,10 +281,10 @@ VALIDATOR_MESSAGES = [
     (lambda: SetPartition(((1, 2.0),)), "block element 2.0 is not an integer"),
     (lambda: LabeledDyckPath(DyckPath("ES"), (0, 1.0, 0)), "label 1.0 is not an integer"),
     (lambda: DyckPath(["E", "S"]), "steps ['E', 'S'] are not a string"),
-    (
-        lambda: RookPlacement(FerrersBoard(DyckPath("EESS")), (2.0, 1)),
-        "rook row 2.0 is not an integer",
-    ),
+    (lambda: RookPlacement(DyckPath("EESS"), (2.0, 1)), "rook row 2.0 is not an integer"),
+    (lambda: Pattern((1.5, 2)), "pattern entry 1.5 is not an integer"),
+    (lambda: Pattern((True, 2.9)), "pattern entry 2.9 is not an integer"),
+    (lambda: Pattern(("2", "1")), "pattern entry '2' is not an integer"),
 ]
 
 # the same for the parsers, which raise ParseError
@@ -305,16 +306,15 @@ def test_validator_messages(error, build, message):
 
 # one object of each value class, its fields by name, and its repr as it
 # was printed before the classes shared Value: by the frozen dataclasses of
-# the model types and by the hand-written protocol of Pattern
+# the model types and by the hand-written protocol of Pattern.  The
+# RookPlacement repr is the one printed since a board is its border path.
 _D = DyckPath("EESESS")
 VALUES = [
     (_D, {"steps": "EESESS"}, "DyckPath(steps='EESESS')"),
-    (FerrersBoard(_D), {"border": _D}, "FerrersBoard(border=DyckPath(steps='EESESS'))"),
     (
-        RookPlacement(FerrersBoard(_D), (3, 1, 2)),
-        {"board": FerrersBoard(_D), "rook_rows": (3, 1, 2)},
-        "RookPlacement(board=FerrersBoard(border=DyckPath(steps='EESESS')),"
-        " rook_rows=(3, 1, 2))",
+        RookPlacement(_D, (3, 1, 2)),
+        {"border": _D, "rook_rows": (3, 1, 2)},
+        "RookPlacement(border=DyckPath(steps='EESESS'), rook_rows=(3, 1, 2))",
     ),
     (
         Matching(((1, 6), (3, 4)), (2, 5)),
@@ -378,7 +378,7 @@ class TestValueClass:
 
 def test_path_equality_ignores_heights_and_lazy_attributes():
     a, b = DyckPath("EESESS"), DyckPath("EESESS")
-    a.vertices, a.peak_indices(), a.aligned_pairs()
+    a.vertices, a.peak_indices(), a.aligned_pairs(), a.column_heights
     assert a == b and hash(a) == hash(b) == hash(("EESESS",))
     assert Matching(((1, 2),)) != ((1, 2),)
     assert PathStats(0, 1, 1, 1, 0) == statistics(DyckPath("ES"))

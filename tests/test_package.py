@@ -63,8 +63,10 @@ def loaded_modules(code: str) -> set[str]:
         ["count", "--family", "partition", "--n", "5", "--avoid", "312"],
         ["count", "--family", "matching", "--n", "4", "--avoid", "312", "--stat", "valleys"],
         ["count", "--family", "matching", "--n", "7", "--avoid", "123"],
+        ["count", "--family", "matching", "--n", "4", "--avoid", "312", "--by-shape",
+         "--stat", "valleys"],
     ],
-    ids=["by-shape", "partition", "valleys", "matching"],
+    ids=["by-shape", "partition", "valleys", "matching", "by-shape-valleys"],
 )
 def test_count_loads_no_series_code(argv):
     # a count that the scan answers loads no series code, no object model

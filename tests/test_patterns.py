@@ -340,7 +340,7 @@ class TestRestrictionsInPlace:
                         lis[r] = lis_length(r)
                 assert lis_labels(p) == tuple(map(lis.__getitem__, restrictions)), p
                 found = list(map(contained.__getitem__, restrictions))
-                peaks = p.board.border.peak_indices()
+                peaks = p.border.peak_indices()
                 for pats, mask in zip(self.SETS[:6] if n == 6 else self.SETS, masks):
                     first_peak = next((v for v in peaks if found[v] & mask), None)
                     assert offending_vertex(p, pats) == first_peak, (p, pats)
