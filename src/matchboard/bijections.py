@@ -14,7 +14,7 @@ from itertools import accumulate
 from math import inf
 from operator import gt
 
-from .errors import InvalidObjectError, ParseError, PatternViolationError, Value, _decoded
+from .errors import InvalidObjectError, ParseError, PatternViolationError, Value, _decoded, _ints
 from .model import (
     DyckPath,
     LabeledDyckPath,
@@ -259,7 +259,7 @@ def board_minimal(p: RookPlacement) -> bool:
 
 def chi(perm) -> RookPlacement:
     """Place rooks at (i, perm(i)) on the smallest board containing them."""
-    rows = tuple(int(v) for v in perm)
+    rows = _ints(perm, "permutation entry")
     if sorted(rows) != list(range(1, len(rows) + 1)):
         raise InvalidObjectError(f"{rows} is not a permutation")
     return RookPlacement(minimal_board(rows), rows)

@@ -12,14 +12,16 @@ Per-board counts come from the border words it reports, and valley
 histograms from the valleys it counts in its state keys.  Every other count
 enumerates the family; the generators, the avoidance tests in ``patterns``
 and ``bijections.check_fixed_point_class`` remain the brute-force oracles.
-Only the generators, and so only an enumerating count, load the object
-model (``model`` and ``bijections``).
+Only the generators load the object model (``model`` and ``bijections``).
+A count reads no object of the path and pair families, so it enumerates
+their step words (``_dyck_words`` and ``_pair_words``), and the generators
+build their validated objects from the same words.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, permutations as iter_permutations, product
+from itertools import accumulate, combinations, permutations as iter_permutations, product, repeat
 from math import comb
 
 from .errors import InvalidObjectError, ResourceCapError
@@ -85,12 +87,34 @@ def _words_under(ceiling):
             stack.append((word + "E", d + 1))
 
 
+def _dyck_words(n: int):
+    """Step words of the border paths of semilength n."""
+    return _words_under([min(i, 2 * n - i) for i in range(2 * n + 1)])  # the heights of E^n S^n
+
+
+def _pair_words(n: int):
+    """(bottom, top) step words of the noncrossing pairs of semilength n, in
+    the order of ``noncrossing_pairs``: tops in the order of ``dyck_paths``,
+    and under each top the words below its heights."""
+    for top in _dyck_words(n):
+        heights = tuple(accumulate((1 if c == "E" else -1 for c in top), initial=0))
+        yield from zip(_words_under(heights), repeat(top))
+
+
+def _pair_words_ending_south(n: int, k: int):
+    """The words of ``_pair_words(n + k)`` whose two words both end in k
+    south steps."""
+    suffix = "S" * k
+    for bottom, top in _pair_words(n + k):
+        if bottom.endswith(suffix) and top.endswith(suffix):
+            yield bottom, top
+
+
 def dyck_paths(n: int):
     """All border paths of semilength n."""
     from .model import DyckPath
 
-    highest = [min(i, 2 * n - i) for i in range(2 * n + 1)]  # the heights of E^n S^n
-    yield from map(DyckPath, _words_under(highest))
+    yield from map(DyckPath, _dyck_words(n))
 
 
 def boards(n: int):
@@ -186,19 +210,22 @@ def permutations(n: int):
 
 def noncrossing_pairs(n: int):
     """Pairs (bottom, top) of borders with bottom pointwise below top."""
-    from .bijections import NoncrossingPathPair
-
-    paths = {d.steps: d for d in dyck_paths(n)}
-    for top in paths.values():
-        for steps in _words_under(top.heights):
-            yield NoncrossingPathPair(paths[steps], top)
+    return _pairs(_pair_words(n), n)
 
 
 def pairs_ending_south(n: int, k: int):
     """Pairs of semilength n + k whose paths both end with k south steps."""
-    for pair in noncrossing_pairs(n + k):
-        if pair.ends_with_south(k):
-            yield pair
+    return _pairs(_pair_words_ending_south(n, k), n + k)
+
+
+def _pairs(words, n: int):
+    """The validated pairs of the (bottom, top) words of semilength n, each
+    word read as the one validated path of semilength n that spells it."""
+    from .bijections import NoncrossingPathPair
+
+    paths = {d.steps: d for d in dyck_paths(n)}
+    for bottom, top in words:
+        yield NoncrossingPathPair(paths[bottom], paths[top])
 
 
 def labeled_paths(n: int, cls):
@@ -467,7 +494,8 @@ class _Family(
 
     - cap: the largest n, or n + k for a family with k, it enumerates;
     - label: what the cap error calls the objects;
-    - generate: (n, k) -> the objects;
+    - generate: (n, k) -> the objects; a row with neither avoids nor border
+      may yield any one item per object;
     - takes_k: whether the family takes k;
     - scan: the _scan that counts length-3 pattern sets: "matching",
       "partition", or "matching-fp", the matching scan of the arcs times
@@ -504,8 +532,9 @@ _FAMILIES = {
     "permutation": _Family(
         9, "permutation", lambda n, k: permutations(n), avoids=_perm_avoids
     ),
-    "dyck": _Family(12, "path", lambda n, k: dyck_paths(n)),
-    "board": _Family(12, "board", lambda n, k: boards(n)),
+    # a count reads no object of the path and pair rows: they yield words
+    "dyck": _Family(12, "path", lambda n, k: _dyck_words(n)),
+    "board": _Family(12, "board", lambda n, k: _dyck_words(n)),
     # placements on the boards of F_n correspond to matchings shape by shape
     "placement": _Family(
         8, "placement", lambda n, k: placements(n), scan="matching",
@@ -517,9 +546,9 @@ _FAMILIES = {
         avoids=lambda p, pats: placement_avoids(p, pats),
         border=lambda p: p.border,
     ),
-    "pair": _Family(9, "path pair", lambda n, k: noncrossing_pairs(n)),
+    "pair": _Family(9, "path pair", lambda n, k: _pair_words(n)),
     "pair-nk": _Family(
-        9, "path pair", lambda n, k: pairs_ending_south(n, k), takes_k=True
+        9, "path pair", lambda n, k: _pair_words_ending_south(n, k), takes_k=True
     ),
     "matching-fp": _Family(
         8, "matching", lambda n, k: matchings_with_fixed_points(n, k),

@@ -429,3 +429,9 @@ class TestChi:
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidObjectError):
             chi((1, 1))
+
+    def test_rejects_entries_that_are_not_integers(self):
+        # the entries are read as integers, never truncated or parsed
+        for perm in ((2.7, "1"), (1, 2.0), ("1",)):
+            with pytest.raises(InvalidObjectError, match="^permutation entry .* not an integer$"):
+                chi(perm)

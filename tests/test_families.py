@@ -13,6 +13,7 @@ from matchboard.errors import InvalidObjectError, ResourceCapError
 from matchboard.families import (
     FAMILY_NAMES,
     _pair_walk,
+    _pair_words,
     b2_pairs,
     count,
     count_fixed_point_class,
@@ -23,6 +24,7 @@ from matchboard.families import (
     minimal_placements,
     noncrossing_pairs,
     pair_count_ending_south,
+    pairs_ending_south,
     permutations,
     placements,
     placements_on_board,
@@ -204,6 +206,36 @@ class TestGeneratorsAgainstBruteForce:
         # with the generator
         g = fe_iterate("G_classV", 12).subs("t", 1).subs("u", 1)
         assert tuple(count("pair-b2", n).total for n in range(13)) == tuple(g)
+
+
+class TestStepWordCounts:
+    """The path and pair families are counted by their step words, and the
+    pair generators build their objects from the same words."""
+
+    def test_pair_words_are_the_pairs(self):
+        for n in range(7):
+            want = [(pr.bottom.steps, pr.top.steps) for pr in noncrossing_pairs(n)]
+            assert list(_pair_words(n)) == want, n
+
+    def test_pairs_ending_south_filter_the_pairs(self):
+        for n in range(6):
+            for k in range(6 - n):
+                want = [pr for pr in noncrossing_pairs(n + k) if pr.ends_with_south(k)]
+                assert list(pairs_ending_south(n, k)) == want, (n, k)
+
+    def test_pairs_equal_the_walk_origin(self):
+        origin = [states.get((0, 0), 0) for states in _pair_walk(16)][::2]
+        assert [count("pair", n).total for n in range(9)] == origin
+
+    def test_pairs_ending_south_equal_the_walk(self):
+        for n in range(9):
+            for k in range(9 - n):
+                assert count("pair-nk", n, k).total == pair_count_ending_south(n, k), (n, k)
+
+    def test_paths_and_boards_are_catalan(self):
+        for n in range(13):
+            catalan = comb(2 * n, n) // (n + 1)
+            assert count("dyck", n).total == count("board", n).total == catalan, n
 
 
 class TestCount:

@@ -78,12 +78,32 @@ def test_count_loads_no_series_code(argv):
     }, sorted(loaded)
 
 
-def test_cross_check_with_a_scan_oracle_loads_no_object_model():
-    argv = ["cross-check", "--formula", "p312", "--max-n", "5"]
+def assert_loads_no_object_model(argv):
     loaded = loaded_modules(f"from matchboard import cli\nassert cli.main({argv!r}) == 0")
     assert "matchboard.families" in loaded
     unused = {"matchboard.model", "matchboard.bijections", "dataclasses"}
     assert not loaded & unused, sorted(loaded)
+
+
+def test_cross_check_with_a_scan_oracle_loads_no_object_model():
+    assert_loads_no_object_model(["cross-check", "--formula", "p312", "--max-n", "5"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "pair", "--n", "4"],
+        ["count", "--family", "pair-nk", "--n", "3", "--k", "1"],
+        ["count", "--family", "dyck", "--n", "4"],
+        ["count", "--family", "board", "--n", "4"],
+        ["cross-check", "--formula", "dnk_pairs", "--max-n", "5"],
+    ],
+    ids=["count-pairs", "count-pairs-nk", "count-dyck", "count-boards", "cross-check-dnk-pairs"],
+)
+def test_counting_step_words_loads_no_object_model(argv):
+    # a count reads no object of the path and pair families, so it counts
+    # their step words
+    assert_loads_no_object_model(argv)
 
 
 @pytest.mark.parametrize(
@@ -92,13 +112,12 @@ def test_cross_check_with_a_scan_oracle_loads_no_object_model():
         ["verify", "--suite", "all", "--max-n", "4"],
         ["apply", "--map", "kappa", "--input", "(1,6)(2,12)(3,4)(5,7)(8,10)(9,11)"],
         ["apply", "--map", "delta321", "--input", "border:EEESESSEESSS;rooks:5,1,6,4,3,2"],
-        ["count", "--family", "pair", "--n", "4"],
+        ["count", "--family", "pair-a2", "--n", "4"],
         ["count", "--family", "placement-minimal", "--n", "4", "--avoid", "321"],
         ["count", "--family", "labeled-L-peak", "--n", "4"],
-        ["cross-check", "--formula", "dnk_pairs", "--max-n", "5"],
     ],
-    ids=["verify", "apply-kappa", "apply-delta321", "count-pairs", "count-minimal",
-         "count-labeled", "cross-check-dnk-pairs"],
+    ids=["verify", "apply-kappa", "apply-delta321", "count-pairs-a2", "count-minimal",
+         "count-labeled"],
 )
 def test_object_model_loads_no_dataclasses(argv):
     # the value classes are slotted classes, so building objects loads
