@@ -68,10 +68,6 @@ class NoncrossingPathPair(Value):
     def n(self) -> int:
         return self.top.n
 
-    def ends_with_south(self, k: int) -> bool:
-        suffix = "S" * k
-        return self.bottom.steps.endswith(suffix) and self.top.steps.endswith(suffix)
-
     def to_text(self) -> str:
         return f"bottom:{self.bottom.steps};top:{self.top.steps}"
 

@@ -57,15 +57,16 @@ __all__ = [
 # generators
 
 
-def _words_under(ceiling):
-    """Step words, E before S, of the paths from height 0 to height 0 whose
-    heights stay weakly below ``ceiling``, the heights of a border path."""
+def _words_under(ceiling, end=0):
+    """Step words, E before S, of the paths from height 0 that stay weakly
+    below ``ceiling``, the heights of a border path's first vertices, and
+    reach height ``end`` at its last vertex, each closed by ``end`` S steps."""
     mid = (len(ceiling) - 1) // 2
-    # suffixes[d]: the words from height d at vertex mid to height 0 at the
-    # last vertex, built from the last vertex back; the two empty lists
-    # padded on stand for the heights above the ceiling and, as
-    # suffixes[-1], below 0
-    suffixes = [[""]]
+    # suffixes[d]: the words from height d at vertex mid to the closed end,
+    # built from the last vertex back, where only height end has a word; the
+    # two empty lists padded on stand for the heights above the ceiling and,
+    # as suffixes[-1], below 0
+    suffixes = [[]] * end + [["S" * end]]
     for top in reversed(ceiling[mid:-1]):
         suffixes += [], []
         suffixes = [
@@ -89,25 +90,20 @@ def _words_under(ceiling):
 
 def _dyck_words(n: int):
     """Step words of the border paths of semilength n."""
+    _refuse_negative(n)
     return _words_under([min(i, 2 * n - i) for i in range(2 * n + 1)])  # the heights of E^n S^n
 
 
-def _pair_words(n: int):
-    """(bottom, top) step words of the noncrossing pairs of semilength n, in
-    the order of ``noncrossing_pairs``: tops in the order of ``dyck_paths``,
-    and under each top the words below its heights."""
-    for top in _dyck_words(n):
-        heights = tuple(accumulate((1 if c == "E" else -1 for c in top), initial=0))
-        yield from zip(_words_under(heights), repeat(top))
-
-
-def _pair_words_ending_south(n: int, k: int):
-    """The words of ``_pair_words(n + k)`` whose two words both end in k
-    south steps."""
-    suffix = "S" * k
-    for bottom, top in _pair_words(n + k):
-        if bottom.endswith(suffix) and top.endswith(suffix):
-            yield bottom, top
+def _pair_words(n: int, k: int = 0):
+    """(bottom, top) step words of the noncrossing pairs of semilength n + k
+    whose paths both end in k south steps, in the order of
+    ``noncrossing_pairs``: the tops, and under each top the words below its
+    heights, each grown to height k at vertex 2n + k and closed."""
+    _refuse_negative(n, k)
+    last = 2 * n + k
+    for top in _words_under([min(i, 2 * (n + k) - i) for i in range(last + 1)], k):
+        heights = tuple(accumulate((1 if c == "E" else -1 for c in top[:last]), initial=0))
+        yield from zip(_words_under(heights, k), repeat(top))
 
 
 def dyck_paths(n: int):
@@ -131,6 +127,7 @@ def matchings_with_fixed_points(n: int, k: int):
     """All matchings of [2n + k] with exactly k fixed points."""
     from .model import Matching
 
+    _refuse_negative(n, k)
     ground = tuple(range(1, 2 * n + k + 1))
     for fps in combinations(ground, k):
         rest = tuple(v for v in ground if v not in fps)
@@ -154,6 +151,7 @@ def set_partitions(n: int):
     """All partitions of [n], by restricted-growth assignment."""
     from .model import SetPartition
 
+    _refuse_negative(n)
     yield from map(SetPartition, _growth(1, n, []))
 
 
@@ -200,11 +198,13 @@ def minimal_placements(n: int):
     """Board-minimal placements, one per permutation of [n]."""
     from .bijections import chi
 
+    _refuse_negative(n)
     for perm in iter_permutations(range(1, n + 1)):
         yield chi(perm)
 
 
 def permutations(n: int):
+    _refuse_negative(n)
     yield from iter_permutations(range(1, n + 1))
 
 
@@ -215,7 +215,7 @@ def noncrossing_pairs(n: int):
 
 def pairs_ending_south(n: int, k: int):
     """Pairs of semilength n + k whose paths both end with k south steps."""
-    return _pairs(_pair_words_ending_south(n, k), n + k)
+    return _pairs(_pair_words(n, k), n + k)
 
 
 def _pairs(words, n: int):
@@ -232,42 +232,50 @@ def labeled_paths(n: int, cls):
     """Labeled borders of semilength n in the ``LabeledPathClass`` cls: per
     path, start labels ascending, then at each step the label kept before
     the label changed."""
+    from .model import LabeledDyckPath
+
     starts = range(1 if cls.zero_on_diagonal else min(n, cls.max_label) + 1)
     for path in dyck_paths(n):
-        yield from _labelings(path, cls, starts)
+        for labels in _labelings(path, cls, starts):
+            yield LabeledDyckPath(path, labels)
 
 
 def _labelings(path, cls, starts):
-    """The labelings of the path in the class whose start label is in
-    starts (ascending), in the order of ``labeled_paths``."""
-    from .bijections import peak_property, zero_condition
-    from .model import LabeledDyckPath
-
+    """The label tuples of the path's labelings in the class whose start
+    label is in starts (ascending; only 0 for an L class), in the order of
+    ``labeled_paths``.  Each label is chosen within the class's rules, so
+    every finished tuple is in the class."""
     n, steps = path.n, path.steps
     # a label never exceeds the south steps left, nor the class's cap
     bound = [min(steps.count("S", i), cls.max_label) for i in range(2 * n + 1)]
+    # the L zero rule: at least 1 off the diagonal (at a diagonal vertex the
+    # aligned partners keep the start's 0)
+    lo = [min(h, 1) if cls.zero_on_diagonal else 0 for h in path.heights]
     # the aligned partner of each S step's endpoint, whose label bounds it
     partner = [None] * (2 * n + 1)
     for i, j in path.aligned_pairs():
         partner[j] = i
+    # moves[i]: the label changes on the step to vertex i, the change first;
+    # the peak rule changes the label on the step up to a peak, and the
+    # peak's aligned partners then change it on the step down
+    moves = [None] + [(1, 0) if c == "E" else (-1, 0) for c in steps]
+    if cls.peak_rule:
+        for i in path.peak_indices():
+            moves[i] = (1,)
     # popped in order: start labels ascending, the kept label first
     stack = [(a,) for a in reversed(starts)]
     while stack:
         labels = stack.pop()
         i = len(labels)
         if i > 2 * n:
-            # the stack kept the cap, the partners' bounds and a K path's end at 0
-            lp = LabeledDyckPath(path, labels)
-            zero_ok = not cls.zero_on_diagonal or zero_condition(lp)
-            if zero_ok and (not cls.peak_rule or peak_property(lp)):
-                yield lp
+            yield labels
             continue
         a = labels[-1]
         j = partner[i]
         hi = bound[i] if j is None else min(bound[i], labels[j])
-        for b in (a + 1 if steps[i - 1] == "E" else a - 1, a):
-            if 0 <= b <= hi:
-                stack.append(labels + (b,))
+        for d in moves[i]:
+            if lo[i] <= a + d <= hi:
+                stack.append(labels + (a + d,))
 
 
 def e2_pairs(border):
@@ -304,6 +312,7 @@ def b2_pairs(n: int):
     above y = -x: L1 has n steps, L0 runs weakly below with the same final
     x, has no peak strictly southwest of an L1 vertex, and ends with a south
     step only when both paths end at the same level."""
+    _refuse_negative(n)
     for word in product("ES", repeat=n):
         # level of the j-th east step of L1 (1-indexed)
         e1_level = []
@@ -547,9 +556,7 @@ _FAMILIES = {
         border=lambda p: p.border,
     ),
     "pair": _Family(9, "path pair", lambda n, k: _pair_words(n)),
-    "pair-nk": _Family(
-        9, "path pair", lambda n, k: _pair_words_ending_south(n, k), takes_k=True
-    ),
+    "pair-nk": _Family(9, "path pair", lambda n, k: _pair_words(n, k), takes_k=True),
     "matching-fp": _Family(
         8, "matching", lambda n, k: matchings_with_fixed_points(n, k),
         takes_k=True, scan="matching-fp", avoids=_arcs_avoid,
@@ -573,7 +580,7 @@ FAMILY_NAMES = tuple(_FAMILIES)
 _SCAN_CAPS = {"matching": 10, "partition": 11, "matching-fp": 8}
 
 
-def _refuse_negative(n: int, k: int) -> None:
+def _refuse_negative(n: int, k: int = 0) -> None:
     for name, value in (("n", n), ("k", k)):
         if value < 0:
             raise InvalidObjectError(f"{name} must be nonnegative, got {value}")

@@ -383,7 +383,8 @@ class TestFixedPointClasses:
                             continue
                         p = kappa_prime(m, tau)
                         pair = delta321(p) if tau == "321" else delta213(p)
-                        assert pair.ends_with_south(k)
+                        words = (pair.bottom.steps, pair.top.steps)
+                        assert all(w.endswith("S" * k) for w in words)
                         images.add(pair.to_text())
                     expected = {
                         pr.to_text() for pr in pairs_ending_south(n, k)

@@ -1,5 +1,6 @@
 """Enumeration of object families, counting tables, and per-board checks."""
 
+import inspect
 from functools import partial
 from itertools import accumulate, combinations, product
 from math import comb, prod
@@ -101,14 +102,35 @@ class TestGen:
         # the labeled and pair families share no code with the formula
         # routes, nor with the scan behind the matching oracles
         for family, fid, top in (
-            ("labeled-L", "m312", 6),
-            ("labeled-L-lt3", "classII_III_m", 6),
-            ("labeled-L-peak", "s1342", 6),
+            ("labeled-L", "m312", 7),
+            ("labeled-L-lt3", "classII_III_m", 7),
+            ("labeled-L-peak", "s1342", 7),
             ("pair-a2", "classV_m", 7),
         ):
             want = coefficients(fid, top)
             for n in range(top + 1):
                 assert count(family, n).total == want[n], (family, n)
+
+
+def _sized_functions():
+    """(name, size) for each function of ``families.__all__`` whose first
+    parameter is n, and each size it takes: n, and k if it has one."""
+    for name in families.__all__:
+        f = getattr(families, name)
+        if inspect.isfunction(f):
+            params = list(inspect.signature(f).parameters)
+            if params[:1] == ["n"]:
+                yield from ((name, size) for size in ("n", "k") if size in params)
+
+
+@pytest.mark.parametrize("name, size", list(_sized_functions()))
+def test_generators_refuse_negative_sizes(name, size):
+    f = getattr(families, name)
+    args = {"n": 1, "k": 1, "cls": LabeledPathClass.K, "tau": "321", size: -1}
+    params = inspect.signature(f).parameters
+    with pytest.raises(InvalidObjectError, match=f"{size} must be nonnegative"):
+        # a count refuses when called, a generator on its first step
+        next(iter(f(**{p: args[p] for p in params})))
 
 
 def _dyck_words(n):
@@ -167,6 +189,15 @@ class TestGeneratorsAgainstBruteForce:
                 want = [lp for lp in candidates if cls.contains(lp)]
                 assert list(labeled_paths(n, cls)) == want, (cls, n)
 
+    def test_labeled_classes_are_the_K_paths_they_contain(self):
+        # every class is a subset of K; contains states each rule apart from
+        # the walk that grows the labels
+        for n in range(6):
+            k_paths = list(labeled_paths(n, LabeledPathClass.K))
+            for cls in LabeledPathClass:
+                want = [lp for lp in k_paths if cls.contains(lp)]
+                assert list(labeled_paths(n, cls)) == want, (cls, n)
+
     def test_matchings_with_fixed_points(self):
         # fixed points, then arcs, lexicographically
         for n in range(4):
@@ -217,10 +248,20 @@ class TestStepWordCounts:
             want = [(pr.bottom.steps, pr.top.steps) for pr in noncrossing_pairs(n)]
             assert list(_pair_words(n)) == want, n
 
+    def test_pair_words_ending_south_filter_the_pair_words(self):
+        for m in range(8):
+            words = list(_pair_words(m))
+            for k in range(m + 1):
+                want = [w for w in words if all(x.endswith("S" * k) for x in w)]
+                assert list(_pair_words(m - k, k)) == want, (m - k, k)
+
     def test_pairs_ending_south_filter_the_pairs(self):
         for n in range(6):
             for k in range(6 - n):
-                want = [pr for pr in noncrossing_pairs(n + k) if pr.ends_with_south(k)]
+                want = [
+                    pr for pr in noncrossing_pairs(n + k)
+                    if pr.bottom.steps.endswith("S" * k) and pr.top.steps.endswith("S" * k)
+                ]
                 assert list(pairs_ending_south(n, k)) == want, (n, k)
 
     def test_pairs_equal_the_walk_origin(self):
