@@ -47,6 +47,8 @@ __all__ = [
 
 # the constructor fills slots past the refusing __setattr__ of Value
 _set = object.__setattr__
+# the patterns the maps require their placements to avoid
+_P321, _P213, _P312 = Pattern((3, 2, 1)), Pattern((2, 1, 3)), Pattern((3, 1, 2))
 
 
 class NoncrossingPathPair(Value):
@@ -101,7 +103,7 @@ def j_sequence(p: RookPlacement) -> tuple[int, ...]:
 
 def delta321(p: RookPlacement) -> NoncrossingPathPair:
     """Bottom path with height sequence 2*lis_i - h_i under the board border."""
-    _require_avoiding(p, Pattern((3, 2, 1)), "delta321")
+    _require_avoiding(p, _P321, "delta321")
     bottom = DyckPath.from_heights(j_sequence(p))
     return NoncrossingPathPair(bottom, p.border)
 
@@ -109,7 +111,7 @@ def delta321(p: RookPlacement) -> NoncrossingPathPair:
 def delta321_by_switch(p: RookPlacement) -> NoncrossingPathPair:
     """Same map as delta321, described by flipping every border step whose
     two endpoints carry the same lis label."""
-    _require_avoiding(p, Pattern((3, 2, 1)), "delta321_by_switch")
+    _require_avoiding(p, _P321, "delta321_by_switch")
     labels = lis_labels(p)
     flipped = []
     for idx, ch in enumerate(p.border.steps):
@@ -132,15 +134,18 @@ def delta321_inv(pair: NoncrossingPathPair) -> RookPlacement:
     NE, NW and SE corners of a cell are known and fix the shape rho at its
     SW corner and whether the cell holds a rook.
     """
-    shape = {}
-    for v, h, j in zip(pair.top.vertices, pair.top.heights, pair.bottom.heights):
-        l = (h + j) // 2
-        shape[v] = (l, h - l)
     n = pair.n
+    # shape[x][y]: the shape at corner (x, y), filled at the border vertices
+    # and then at each cell's SW corner
+    shape = [[None] * (n + 1) for _ in range(n + 1)]
+    for (x, y), h, j in zip(pair.top.vertices, pair.top.heights, pair.bottom.heights):
+        l = (h + j) // 2
+        shape[x][y] = (l, h - l)
     rook_rows = [0] * n
     for c in range(n, 0, -1):
+        east, west = shape[c], shape[c - 1]
         for r in range(pair.top.column_heights[c - 1], 0, -1):
-            lam, mu, nu = shape[c, r], shape[c - 1, r], shape[c, r - 1]
+            lam, mu, nu = east[r], west[r], east[r - 1]
             if mu != nu:
                 rho = (min(mu[0], nu[0]), min(mu[1], nu[1]))
             elif lam == mu:
@@ -151,7 +156,7 @@ def delta321_inv(pair: NoncrossingPathPair) -> RookPlacement:
                 rho = mu
             else:
                 rho = (mu[0] - 1, mu[1])
-            shape[c - 1, r - 1] = rho
+            west[r - 1] = rho
     return RookPlacement(pair.top, tuple(rook_rows))
 
 
@@ -170,7 +175,7 @@ def minimal_board(rook_rows) -> DyckPath:
 def delta213(p: RookPlacement) -> NoncrossingPathPair:
     """Bottom path given by the border of the smallest board containing the
     rooks."""
-    _require_avoiding(p, Pattern((2, 1, 3)), "delta213")
+    _require_avoiding(p, _P213, "delta213")
     return NoncrossingPathPair(minimal_board(p.rook_rows), p.border)
 
 
@@ -190,7 +195,7 @@ def delta213_inv(pair: NoncrossingPathPair) -> RookPlacement:
 
 def pi_labeling(p: RookPlacement) -> LabeledDyckPath:
     """Label each border vertex with its increasing-subsequence length."""
-    _require_avoiding(p, Pattern((3, 1, 2)), "pi_labeling")
+    _require_avoiding(p, _P312, "pi_labeling")
     return LabeledDyckPath(p.border, lis_labels(p))
 
 
@@ -232,7 +237,7 @@ def kappa_prime(m: Matching, tau) -> RookPlacement:
     new top vertices, then apply kappa.  Defined on the fixed-point class of
     tau for tau in {321, 213}."""
     pats = as_patterns(tau)
-    if pats not in ((Pattern((3, 2, 1)),), (Pattern((2, 1, 3)),)):
+    if pats not in ((_P321,), (_P213,)):
         raise InvalidObjectError("kappa_prime is defined for patterns 321 and 213")
     check_fixed_point_class(m, pats[0])
     n, k = m.n, len(m.fixed_points)

@@ -9,13 +9,16 @@ Arc avoidance and the border ignore fixed points, so the matchings with k
 fixed points that avoid length-3 patterns are the scan's matchings times
 the C(2n + k, k) places of the fixed points.
 Per-board counts come from the border words it reports, and valley
-histograms from the valleys it counts in its state keys.  Every other count
-enumerates the family; the generators, the avoidance tests in ``patterns``
-and ``bijections.check_fixed_point_class`` remain the brute-force oracles.
+histograms from the valleys it counts in its state keys.  Permutations
+that avoid patterns grow from the avoiders one size down
+(``_avoiding_permutations``).  Every other count enumerates the family;
+the generators, the avoidance tests in ``patterns`` and
+``bijections.check_fixed_point_class`` remain the brute-force oracles.
 Only the generators load the object model (``model`` and ``bijections``).
-A count reads no object of the path and pair families, so it enumerates
-their step words (``_dyck_words`` and ``_pair_words``), and the generators
-build their validated objects from the same words.
+A count reads no object of the path, pair and labeled families, so it
+enumerates their step words (``_dyck_words`` and ``_pair_words``) and label
+tuples (``_labelings``), and the generators build their validated objects
+from the same words and tuples.
 """
 
 from __future__ import annotations
@@ -25,7 +28,14 @@ from itertools import accumulate, combinations, permutations as iter_permutation
 from math import comb
 
 from .errors import InvalidObjectError, ResourceCapError
-from .patterns import Pattern, as_patterns, find_arc_occurrence, perm_contains, placement_avoids
+from .patterns import (
+    Pattern,
+    _inserting_max_forms,
+    _insertion_plans,
+    as_patterns,
+    find_arc_occurrence,
+    placement_avoids,
+)
 
 __all__ = [
     "CountTable",
@@ -174,19 +184,16 @@ def placements_on_board(border):
     """All full rook placements on the Ferrers board under the border path."""
     from .model import RookPlacement
 
-    n = border.n
-    heights = border.column_heights
-    # popped in order: columns left to right, each one's row ascending
-    stack = [()]
-    while stack:
-        rows = stack.pop()
-        c = len(rows)
-        if c == n:
-            yield RookPlacement(border, rows)
-            continue
-        for r in range(heights[c], 0, -1):
-            if r not in rows:
-                stack.append(rows + (r,))
+    # the columns are filled right to left, the shortest first: the n - c
+    # columns right of column c use rows no higher than it, so it has
+    # h_c - (n - c) >= 1 free rows and every partial placement extends.
+    # Each level lists its row tuples lexicographically: a new column's row
+    # ascending, then the sorted tuples that leave that row free
+    level = [()]
+    for h in reversed(border.column_heights):
+        level = [(r,) + rows for r in range(1, h + 1) for rows in level if r not in rows]
+    for rows in level:
+        yield RookPlacement(border, rows)
 
 
 def placements(n: int):
@@ -206,6 +213,26 @@ def minimal_placements(n: int):
 def permutations(n: int):
     _refuse_negative(n)
     yield from iter_permutations(range(1, n + 1))
+
+
+def _avoiding_permutations(n: int, pats):
+    """The permutations of [n] that avoid the patterns, grown depth first
+    by inserting the maximum (West's generating tree): m goes into each of
+    the m sites of an avoider of [m - 1], and the child is kept when no
+    pattern occurs with m as its largest entry.  That test is complete,
+    since the parent avoids every pattern, and the tree reaches every
+    avoider, since deleting the maximum keeps a permutation avoiding."""
+    plans = _insertion_plans(pats)
+    stack = [()]
+    while stack:
+        perm = stack.pop()
+        m = len(perm) + 1
+        if m > n:
+            yield perm
+            continue
+        for site in range(m):
+            if not _inserting_max_forms(perm, site, plans):
+                stack.append(perm[:site] + (m,) + perm[site:])
 
 
 def noncrossing_pairs(n: int):
@@ -234,18 +261,20 @@ def labeled_paths(n: int, cls):
     the label changed."""
     from .model import LabeledDyckPath
 
-    starts = range(1 if cls.zero_on_diagonal else min(n, cls.max_label) + 1)
     for path in dyck_paths(n):
-        for labels in _labelings(path, cls, starts):
+        for labels in _labelings(path, cls):
             yield LabeledDyckPath(path, labels)
 
 
-def _labelings(path, cls, starts):
+def _labelings(path, cls, starts=None):
     """The label tuples of the path's labelings in the class whose start
-    label is in starts (ascending; only 0 for an L class), in the order of
-    ``labeled_paths``.  Each label is chosen within the class's rules, so
-    every finished tuple is in the class."""
+    label is in starts (ascending; by default every start the class allows,
+    which is only 0 for an L class), in the order of ``labeled_paths``.
+    Each label is chosen within the class's rules, so every finished tuple
+    is in the class."""
     n, steps = path.n, path.steps
+    if starts is None:
+        starts = range(1 if cls.zero_on_diagonal else min(n, cls.max_label) + 1)
     # a label never exceeds the south steps left, nor the class's cap
     bound = [min(steps.count("S", i), cls.max_label) for i in range(2 * n + 1)]
     # the L zero rule: at least 1 off the diagonal (at a diagonal vertex the
@@ -486,15 +515,11 @@ def _arcs_avoid(obj, pats) -> bool:
     return all(find_arc_occurrence(obj.arcs, p) is None for p in pats)
 
 
-def _perm_avoids(perm, pats) -> bool:
-    return not any(perm_contains(perm, p) for p in pats)
-
-
 class _Family(
     namedtuple(
         "_Family",
-        "cap label generate takes_k scan avoids border",
-        defaults=(False, None, None, None),
+        "cap label generate takes_k scan avoids border avoiders",
+        defaults=(False, None, None, None, None),
     )
 ):
     """What ``count`` knows of one family.  The callables look the layer
@@ -504,14 +529,16 @@ class _Family(
     - cap: the largest n, or n + k for a family with k, it enumerates;
     - label: what the cap error calls the objects;
     - generate: (n, k) -> the objects; a row with neither avoids nor border
-      may yield any one item per object;
+      may yield any one item per object, such as its step word or labels;
     - takes_k: whether the family takes k;
     - scan: the _scan that counts length-3 pattern sets: "matching",
       "partition", or "matching-fp", the matching scan of the arcs times
       C(2n + k, k): arc avoidance and the border ignore where the k fixed
       points sit;
     - avoids: (object, patterns) -> bool, if filterable;
-    - border: object -> its board border, for breakdowns.
+    - border: object -> its board border, for breakdowns;
+    - avoiders: (n, patterns) -> the objects that avoid the patterns, grown
+      without the others, in place of avoids.
     """
 
     __slots__ = ()
@@ -524,7 +551,8 @@ def _labeled(member: str) -> _Family:
     def generate(n, k):
         from .bijections import LabeledPathClass
 
-        return labeled_paths(n, LabeledPathClass[member])
+        cls = LabeledPathClass[member]
+        return (labels for path in dyck_paths(n) for labels in _labelings(path, cls))
 
     return _Family(7, "labeled path", generate)
 
@@ -539,9 +567,11 @@ _FAMILIES = {
         scan="partition", avoids=_arcs_avoid,
     ),
     "permutation": _Family(
-        9, "permutation", lambda n, k: permutations(n), avoids=_perm_avoids
+        9, "permutation", lambda n, k: permutations(n),
+        avoiders=lambda n, pats: _avoiding_permutations(n, pats),
     ),
-    # a count reads no object of the path and pair rows: they yield words
+    # a count reads no object of the path, pair and labeled rows: they
+    # yield words and label tuples
     "dyck": _Family(12, "path", lambda n, k: _dyck_words(n)),
     "board": _Family(12, "board", lambda n, k: _dyck_words(n)),
     # placements on the boards of F_n correspond to matchings shape by shape
@@ -622,7 +652,7 @@ def count(
     pats = as_patterns(avoid)
     if row.takes_k and k is None:
         raise InvalidObjectError(f"family {family!r} needs a value for k")
-    if pats and row.avoids is None:
+    if pats and row.avoids is None and row.avoiders is None:
         raise InvalidObjectError(
             f"family {family!r} does not support pattern filtering"
         )
@@ -644,12 +674,18 @@ def count(
             return CountTable(sum(counts.values()), by_valleys=by_valleys)
         shapes = counts
     else:
-        breakdown = stats or by_shape
+        if not pats:
+            objs = row.generate(n, k)
+        elif row.avoiders:
+            objs = row.avoiders(n, pats)
+        else:
+            objs = (obj for obj in row.generate(n, k) if row.avoids(obj, pats))
+        if not (stats or by_shape):
+            return CountTable(sum(1 for _ in objs))
         shapes = {}
-        for obj in row.generate(n, k):
-            if not pats or row.avoids(obj, pats):
-                border = row.border(obj).steps if breakdown else ""
-                shapes[border] = shapes.get(border, 0) + 1
+        for obj in objs:
+            border = row.border(obj).steps
+            shapes[border] = shapes.get(border, 0) + 1
     valleys: dict[int, int] = {}
     if stats:
         for border, c in shapes.items():

@@ -51,6 +51,7 @@ __all__ = [
 
 _INT = re.compile(r"-?[0-9]+")
 _STEP = {"E": 1, "S": -1}
+_LETTER = {1: "E", -1: "S"}
 # (step, label change) of every jump a labeled path may make
 _JUMPS = {("E", 0), ("E", 1), ("S", 0), ("S", -1)}
 # the constructors fill slots past the refusing __setattr__ of Value
@@ -171,15 +172,12 @@ class DyckPath(Value):
         hs = list(heights)
         if not hs or hs[0] != 0 or hs[-1] != 0:
             raise InvalidObjectError(f"height sequence {hs} must start and end at 0")
-        steps = []
-        for a, b in zip(hs, hs[1:]):
-            if b - a == 1:
-                steps.append("E")
-            elif b - a == -1:
-                steps.append("S")
-            else:
-                raise InvalidObjectError(f"height sequence {hs} has a jump of {b - a}")
-        return cls("".join(steps))
+        try:
+            steps = "".join(map(_LETTER.__getitem__, map(sub, hs[1:], hs)))
+        except KeyError:
+            jump = next(b - a for a, b in zip(hs, hs[1:]) if b - a not in _LETTER)
+            raise InvalidObjectError(f"height sequence {hs} has a jump of {jump}") from None
+        return cls(steps)
 
     def to_text(self) -> str:
         return self.steps
@@ -270,14 +268,12 @@ class Matching(Value):
         """Border path read off the opener/closer word, fixed points skipped."""
         if self._shape is not None:
             return self._shape
-        fixed = set(self.fixed_points)
-        openers = {i for i, _ in self.arcs}
-        steps = [
-            "E" if v in openers else "S"
-            for v in range(1, self.size + 1)
-            if v not in fixed
-        ]
-        return _keep(self, "_shape", DyckPath("".join(steps)))
+        # vertex v writes word[v]; a fixed point, and the unused word[0], write ""
+        word = [""] * (self.size + 1)
+        for i, j in self.arcs:
+            word[i] = "E"
+            word[j] = "S"
+        return _keep(self, "_shape", DyckPath("".join(word)))
 
     def to_text(self) -> str:
         arc_part = "".join(f"({i},{j})" for i, j in self.arcs)
@@ -433,26 +429,22 @@ def kappa(m: Matching) -> RookPlacement:
             "kappa is defined for perfect matchings; use kappa_prime for fixed points"
         )
     n = m.n
-    openers = sorted(i for i, _ in m.arcs)
-    closers = sorted(j for _, j in m.arcs)
-    col_of = {v: a for a, v in enumerate(openers, start=1)}
-    row_of = {v: n + 1 - k for k, v in enumerate(closers, start=1)}
+    # the arcs are sorted by opener, so arc a (from 0) is column a + 1's,
+    # and the closer of rank k (from 0) gives row n - k
     rook_rows = [0] * n
-    for i, j in m.arcs:
-        rook_rows[col_of[i] - 1] = row_of[j]
+    for k, (_, a) in enumerate(sorted((j, a) for a, (_, j) in enumerate(m.arcs))):
+        rook_rows[a] = n - k
     return RookPlacement(m.shape, tuple(rook_rows))
 
 
 def kappa_inv(p: RookPlacement) -> Matching:
-    """Inverse of kappa: read openers and closers off the border steps."""
-    n = p.n
-    openers = [idx + 1 for idx, ch in enumerate(p.border.steps) if ch == "E"]
-    closers = [idx + 1 for idx, ch in enumerate(p.border.steps) if ch == "S"]
-    arcs = []
-    for a in range(1, n + 1):
-        r = p.rook_row(a)
-        arcs.append((openers[a - 1], closers[n - r]))
-    return Matching(tuple(arcs))
+    """Inverse of kappa: read openers and closers off the border steps; the
+    rook in row r of column a joins the a-th opener to the (n + 1 - r)-th
+    closer."""
+    n, steps = p.n, p.border.steps
+    openers = [v for v, ch in enumerate(steps, start=1) if ch == "E"]
+    closers = [v for v, ch in enumerate(steps, start=1) if ch == "S"]
+    return Matching(tuple(zip(openers, [closers[n - r] for r in p.rook_rows])))
 
 
 def partition_to_matching(p: SetPartition) -> Matching:

@@ -133,6 +133,48 @@ def _extend(pv, plan, vals, a: int, start: int) -> bool:
     return False
 
 
+def _insertion_plans(pats) -> tuple[tuple[tuple, int], ...]:
+    """Per pattern, the plan of the pattern with its largest entry deleted,
+    and the index of that entry."""
+    out = []
+    for p in pats:
+        top = p.perm.index(len(p.perm))
+        out.append((_plan(p.perm[:top] + p.perm[top + 1:]), top))
+    return tuple(out)
+
+
+def _inserting_max_forms(pv, site: int, plans) -> bool:
+    """Whether a value above all of pv's, inserted at position site, forms
+    an occurrence of one of the patterns (planned by ``_insertion_plans``).
+    It plays the pattern's largest entry, which bounds no other from below,
+    so the occurrence is the rest of the pattern in pv split at the site:
+    the entries before its largest left of the site, the others right."""
+    for plan, top in plans:
+        k = len(plan)
+        if not k:
+            return True
+        if k <= len(pv) and _extend_split(pv, plan, [0] * k + [-inf, inf], 0, 0, top, site):
+            return True
+    return False
+
+
+def _extend_split(pv, plan, vals, a: int, start: int, top: int, site: int) -> bool:
+    """``_extend`` with entries 0..top - 1 chosen left of position site and
+    the others from it on."""
+    below, above, after = plan[a]
+    if a < top:
+        positions = range(start, site + a - top + 1)
+    else:
+        positions = range(site if a == top else start, len(pv) + after)
+    for pos in positions:
+        val = pv[pos]
+        if vals[below] < val < vals[above]:
+            vals[a] = val
+            if not after or _extend_split(pv, plan, vals, a + 1, pos + 1, top, site):
+                return True
+    return False
+
+
 def placement_avoids(p, t, all_vertices: bool = False) -> bool:
     """True when no border-vertex restriction of the rook placement p
     contains any of the patterns.  By default only peak vertices are tested,

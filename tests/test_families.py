@@ -2,7 +2,7 @@
 
 import inspect
 from functools import partial
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, permutations as iter_permutations, product
 from math import comb, prod
 
 import pytest
@@ -33,7 +33,7 @@ from matchboard.families import (
 )
 from matchboard.formulas import _gouyou_determinant, coefficients
 from matchboard.model import DyckPath, LabeledDyckPath, statistics
-from matchboard.patterns import S3_PATTERNS
+from matchboard.patterns import S3_PATTERNS, Pattern, as_patterns, perm_contains
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
 from matchboard.series import fe_iterate
 
@@ -220,7 +220,7 @@ class TestGeneratorsAgainstBruteForce:
 
     def test_placements_on_board(self):
         # rook rows column by column, lexicographically
-        for n in range(6):
+        for n in range(7):
             for d in dyck_paths(n):
                 want = [
                     perm for perm in permutations(n)
@@ -348,6 +348,42 @@ class TestCount:
         assert count("partition", 8, avoid=(pat,)).total == bell[8] - 1
         # two arcs hold no occurrence, wherever the two fixed points sit
         assert count("matching-fp", 2, 2, avoid=(pat,)).total == comb(6, 2) * 3
+
+
+class TestPermutationAvoiders:
+    """count("permutation", n, avoid=...) grows the avoiders by inserting
+    the maximum; the filter of every permutation by perm_contains is its
+    oracle."""
+
+    SINGLES = [
+        "".join(map(str, t)) for k in (3, 4) for t in iter_permutations(range(1, k + 1))
+    ]
+    MIXED = [
+        ("1",), ("12",), ("123", "4321"), ("1342", "2413"), ("132", "4123"),
+        ("1234", "2143", "3412"),
+    ]
+
+    def test_grown_avoiders_are_the_filtered_permutations(self):
+        for n in range(8):
+            perms = list(permutations(n))
+            contains = {}
+            for t in self.SINGLES + [t for ps in self.MIXED for t in ps]:
+                pat = Pattern.from_text(t)
+                contains[t] = {p for p in perms if perm_contains(p, pat)}
+            for ps in [(t,) for t in self.SINGLES] + self.MIXED:
+                want = [p for p in perms if not any(p in contains[t] for t in ps)]
+                got = families._avoiding_permutations(n, as_patterns(ps))
+                assert sorted(got) == want, (n, ps)
+                assert count("permutation", n, avoid=ps).total == len(want), (n, ps)
+
+    @pytest.mark.parametrize("pat", ["1342", "3124", "1324"])
+    def test_counts_at_the_cap(self, pat):
+        # Bona's formula, the s1342 tuple, counts the 1342- and the
+        # 3124-avoiders; 94776 counts the 1324-avoiders of [9] (OEIS A061552)
+        bona = coefficients("s1342", 9)[9]
+        assert bona == 91245
+        want = 94776 if pat == "1324" else bona
+        assert count("permutation", 9, avoid=pat).total == want
 
 
 class TestAvoidingWithFixedPoints:
