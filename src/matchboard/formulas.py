@@ -347,9 +347,10 @@ class Formula(namedtuple("Formula", "routes oracle")):
 
 
 # the route tuples of the sequences that two ids name; each id keeps its own
-# oracle, and in each tuple routes 0 and 1 share no code.  1342 pairs Bona's
-# closed form with the kernel route of the 3124 labeled paths, and 123
-# Gouyou-Beauchamps's determinant with the pair walk.
+# oracle.  Routes share the series kernel, and tests/test_formulas.py names
+# all else they share (route 2 of _CATALAN reads narayana_series, as route 0
+# does).  1342 pairs Bona's closed form with the kernel route of the 3124
+# labeled paths, and 123 Gouyou-Beauchamps's determinant with the pair walk.
 _S1342 = (
     _s1342_closed,
     _s3124_series,

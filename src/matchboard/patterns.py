@@ -175,25 +175,24 @@ def _extend_split(pv, plan, vals, a: int, start: int, top: int, site: int) -> bo
     return False
 
 
-def placement_avoids(p, t, all_vertices: bool = False) -> bool:
+def placement_avoids(p, t) -> bool:
     """True when no border-vertex restriction of the rook placement p
-    contains any of the patterns.  By default only peak vertices are tested,
-    since every other restriction embeds in a peak's; all_vertices=True
-    forces the direct definition."""
-    return offending_vertex(p, t, all_vertices) is None
+    contains any of the patterns.  Only the peaks are tested, since every
+    other restriction embeds in a peak's."""
+    return offending_vertex(p, t) is None
 
 
-def offending_vertex(p, t, all_vertices: bool = False) -> int | None:
-    """Index of the first border vertex of the rook placement p (a peak,
-    unless all_vertices) whose restriction contains one of the patterns, or
-    None when there is none.  The rook rows under each vertex are tested
-    as they stand: containment depends only on their relative order, so the
-    ranking that ``gamma_restriction`` applies would change nothing."""
+def offending_vertex(p, t) -> int | None:
+    """Index of the first peak of the rook placement p whose restriction
+    contains one of the patterns, or None when there is none.  The rook
+    rows under each peak are tested as they stand: containment depends only
+    on their relative order, so the ranking that ``gamma_restriction``
+    applies would change nothing."""
     pats = (t,) if isinstance(t, Pattern) else t
     plans = [_plan(_values(pat)) for pat in pats]
     vertices = p.border.vertices
     rows = p.rook_rows
-    for v in range(len(vertices)) if all_vertices else p.border.peak_indices():
+    for v in p.border.peak_indices():
         x, y = vertices[v]
         inside = [r for r in rows[:x] if r <= y]
         for plan in plans:

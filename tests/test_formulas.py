@@ -1,10 +1,15 @@
 """Generating-function routes, closed forms, and oracle cross-checks."""
 
+import os
+import sys
+from itertools import combinations
 from math import comb
+from types import CodeType
 
 import pytest
 
-from matchboard import formulas, series
+# imported before any trace, so that no trace holds their import-time code
+from matchboard import bijections, families, formulas, series  # noqa: F401
 from matchboard.errors import ResourceCapError, SeriesError
 from matchboard.formulas import (
     FORMULA_IDS,
@@ -80,6 +85,96 @@ def one_id_per_route_tuple() -> dict:
     return {f.routes: fid for fid, f in FORMULAS.items()}
 
 
+# What the routes and the oracles share, read off a call trace.  Tracing
+# keys on code objects, not names: two routes of classII_III_m are lambdas
+# with one name, and Python 3.10 has no co_qualname.
+
+PACKAGE = os.path.dirname(formulas.__file__)
+
+
+def _codes(*objs) -> frozenset:
+    """The code objects of functions and of the methods of classes, with
+    every code object nested in them (lambdas, comprehensions)."""
+    codes, todo = set(), []
+    for obj in objs:
+        for f in vars(obj).values() if isinstance(obj, type) else (obj,):
+            f = getattr(f, "__func__", getattr(f, "__wrapped__", f))
+            todo += [f.__code__] if hasattr(f, "__code__") else []
+    while todo:
+        code = todo.pop()
+        codes.add(code)
+        todo += [c for c in code.co_consts if isinstance(c, CodeType)]
+    return frozenset(codes)
+
+
+def _trace(call, arg) -> frozenset:
+    """The matchboard code objects that call(arg) enters.  The profiler in
+    place before, if any, is put back."""
+    seen = set()
+
+    def profile(frame, event, _):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call(arg)
+    finally:
+        if saved is None or callable(saved):
+            sys.setprofile(saved)
+        else:  # cProfile's profiler is not callable, but re-enables itself
+            saved.enable()
+    return frozenset(c for c in seen if os.path.dirname(c.co_filename) == PACKAGE)
+
+
+def _names(codes) -> list[str]:
+    return sorted(f"{c.co_name}:{c.co_firstlineno}" for c in codes)
+
+
+# the series arithmetic that any two routes may share: the packed product,
+# the Newton loop and every Series method but the square root
+KERNEL = _codes(
+    series._norm, series._pacc, series._pack, series._unpack, series._aligned,
+    series._strides, series._Operand, series._grid, series._convolve,
+    series._pshift, series._pdown, series._pscale, series._newton, Series,
+) - _codes(Series.sqrt)
+
+# Table 1: one row per route tuple, named by its first id, with what two of
+# its routes share beyond the kernel, exactly; an unlisted pair shares
+# nothing more
+SHARED = {
+    "m312": {},
+    # two different cubics, each solved and checked by algebraic_solve
+    "p312": {(0, 1): (series.algebraic_solve, series.poly_eval)},
+    "maps": {},
+    "s1342": {(0, 2): (Series.sqrt,), (1, 2): (formulas._sequence,)},
+    "classI_m": {},
+    "classI_p": {},
+    "classII_III_m": {},
+    "classII_III_p": {(0, 1): (series.substitution_sum,)},
+    "classIV_m": {},
+    "classIV_p": {},
+    "classV_m": {},
+    # route 2 reads the valley series that route 0 specializes, so it is no
+    # independent check of route 0
+    "catalan_v": {
+        (0, 2): (series.narayana_series, series._solve, series._Product,
+                 series._same, series._marked),
+    },
+    "gouyou_m123": {},
+}
+
+# Table 2: what no route of the listed ids calls
+BARRED = (
+    # no route reads another id
+    (FORMULA_IDS, (formulas.coefficients, formulas.secondary_coefficients,
+                   formulas._route)),
+    # both p312 routes solve cubics, with no functional equation
+    (("p312",), (series.fe_iterate,)),
+)
+
+
 class TestSecondaryRoutes:
     def test_agreement_at_order_cap(self):
         # every route equals route 0, so every two routes agree
@@ -98,88 +193,6 @@ class TestSecondaryRoutes:
         assert len(groups) == 13
         assert all(len(tuples) == 1 for tuples in groups.values()), groups
 
-    def test_1342_routes_share_no_code(self, monkeypatch):
-        # Bona's closed form takes a square root and the kernel route solves
-        # the 3124 functional equation; each runs with the other's step
-        # refused
-        closed, kernel = FORMULAS["s1342"].routes[:2]
-        want = coefficients("s1342", 10)
-
-        def refuse(*args):
-            raise AssertionError("refused")
-
-        with monkeypatch.context() as m:
-            m.setattr(formulas, "fe_iterate", refuse)
-            assert tuple(closed(10)) == want
-            with pytest.raises(AssertionError):
-                kernel(10)
-        with monkeypatch.context() as m:
-            m.setattr(Series, "sqrt", refuse)
-            assert tuple(kernel(10)) == want
-            with pytest.raises(AssertionError):
-                closed(10)
-
-    def test_classII_III_m_routes_share_no_code(self, monkeypatch):
-        # the functional-equation route reads the Narayana series inside
-        # K_lt2; the cubic route solves the Narayana quadratic itself
-        kernel, cubic = FORMULAS["classII_III_m"].routes[:2]
-        want = coefficients("classII_III_m", 10)
-
-        def refuse(*args):
-            raise AssertionError("refused")
-
-        with monkeypatch.context() as m:
-            m.setattr(series, "narayana_series", refuse)
-            m.setattr(formulas, "narayana_series", refuse)
-            assert tuple(cubic(10)) == want
-            with pytest.raises(AssertionError):
-                kernel(10)
-        with monkeypatch.context() as m:
-            m.setattr(formulas, "fe_iterate", refuse)
-            assert tuple(cubic(10)) == want
-            with pytest.raises(AssertionError):
-                kernel(10)
-
-    def test_classII_III_p_routes_share_no_code(self, monkeypatch):
-        # route 0 transforms the K_lt2 solve; route 1 solves the cubic in H
-        # with v free, and the two share only substitution_sum
-        kernel, cubic = FORMULAS["classII_III_p"].routes[:2]
-        want = coefficients("classII_III_p", 10)
-
-        def refuse(*args):
-            raise AssertionError("refused")
-
-        with monkeypatch.context() as m:
-            m.setattr(formulas, "fe_iterate", refuse)
-            assert tuple(cubic(10)) == want
-            with pytest.raises(AssertionError):
-                kernel(10)
-        with monkeypatch.context() as m:
-            m.setattr(formulas, "algebraic_solve", refuse)
-            assert tuple(kernel(10)) == want
-            with pytest.raises(AssertionError):
-                cubic(10)
-
-    def test_p312_routes_share_no_code(self, monkeypatch):
-        # route 0 solves the closed cubic in R; route 1 transforms the root
-        # of the eliminated K_Llv cubic, with no functional equation.  The
-        # two share only algebraic_solve, which checks its own root, and
-        # they solve different cubics with it
-        closed, kernel = FORMULAS["p312"].routes[:2]
-        want = coefficients("p312", 10)
-
-        def refuse(*args):
-            raise AssertionError("refused")
-
-        with monkeypatch.context() as m:
-            m.setattr(formulas, "fe_iterate", refuse)
-            assert tuple(kernel(10)) == want
-        with monkeypatch.context() as m:
-            m.setattr(formulas, "partition_transform", refuse)
-            assert tuple(closed(10)) == want
-            with pytest.raises(AssertionError):
-                kernel(10)
-
     def test_p312_routes_agree_past_the_cap(self):
         # the route functions themselves, since _route enforces ORDER_CAP
         closed, kernel = FORMULAS["p312"].routes[:2]
@@ -194,31 +207,29 @@ class TestSecondaryRoutes:
         single = {fid for fid, f in FORMULAS.items() if len(f.routes) < 2}
         assert single == {"classV_m"}
 
-    def test_no_route_reads_another_id(self, monkeypatch):
-        ids = one_id_per_route_tuple()
-        want = {fid: coefficients(fid, 10) for fid in ids.values()}
-
-        def refuse(*args):
-            raise AssertionError(f"a route read the coefficients {args}")
-
-        monkeypatch.setattr(formulas, "coefficients", refuse)
-        monkeypatch.setattr(formulas, "secondary_coefficients", refuse)
-        for routes, fid in ids.items():
-            for i, route in enumerate(routes):
-                assert tuple(route(10)) == want[fid], (fid, i)
-
-    def test_catalan_second_routes_skip_narayana(self, monkeypatch):
-        def refuse(order):
-            raise AssertionError("narayana_series was called")
-
-        monkeypatch.setattr(series, "narayana_series", refuse)
-        monkeypatch.setattr(formulas, "narayana_series", refuse)
-        # the patch reaches the route that does read the valley series
-        with pytest.raises(AssertionError):
-            FORMULAS["dyck_rv"].routes[0](10)
-        catalan = tuple(comb(2 * n, n) // (n + 1) for n in range(11))
-        for fid in ("catalan_v", "dyck_rv"):
-            assert tuple(FORMULAS[fid].routes[1](10)) == catalan, fid
+    def test_routes_and_oracles_share_only_what_the_tables_name(self):
+        traces = {rs: [_trace(r, 12) for r in rs] for rs in one_id_per_route_tuple()}
+        # every route tuple has its row, so a new one must say what it shares
+        rows = [FORMULAS[fid].routes for fid in SHARED]
+        assert len(set(rows)) == len(rows) and set(rows) == set(traces)
+        for fid, allowances in SHARED.items():
+            routes = traces[FORMULAS[fid].routes]
+            assert all(routes), fid
+            pairs = list(combinations(range(len(routes)), 2))
+            assert set(allowances) <= set(pairs), fid
+            for i, j in pairs:
+                shared = (routes[i] & routes[j]) - KERNEL
+                allowed = _codes(*allowances.get((i, j), ()))
+                assert shared == allowed, (fid, i, j, _names(shared ^ allowed))
+        for fids, barred in BARRED:
+            barred = _codes(*barred)
+            for fid in fids:
+                for i, trace in enumerate(traces[FORMULAS[fid].routes]):
+                    assert not trace & barred, (fid, i, _names(trace & barred))
+        for fid, f in FORMULAS.items():
+            oracle = _trace(f.oracle, 5)
+            shared = oracle & frozenset().union(*traces[f.routes])
+            assert oracle and not shared, (fid, _names(shared))
 
 
 class TestClosedFormIdentities:
