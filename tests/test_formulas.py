@@ -2,6 +2,7 @@
 
 import os
 import sys
+from functools import cache
 from itertools import combinations
 from math import comb
 from types import CodeType
@@ -175,6 +176,34 @@ BARRED = (
 )
 
 
+@cache
+def _route_traces() -> dict:
+    """The trace of every route of each distinct route tuple, at order 12."""
+    return {rs: [_trace(r, 12) for r in rs] for rs in one_id_per_route_tuple()}
+
+
+def _check_row(fid: str) -> None:
+    """Every two routes of fid's tuple share the kernel and exactly the
+    allowance of its Table 1 row."""
+    allowances = SHARED[fid]
+    routes = _route_traces()[FORMULAS[fid].routes]
+    assert all(routes), fid
+    pairs = list(combinations(range(len(routes)), 2))
+    assert set(allowances) <= set(pairs), fid
+    for i, j in pairs:
+        shared = (routes[i] & routes[j]) - KERNEL
+        allowed = _codes(*allowances.get((i, j), ()))
+        assert shared == allowed, (fid, i, j, _names(shared ^ allowed))
+
+
+def _check_barred(fids, barred) -> None:
+    """No route of the ids fids calls any of barred (a Table 2 row)."""
+    barred = _codes(*barred)
+    for fid in fids:
+        for i, trace in enumerate(_route_traces()[FORMULAS[fid].routes]):
+            assert not trace & barred, (fid, i, _names(trace & barred))
+
+
 class TestSecondaryRoutes:
     def test_agreement_at_order_cap(self):
         # every route equals route 0, so every two routes agree
@@ -207,25 +236,37 @@ class TestSecondaryRoutes:
         single = {fid for fid, f in FORMULAS.items() if len(f.routes) < 2}
         assert single == {"classV_m"}
 
+    # the refusal tests these names come from each pinned one or two rows of
+    # the tables, now checked from the trace; the last test checks them all
+    # and the oracles
+    def test_1342_routes_share_no_code(self):
+        _check_row("s1342")
+
+    def test_classII_III_m_routes_share_no_code(self):
+        _check_row("classII_III_m")
+
+    def test_classII_III_p_routes_share_no_code(self):
+        _check_row("classII_III_p")
+
+    def test_p312_routes_share_no_code(self):
+        _check_row("p312")
+        _check_barred(*BARRED[1])
+
+    def test_no_route_reads_another_id(self):
+        _check_barred(*BARRED[0])
+
+    def test_catalan_second_routes_skip_narayana(self):
+        _check_row("catalan_v")
+
     def test_routes_and_oracles_share_only_what_the_tables_name(self):
-        traces = {rs: [_trace(r, 12) for r in rs] for rs in one_id_per_route_tuple()}
+        traces = _route_traces()
         # every route tuple has its row, so a new one must say what it shares
         rows = [FORMULAS[fid].routes for fid in SHARED]
         assert len(set(rows)) == len(rows) and set(rows) == set(traces)
-        for fid, allowances in SHARED.items():
-            routes = traces[FORMULAS[fid].routes]
-            assert all(routes), fid
-            pairs = list(combinations(range(len(routes)), 2))
-            assert set(allowances) <= set(pairs), fid
-            for i, j in pairs:
-                shared = (routes[i] & routes[j]) - KERNEL
-                allowed = _codes(*allowances.get((i, j), ()))
-                assert shared == allowed, (fid, i, j, _names(shared ^ allowed))
+        for fid in SHARED:
+            _check_row(fid)
         for fids, barred in BARRED:
-            barred = _codes(*barred)
-            for fid in fids:
-                for i, trace in enumerate(traces[FORMULAS[fid].routes]):
-                    assert not trace & barred, (fid, i, _names(trace & barred))
+            _check_barred(fids, barred)
         for fid, f in FORMULAS.items():
             oracle = _trace(f.oracle, 5)
             shared = oracle & frozenset().union(*traces[f.routes])

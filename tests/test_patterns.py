@@ -296,6 +296,13 @@ class TestScanAgainstBruteForce:
 
 
 class TestPlacementAvoids:
+    def test_peak_scan_equals_full_scan(self):
+        # the direct definition tests the ranked restriction at every vertex
+        for p in placements(4):
+            for t in S3_PATTERNS:
+                full = not any(perm_contains(gamma_restriction(p, v), t) for v in range(9))
+                assert placement_avoids(p, t) == full, (p, t)
+
     def test_square_board(self):
         p = RookPlacement.from_text("border:EEESSS;rooks:1,2,3")
         assert not placement_avoids(p, Pattern((1, 2, 3)))
