@@ -181,15 +181,20 @@ def delta213(p: RookPlacement) -> NoncrossingPathPair:
 
 def delta213_inv(pair: NoncrossingPathPair) -> RookPlacement:
     """Rebuild the rooks from the bottom board, filling rows top to bottom
-    with a rook in the rightmost unused column, then embed in the top board."""
+    with a rook in the rightmost unused column, then embed in the top board.
+    The bottom board's columns do not rise to the right, so the columns as
+    high as row r are a prefix, longer for each lower row: each is pushed
+    when row r reaches it, and the top of the stack is the rightmost unused."""
     n = pair.n
     heights = pair.bottom.column_heights
-    used: set[int] = set()
     rook_rows = [0] * n
+    tall: list[int] = []  # the unused columns as high as row r, left to right
+    c = 0
     for r in range(n, 0, -1):
-        col = max(c for c in range(1, n + 1) if heights[c - 1] >= r and c not in used)
-        used.add(col)
-        rook_rows[col - 1] = r
+        while c < n and heights[c] >= r:
+            tall.append(c)
+            c += 1
+        rook_rows[tall.pop()] = r
     return RookPlacement(pair.top, tuple(rook_rows))
 
 

@@ -15,16 +15,16 @@ that avoid patterns grow from the avoiders one size down
 the generators, the avoidance tests in ``patterns`` and
 ``bijections.check_fixed_point_class`` remain the brute-force oracles.
 Only the generators load the object model (``model`` and ``bijections``).
-A count reads no object of the path, pair and labeled families, so it
-enumerates their step words (``_dyck_words`` and ``_pair_words``) and label
-tuples (``_labelings``), and the generators build their validated objects
-from the same words and tuples.
+A count reads no object of the path, pair and labeled families: it sums
+the lengths of the suffix lists that the step-word walk groups by prefix
+(``_word_groups`` and ``_pair_groups``) and counts the label tuples
+(``_labelings``), from which the generators build their validated objects.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, combinations, permutations as iter_permutations, product, repeat
+from itertools import accumulate, combinations, permutations as iter_permutations, product
 from math import comb
 
 from .errors import InvalidObjectError, ResourceCapError
@@ -67,10 +67,10 @@ __all__ = [
 # generators
 
 
-def _words_under(ceiling, end=0):
-    """Step words, E before S, of the paths from height 0 that stay weakly
-    below ``ceiling``, the heights of a border path's first vertices, and
-    reach height ``end`` at its last vertex, each closed by ``end`` S steps."""
+def _word_groups(ceiling, end=0):
+    """Groups (prefix, suffixes) of the step words, E before S, of the paths
+    from height 0 that stay weakly below ``ceiling`` (a border path's first
+    heights) and reach height ``end`` at its last vertex, closed by ``end`` S steps."""
     mid = (len(ceiling) - 1) // 2
     # suffixes[d]: the words from height d at vertex mid to the closed end,
     # built from the last vertex back, where only height end has a word; the
@@ -83,14 +83,13 @@ def _words_under(ceiling, end=0):
             ["E" + w for w in suffixes[d + 1]] + ["S" + w for w in suffixes[d - 1]]
             for d in range(top + 1)
         ]
-    # the words up to vertex mid grow depth first from an explicit stack,
-    # and each takes every suffix from its height
+    # the words up to vertex mid grow depth first from an explicit stack
     stack = [("", 0)]
     while stack:
         word, d = stack.pop()
         i = len(word)
         if i == mid:
-            yield from map(word.__add__, suffixes[d])
+            yield word, suffixes[d]
             continue
         if d:
             stack.append((word + "S", d - 1))
@@ -98,29 +97,34 @@ def _words_under(ceiling, end=0):
             stack.append((word + "E", d + 1))
 
 
-def _dyck_words(n: int):
-    """Step words of the border paths of semilength n."""
+def _words_under(ceiling, end=0):
+    """The words of ``_word_groups``, joined in order."""
+    for prefix, suffixes in _word_groups(ceiling, end):
+        yield from map(prefix.__add__, suffixes)
+
+
+def _dyck_ceiling(n: int) -> list[int]:
     _refuse_negative(n)
-    return _words_under([min(i, 2 * n - i) for i in range(2 * n + 1)])  # the heights of E^n S^n
+    return [min(i, 2 * n - i) for i in range(2 * n + 1)]  # the heights of E^n S^n
 
 
-def _pair_words(n: int, k: int = 0):
-    """(bottom, top) step words of the noncrossing pairs of semilength n + k
-    whose paths both end in k south steps, in the order of
-    ``noncrossing_pairs``: the tops, and under each top the words below its
-    heights, each grown to height k at vertex 2n + k and closed."""
+def _pair_groups(n: int, k: int = 0):
+    """Groups ((prefix, top), suffixes) of the (bottom, top) words of the
+    noncrossing pairs of semilength n + k whose paths both end in k S steps:
+    per top, the bottoms below it, grown to height k at vertex 2n + k and closed."""
     _refuse_negative(n, k)
     last = 2 * n + k
-    for top in _words_under([min(i, 2 * (n + k) - i) for i in range(last + 1)], k):
+    for top in _words_under(_dyck_ceiling(n + k)[:last + 1], k):
         heights = tuple(accumulate((1 if c == "E" else -1 for c in top[:last]), initial=0))
-        yield from zip(_words_under(heights, k), repeat(top))
+        for prefix, suffixes in _word_groups(heights, k):
+            yield (prefix, top), suffixes
 
 
 def dyck_paths(n: int):
     """All border paths of semilength n."""
     from .model import DyckPath
 
-    yield from map(DyckPath, _dyck_words(n))
+    yield from map(DyckPath, _words_under(_dyck_ceiling(n)))
 
 
 def boards(n: int):
@@ -237,22 +241,18 @@ def _avoiding_permutations(n: int, pats):
 
 def noncrossing_pairs(n: int):
     """Pairs (bottom, top) of borders with bottom pointwise below top."""
-    return _pairs(_pair_words(n), n)
+    return pairs_ending_south(n, 0)
 
 
 def pairs_ending_south(n: int, k: int):
-    """Pairs of semilength n + k whose paths both end with k south steps."""
-    return _pairs(_pair_words(n, k), n + k)
-
-
-def _pairs(words, n: int):
-    """The validated pairs of the (bottom, top) words of semilength n, each
-    word read as the one validated path of semilength n that spells it."""
+    """Pairs of semilength n + k whose paths both end with k south steps:
+    each word of ``_pair_groups`` read as the one validated path spelling it."""
     from .bijections import NoncrossingPathPair
 
-    paths = {d.steps: d for d in dyck_paths(n)}
-    for bottom, top in words:
-        yield NoncrossingPathPair(paths[bottom], paths[top])
+    paths = {d.steps: d for d in dyck_paths(n + k)}
+    for (prefix, top), suffixes in _pair_groups(n, k):
+        for suffix in suffixes:
+            yield NoncrossingPathPair(paths[prefix + suffix], paths[top])
 
 
 def labeled_paths(n: int, cls):
@@ -518,8 +518,8 @@ def _arcs_avoid(obj, pats) -> bool:
 class _Family(
     namedtuple(
         "_Family",
-        "cap label generate takes_k scan avoids border avoiders",
-        defaults=(False, None, None, None, None),
+        "cap label generate takes_k scan avoids border avoiders grouped",
+        defaults=(False, None, None, None, None, False),
     )
 ):
     """What ``count`` knows of one family.  The callables look the layer
@@ -529,7 +529,7 @@ class _Family(
     - cap: the largest n, or n + k for a family with k, it enumerates;
     - label: what the cap error calls the objects;
     - generate: (n, k) -> the objects; a row with neither avoids nor border
-      may yield any one item per object, such as its step word or labels;
+      may yield any one item per object, or, grouped, (head, objects) pairs;
     - takes_k: whether the family takes k;
     - scan: the _scan that counts length-3 pattern sets: "matching",
       "partition", or "matching-fp", the matching scan of the arcs times
@@ -571,9 +571,9 @@ _FAMILIES = {
         avoiders=lambda n, pats: _avoiding_permutations(n, pats),
     ),
     # a count reads no object of the path, pair and labeled rows: they
-    # yield words and label tuples
-    "dyck": _Family(12, "path", lambda n, k: _dyck_words(n)),
-    "board": _Family(12, "board", lambda n, k: _dyck_words(n)),
+    # yield groups of step words and label tuples
+    "dyck": _Family(12, "path", lambda n, k: _word_groups(_dyck_ceiling(n)), grouped=True),
+    "board": _Family(12, "board", lambda n, k: _word_groups(_dyck_ceiling(n)), grouped=True),
     # placements on the boards of F_n correspond to matchings shape by shape
     "placement": _Family(
         8, "placement", lambda n, k: placements(n), scan="matching",
@@ -585,8 +585,8 @@ _FAMILIES = {
         avoids=lambda p, pats: placement_avoids(p, pats),
         border=lambda p: p.border,
     ),
-    "pair": _Family(9, "path pair", lambda n, k: _pair_words(n)),
-    "pair-nk": _Family(9, "path pair", lambda n, k: _pair_words(n, k), takes_k=True),
+    "pair": _Family(9, "path pair", lambda n, k: _pair_groups(n), grouped=True),
+    "pair-nk": _Family(9, "path pair", lambda n, k: _pair_groups(n, k), takes_k=True, grouped=True),
     "matching-fp": _Family(
         8, "matching", lambda n, k: matchings_with_fixed_points(n, k),
         takes_k=True, scan="matching-fp", avoids=_arcs_avoid,
@@ -681,7 +681,7 @@ def count(
         else:
             objs = (obj for obj in row.generate(n, k) if row.avoids(obj, pats))
         if not (stats or by_shape):
-            return CountTable(sum(1 for _ in objs))
+            return CountTable(sum(len(g) for _, g in objs) if row.grouped else sum(1 for _ in objs))
         shapes = {}
         for obj in objs:
             border = row.border(obj).steps

@@ -233,6 +233,10 @@ class RookPlacement(Value):
         return _decoded(cls, border, rooks)
 
 
+def _unpartitioned(arcs, fps, size: int) -> InvalidObjectError:
+    return InvalidObjectError(f"arcs {arcs} and fixed points {fps} do not partition [{size}]")
+
+
 class Matching(Value):
     """A matching of [2n + k] given by n arcs (opener, closer) and k fixed
     points (vertices of degree 0); perfect when fixed_points is empty."""
@@ -247,10 +251,16 @@ class Matching(Value):
             if not i < j:
                 raise InvalidObjectError(f"arc ({i},{j}) must have opener < closer")
         size = 2 * len(arcs) + len(fps)
-        if sorted(chain(fps, *arcs)) != list(range(1, size + 1)):
-            raise InvalidObjectError(
-                f"arcs {arcs} and fixed points {fps} do not partition [{size}]"
-            )
+        # size vertices, each in 1..size and none twice, are all of [size]
+        free = [True] * (size + 1)
+        for i, j in arcs:
+            if i < 1 or j > size or not (free[i] and free[j]):
+                raise _unpartitioned(arcs, fps, size)
+            free[i] = free[j] = False
+        for v in fps:
+            if not 0 < v <= size or not free[v]:
+                raise _unpartitioned(arcs, fps, size)
+            free[v] = False
         _set(self, "arcs", arcs)
         _set(self, "fixed_points", fps)
         _set(self, "_shape", None)

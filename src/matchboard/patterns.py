@@ -103,32 +103,29 @@ def _plan(tv: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
 
 def perm_contains(p, t) -> bool:
     """True when some subsequence of p is order-isomorphic to t."""
-    return _contains(_values(p), _plan(_values(t)))
+    pv, plan = _values(p), _plan(_values(t))
+    return not plan or _search(pv, (inf,) * len(pv), plan)
 
 
 def _values(t) -> tuple[int, ...]:
     return t.perm if isinstance(t, Pattern) else tuple(t)
 
 
-def _contains(pv, plan) -> bool:
-    """Whether the distinct values pv contain the planned pattern."""
-    k = len(plan)
-    if k == 0:
-        return True
-    if k > len(pv):
-        return False
-    return _extend(pv, plan, [0] * k + [-inf, inf], 0, 0)
-
-
-def _extend(pv, plan, vals, a: int, start: int) -> bool:
-    """Whether positions from start on extend the values vals[:a], chosen
-    from pv, to an occurrence of the planned pattern."""
+def _search(pv, ceiling, plan, vals=None, a: int = 0, start: int = 0, high=-inf) -> bool:
+    """Whether positions from start on extend vals[:a], chosen from the
+    distinct values pv with the largest high, to an occurrence of the plan
+    with every value at most the ceiling at its last position.  The ceiling
+    does not rise and holds pv, so one below high ends the search."""
+    vals = vals or [0] * len(plan) + [-inf, inf]
     below, above, after = plan[a]
     for pos in range(start, len(pv) + after):
         val = pv[pos]
         if vals[below] < val < vals[above]:
+            if ceiling[pos] < high:
+                return False
             vals[a] = val
-            if not after or _extend(pv, plan, vals, a + 1, pos + 1):
+            hi = val if val > high else high
+            if not after or _search(pv, ceiling, plan, vals, a + 1, pos + 1, hi):
                 return True
     return False
 
@@ -159,8 +156,8 @@ def _inserting_max_forms(pv, site: int, plans) -> bool:
 
 
 def _extend_split(pv, plan, vals, a: int, start: int, top: int, site: int) -> bool:
-    """``_extend`` with entries 0..top - 1 chosen left of position site and
-    the others from it on."""
+    """``_search`` under no ceiling, with entries 0..top - 1 chosen left of
+    position site and the others from it on."""
     below, above, after = plan[a]
     if a < top:
         positions = range(start, site + a - top + 1)
@@ -177,28 +174,31 @@ def _extend_split(pv, plan, vals, a: int, start: int, top: int, site: int) -> bo
 
 def placement_avoids(p, t) -> bool:
     """True when no border-vertex restriction of the rook placement p
-    contains any of the patterns.  Only the peaks are tested, since every
-    other restriction embeds in a peak's."""
-    return offending_vertex(p, t) is None
+    contains any of the patterns.  The board is the union of the rectangles
+    under its peaks, and column c is as high as the first peak from it on,
+    so a restriction contains t exactly when an occurrence in the rook rows
+    has its top-right corner in the board (its highest row at most the
+    height of its last column): one search, under the column heights."""
+    return not _in_board(p.rook_rows, p.border.column_heights, t)
 
 
 def offending_vertex(p, t) -> int | None:
     """Index of the first peak of the rook placement p whose restriction
-    contains one of the patterns, or None when there is none.  The rook
-    rows under each peak are tested as they stand: containment depends only
-    on their relative order, so the ranking that ``gamma_restriction``
-    applies would change nothing."""
-    pats = (t,) if isinstance(t, Pattern) else t
-    plans = [_plan(_values(pat)) for pat in pats]
-    vertices = p.border.vertices
-    rows = p.rook_rows
-    for v in p.border.peak_indices():
-        x, y = vertices[v]
-        inside = [r for r in rows[:x] if r <= y]
-        for plan in plans:
-            if _contains(inside, plan):
-                return v
-    return None
+    contains one of the patterns, or None: the first peak at or right of
+    column e, where columns 1..e are the fewest holding an occurrence."""
+    rows, ceiling = p.rook_rows, p.border.column_heights
+    t = t if isinstance(t, Pattern) else tuple(t)  # several searches read it
+    if not _in_board(rows, ceiling, t):
+        return None
+    e = bisect.bisect(range(len(rows)), False, key=lambda e: _in_board(rows[:e], ceiling, t))
+    return next(v for v in p.border.peak_indices() if p.border.vertices[v][0] >= e)
+
+
+def _in_board(rows, ceiling, t) -> bool:
+    for pat in (t,) if isinstance(t, Pattern) else t:
+        if _search(rows, ceiling, _plan(_values(pat))):
+            return True
+    return False
 
 
 def find_arc_occurrence(arcs, t: Pattern):

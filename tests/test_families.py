@@ -13,8 +13,10 @@ from matchboard.checks import board_difference, run
 from matchboard.errors import InvalidObjectError, ResourceCapError
 from matchboard.families import (
     FAMILY_NAMES,
+    _pair_groups,
     _pair_walk,
-    _pair_words,
+    _word_groups,
+    _words_under,
     b2_pairs,
     count,
     count_fixed_point_class,
@@ -239,9 +241,24 @@ class TestGeneratorsAgainstBruteForce:
         assert tuple(count("pair-b2", n).total for n in range(13)) == tuple(g)
 
 
+def _pair_words(n, k=0):
+    """The (bottom, top) words of ``_pair_groups``, joined."""
+    return [(prefix + s, top) for (prefix, top), suffixes in _pair_groups(n, k) for s in suffixes]
+
+
 class TestStepWordCounts:
-    """The path and pair families are counted by their step words, and the
-    pair generators build their objects from the same words."""
+    """The path and pair families are counted by the groups of their step
+    words, and the pair generators build their objects from the same words."""
+
+    def test_words_under_every_ceiling(self):
+        # every border of semilength n <= 6 as a ceiling: the walk's words,
+        # and the sum of its suffix lists, against a filter of all words
+        for n in range(7):
+            words = _dyck_words(n)
+            for _, ceiling in words:
+                want = [w for w, hs in words if all(map(int.__le__, hs, ceiling))]
+                assert list(_words_under(ceiling)) == want, ceiling
+                assert sum(len(s) for _, s in _word_groups(ceiling)) == len(want), ceiling
 
     def test_pair_words_are_the_pairs(self):
         for n in range(7):

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -121,6 +122,26 @@ class TestMatching:
             Matching(((2, 1),))
         with pytest.raises(InvalidObjectError):
             Matching(((1, 3),))  # vertex 2 missing
+
+    @pytest.mark.parametrize("arcs, fps", [
+        ((), (1, 1)),  # a fixed point twice
+        (((1, 2),), (3, 3)),
+        (((1, 3),), (2, 3)),  # a fixed point on an arc
+        (((1, 2),), (0, 3)),  # out of range, below and above
+        (((1, 2),), (3, 5)),
+        (((0, 1), (2, 3)), ()),
+        (((1, 2), (3, 5)), ()),
+    ])
+    def test_vertices_partition_the_ground_set(self, arcs, fps):
+        size = 2 * len(arcs) + len(fps)
+        msg = f"arcs {arcs} and fixed points {fps} do not partition [{size}]"
+        with pytest.raises(InvalidObjectError, match=f"^{re.escape(msg)}$"):
+            Matching(arcs, fps)
+
+    def test_arc_check_comes_first(self):
+        # vertex 1 is taken twice too, but the arc (5,4) is named
+        with pytest.raises(InvalidObjectError, match=r"^arc \(5,4\) must have opener < closer$"):
+            Matching(((1, 2), (1, 3), (5, 4)))
 
     @pytest.mark.parametrize("text", ["(1,2)fp:3", "(1,2);;;fp:3", ";fp:3"])
     def test_fixed_points_follow_one_separator(self, text):
