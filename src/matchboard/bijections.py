@@ -1,14 +1,17 @@
 """Bijections between pattern-avoiding placements and structured path sets.
 
 A 321-avoiding placement maps to a pair of noncrossing paths through the
-sequence j_i = 2*lis - height; a 213-avoiding placement maps through the
-minimal board containing its rooks.  312-avoiding placements map to labeled
-Dyck paths carrying increasing-subsequence lengths.  Matchings with fixed
-points and permutations enter through kappa_prime and chi.
+sequence j_i = 2*lis - height, read off an RSK walk along the border that
+also meets any 321 and, run back, inverts the map; a 213-avoiding placement
+maps through the minimal board containing its rooks, whose column heights
+also meet any 213.  312-avoiding placements map to labeled Dyck paths
+carrying increasing-subsequence lengths.  Matchings with fixed points and
+permutations enter through kappa_prime and chi.
 """
 
 from __future__ import annotations
 
+from bisect import bisect, bisect_left, insort
 from enum import Enum
 from itertools import accumulate
 from math import inf
@@ -85,14 +88,37 @@ class NoncrossingPathPair(Value):
         )
 
 
-def _require_avoiding(p: RookPlacement, pattern: Pattern, map_name: str) -> None:
-    v = offending_vertex(p, pattern)
+def _refuse(map_name: str, pattern: Pattern, v: int | None) -> None:
     if v is not None:
         raise PatternViolationError(
             f"{map_name} needs a {pattern.to_text()}-avoiding placement; "
-            f"the restriction at border vertex V_{v} contains it",
-            vertices=(v,),
+            f"the restriction at border vertex V_{v} contains it", vertices=(v,)
         )
+
+
+def _two_row_labels(p: RookPlacement, map_name: str) -> list[int]:
+    """``lis_labels`` of a 321-avoiding placement: row 1's length in the RSK
+    tableau of the rooks under each border vertex.  An E step row-inserts the
+    new column's rook; an S step deletes row y, the largest value.  The rows
+    number the longest decreasing run (Schensted, Canad. J. Math. 1961), so a
+    bump out of row 2 is a 321, refused at the first peak from here on."""
+    steps, cols = p.border.steps, iter(p.rook_rows)
+    row1, row2, labels = [], [], [0]
+    for i, step in enumerate(steps, start=1):
+        if step == "S":
+            (row2 if row2 and row2[-1] > row1[-1] else row1).pop()
+        else:
+            r = next(cols)
+            for row in row1, row2:
+                k = bisect(row, r)
+                if k == len(row):
+                    row.append(r)
+                    break
+                r, row[k] = row[k], r
+            else:
+                _refuse(map_name, _P321, steps.index("S", i))
+        labels.append(len(row1))
+    return labels
 
 
 def j_sequence(p: RookPlacement) -> tuple[int, ...]:
@@ -102,62 +128,41 @@ def j_sequence(p: RookPlacement) -> tuple[int, ...]:
 
 
 def delta321(p: RookPlacement) -> NoncrossingPathPair:
-    """Bottom path with height sequence 2*lis_i - h_i under the board border."""
-    _require_avoiding(p, _P321, "delta321")
-    bottom = DyckPath.from_heights(j_sequence(p))
+    """Bottom path of heights 2*lis_i - h_i, the lis read off an RSK walk (Schensted)."""
+    labels = _two_row_labels(p, "delta321")
+    bottom = DyckPath.from_heights([2 * l - h for l, h in zip(labels, p.border.heights)])
     return NoncrossingPathPair(bottom, p.border)
 
 
 def delta321_by_switch(p: RookPlacement) -> NoncrossingPathPair:
     """Same map as delta321, described by flipping every border step whose
     two endpoints carry the same lis label."""
-    _require_avoiding(p, _P321, "delta321_by_switch")
-    labels = lis_labels(p)
-    flipped = []
-    for idx, ch in enumerate(p.border.steps):
-        if labels[idx] == labels[idx + 1]:
-            flipped.append("S" if ch == "E" else "E")
-        else:
-            flipped.append(ch)
+    labels = _two_row_labels(p, "delta321_by_switch")
+    flipped = (("S" if ch == "E" else "E") if a == b else ch
+               for ch, a, b in zip(p.border.steps, labels, labels[1:]))
     return NoncrossingPathPair(DyckPath("".join(flipped)), p.border)
 
 
 def delta321_inv(pair: NoncrossingPathPair) -> RookPlacement:
-    """Inverse of delta321 by Fomin's backward local rules for growth
-    diagrams (see Krattenthaler, Adv. Appl. Math. 2006).
-
-    The h rooks under border vertex V_i have RSK shape (l, h - l): their
-    longest increasing sequence is l = (h + j)/2, where h and j are the
-    heights of the top and bottom paths at V_i, and two rows suffice because
-    the rooks avoid 321.  The cells are visited by column from right to
-    left, each column from top to bottom, so the shapes lam, mu, nu at the
-    NE, NW and SE corners of a cell are known and fix the shape rho at its
-    SW corner and whether the cell holds a rook.
-    """
-    n = pair.n
-    # shape[x][y]: the shape at corner (x, y), filled at the border vertices
-    # and then at each cell's SW corner
-    shape = [[None] * (n + 1) for _ in range(n + 1)]
-    for (x, y), h, j in zip(pair.top.vertices, pair.top.heights, pair.bottom.heights):
-        l = (h + j) // 2
-        shape[x][y] = (l, h - l)
-    rook_rows = [0] * n
-    for c in range(n, 0, -1):
-        east, west = shape[c], shape[c - 1]
-        for r in range(pair.top.column_heights[c - 1], 0, -1):
-            lam, mu, nu = east[r], west[r], east[r - 1]
-            if mu != nu:
-                rho = (min(mu[0], nu[0]), min(mu[1], nu[1]))
-            elif lam == mu:
-                rho = mu
-            elif lam[0] > mu[0]:
-                # lam adds a box in row 1: the cell holds a rook
-                rook_rows[c - 1] = r
-                rho = mu
-            else:
-                rho = (mu[0] - 1, mu[1])
-            west[r - 1] = rho
-    return RookPlacement(pair.top, tuple(rook_rows))
+    """Inverse of delta321: ``_two_row_labels``'s walk run back from V_2n, the
+    growth diagram read along the border (Krattenthaler, Adv. Appl. Math.
+    2006).  The rooks under V_i have RSK shape (l, h - l), l = (h + j)/2 for
+    path heights h and j: a step on which the paths agree changes row 1, one
+    on which they part row 2.  A reversed S step appends row y to that row; a
+    reversed E step takes its last box; from row 2 it bumps back into row 1,
+    where the largest entry below it comes out: the column's rook."""
+    row1, row2, rook_rows, y = [], [], [], 0  # the rooks right to left
+    for step, low in zip(reversed(pair.top.steps), reversed(pair.bottom.steps)):
+        if step == "S":
+            y += 1
+            (row1 if low == "S" else row2).append(y)
+        elif low == "E":
+            rook_rows.append(row1.pop())
+        else:
+            k = bisect_left(row1, row2[-1]) - 1
+            rook_rows.append(row1[k])
+            row1[k] = row2.pop()
+    return RookPlacement(pair.top, rook_rows[::-1])
 
 
 def minimal_board(rook_rows) -> DyckPath:
@@ -174,9 +179,17 @@ def minimal_board(rook_rows) -> DyckPath:
 
 def delta213(p: RookPlacement) -> NoncrossingPathPair:
     """Bottom path given by the border of the smallest board containing the
-    rooks."""
-    _require_avoiding(p, _P213, "delta213")
-    return NoncrossingPathPair(minimal_board(p.rook_rows), p.border)
+    rooks.  A 213 ends in its largest entry, so the board holds one when the
+    rows do: column c's rook is its 1 when the nearest higher row before c is
+    below c's height in that board, and only then is the vertex sought."""
+    bottom = minimal_board(p.rook_rows)
+    earlier: list[int] = []  # the rows before column c, sorted
+    for r, h in zip(p.rook_rows, bottom.column_heights):
+        k = bisect(earlier, r)
+        if k < len(earlier) and earlier[k] < h:
+            _refuse("delta213", _P213, offending_vertex(p, _P213))
+        insort(earlier, r)
+    return NoncrossingPathPair(bottom, p.border)
 
 
 def delta213_inv(pair: NoncrossingPathPair) -> RookPlacement:
@@ -200,7 +213,7 @@ def delta213_inv(pair: NoncrossingPathPair) -> RookPlacement:
 
 def pi_labeling(p: RookPlacement) -> LabeledDyckPath:
     """Label each border vertex with its increasing-subsequence length."""
-    _require_avoiding(p, _P312, "pi_labeling")
+    _refuse("pi_labeling", _P312, offending_vertex(p, _P312))
     return LabeledDyckPath(p.border, lis_labels(p))
 
 

@@ -29,7 +29,7 @@ holds None until the first read, which computes it once.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, chain
+from itertools import accumulate, chain, zip_longest
 from operator import gt, index, sub
 
 from .errors import InvalidObjectError, ParseError, Value, _decoded, _ints
@@ -104,12 +104,13 @@ class DyckPath(Value):
             raise InvalidObjectError(f"path {steps!r} crosses the diagonal")
         if hs[-1]:
             raise InvalidObjectError(f"path {steps!r} is unbalanced")
-        _set(self, "steps", steps)
-        _set(self, "heights", hs)
-        _set(self, "_vertices", None)
-        _set(self, "_peaks", None)
-        _set(self, "_aligned", None)
-        _set(self, "_column_heights", None)
+        self._fill(steps, hs)
+
+    def _fill(self, steps: str, hs: tuple[int, ...]) -> "DyckPath":
+        # the lazy slots start empty
+        for slot, value in zip_longest(self.__slots__, (steps, hs)):
+            _set(self, slot, value)
+        return self
 
     @property
     def n(self) -> int:
@@ -132,13 +133,16 @@ class DyckPath(Value):
 
     @property
     def column_heights(self) -> tuple[int, ...]:
-        """Heights of the board columns under the path, left to right: the E
-        step leaving V_i tops a column of height n - (i - d_i)/2."""
+        """Heights of the board columns, left to right: the y of each E step."""
         if self._column_heights is not None:
             return self._column_heights
-        n, hs = self.n, self.heights
-        out = tuple(n - (i - hs[i]) // 2 for i, ch in enumerate(self.steps) if ch == "E")
-        return _keep(self, "_column_heights", out)
+        y, out = self.n, []
+        for ch in self.steps:
+            if ch == "E":
+                out.append(y)
+            else:
+                y -= 1
+        return _keep(self, "_column_heights", tuple(out))
 
     def peak_indices(self) -> tuple[int, ...]:
         """Vertex indices i with an E step arriving and an S step leaving."""
@@ -177,7 +181,9 @@ class DyckPath(Value):
         except KeyError:
             jump = next(b - a for a, b in zip(hs, hs[1:]) if b - a not in _LETTER)
             raise InvalidObjectError(f"height sequence {hs} has a jump of {jump}") from None
-        return cls(steps)
+        if min(hs) < 0:
+            raise InvalidObjectError(f"path {steps!r} crosses the diagonal")
+        return cls.__new__(cls)._fill(steps, tuple(hs))
 
     def to_text(self) -> str:
         return self.steps

@@ -10,7 +10,6 @@ necessarily openers and the last k closers.
 from __future__ import annotations
 
 import bisect
-from functools import lru_cache
 from math import inf
 
 from .errors import InvalidObjectError, ParseError, Value, _decoded, _ints
@@ -29,12 +28,27 @@ __all__ = [
 ]
 
 
+def _plan(tv: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """Per entry of the pattern: the earlier entries holding its nearest lower
+    and nearest higher values (slots k and k + 1 of the value list, which hold
+    bounds, when there is none), and minus the number of entries after it."""
+    k = len(tv)
+    plan = []
+    for a, v in enumerate(tv):
+        lower = [b for b in range(a) if tv[b] < v]
+        higher = [b for b in range(a) if tv[b] > v]
+        plan.append((max(lower, key=tv.__getitem__, default=k),
+                     min(higher, key=tv.__getitem__, default=k + 1), a + 1 - k))
+    return tuple(plan)
+
+
 class Pattern(Value):
     """A permutation of [k] in one-line notation.  It is immutable, and two
-    patterns are equal when their entries are."""
+    patterns are equal when their entries are.  ``plan`` holds its search
+    plan (``_plan``), made once here; it is not a field."""
 
     _fields = ("perm",)
-    __slots__ = _fields
+    __slots__ = _fields + ("plan",)
 
     def __init__(self, perm):
         perm = _ints(perm, "pattern entry")
@@ -43,6 +57,7 @@ class Pattern(Value):
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise InvalidObjectError(f"{perm} is not a permutation of [k]")
         object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "plan", _plan(perm))
 
     def __len__(self):
         return len(self.perm)
@@ -86,29 +101,10 @@ def parse_pattern_set(text: str) -> frozenset[Pattern]:
     return frozenset(map(Pattern.from_text, items))
 
 
-@lru_cache(maxsize=None)
-def _plan(tv: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """Per entry of the pattern: the earlier entries holding its nearest lower
-    and nearest higher values (slots k and k + 1 of the value list, which hold
-    bounds, when there is none), and minus the number of entries after it."""
-    k = len(tv)
-    plan = []
-    for a, v in enumerate(tv):
-        lower = [b for b in range(a) if tv[b] < v]
-        higher = [b for b in range(a) if tv[b] > v]
-        plan.append((max(lower, key=tv.__getitem__, default=k),
-                     min(higher, key=tv.__getitem__, default=k + 1), a + 1 - k))
-    return tuple(plan)
-
-
 def perm_contains(p, t) -> bool:
     """True when some subsequence of p is order-isomorphic to t."""
-    pv, plan = _values(p), _plan(_values(t))
+    pv, plan = tuple(p), t.plan if isinstance(t, Pattern) else _plan(tuple(t))
     return not plan or _search(pv, (inf,) * len(pv), plan)
-
-
-def _values(t) -> tuple[int, ...]:
-    return t.perm if isinstance(t, Pattern) else tuple(t)
 
 
 def _search(pv, ceiling, plan, vals=None, a: int = 0, start: int = 0, high=-inf) -> bool:
@@ -196,7 +192,7 @@ def offending_vertex(p, t) -> int | None:
 
 def _in_board(rows, ceiling, t) -> bool:
     for pat in (t,) if isinstance(t, Pattern) else t:
-        if _search(rows, ceiling, _plan(_values(pat))):
+        if _search(rows, ceiling, pat.plan):
             return True
     return False
 
@@ -214,7 +210,7 @@ def find_arc_occurrence(arcs, t: Pattern):
     # the closers, in opener order, form t's complement: an entry below
     # another in t closes after it, so slot k bounds from above, k + 1 below
     opens, vals = [0] * k, [0] * k + [inf, -inf]
-    if _arc_search(arcs, _plan(t.perm), vals, opens, 0, 0, -inf, inf):
+    if _arc_search(arcs, t.plan, vals, opens, 0, 0, -inf, inf):
         return tuple(opens) + tuple(sorted(vals[:k]))
     return None
 

@@ -1,6 +1,6 @@
 """Bijections between restricted placements and path families."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations, permutations
 from operator import le
 
@@ -47,6 +47,7 @@ from matchboard.patterns import (
     S3_PATTERNS,
     Pattern,
     find_arc_occurrence,
+    offending_vertex,
     placement_avoids,
 )
 
@@ -68,6 +69,12 @@ def _delta321_lookup(border):
     return {delta321(p).bottom.steps: p for p in _avoiding(border, Pattern((3, 2, 1)))}
 
 
+@pytest.fixture(scope="module")
+def every_placement():
+    """Every full rook placement with n <= 6."""
+    return [p for n in range(7) for d in dyck_paths(n) for p in placements_on_board(d)]
+
+
 class TestDelta321:
     def test_worked_example(self):
         p = RookPlacement.from_text("border:EEESESSEESSS;rooks:5,1,6,4,3,2")
@@ -77,10 +84,16 @@ class TestDelta321:
         assert j_sequence(p) == pair.bottom.heights
 
     def test_switch_description_agrees(self):
-        for n in range(1, 5):
+        for n in range(1, 7):
             for board in boards(n):
                 for p in _avoiding(board, Pattern((3, 2, 1))):
                     assert delta321_by_switch(p) == delta321(p)
+
+    def test_bottom_is_j_sequence(self, every_placement):
+        # the RSK walk's labels against the patience sort of lis_labels
+        for p in every_placement:
+            if placement_avoids(p, Pattern((3, 2, 1))):
+                assert delta321(p).bottom.heights == j_sequence(p), p
 
     def test_rejects_non_avoiding(self):
         p = RookPlacement.from_text("border:EEESSS;rooks:3,2,1")
@@ -101,17 +114,46 @@ class TestDelta321:
                 assert set(images) == _pairs_under(board)
 
     def test_inverse_equals_lookup_oracle(self):
-        # every pair under a board is an image, and the growth rules rebuild
+        # every pair under a board is an image, and the reverse walk rebuilds
         # the placement the lookup finds
-        for n in range(0, 6):
+        for n in range(0, 7):
+            under = defaultdict(list)
+            for pr in noncrossing_pairs(n):
+                under[pr.top].append(pr)
             for top in dyck_paths(n):
                 lookup = _delta321_lookup(top)
-                pairs = [pr for pr in noncrossing_pairs(n) if pr.top == top]
+                pairs = under[top]
                 assert sorted(lookup) == sorted(pr.bottom.steps for pr in pairs)
                 for pair in pairs:
                     p = delta321_inv(pair)
                     assert p == lookup[pair.bottom.steps]
                     assert delta321(p) == pair
+
+
+class TestRefusals:
+    """The delta maps check their pattern in the pass that builds their
+    image; each must refuse exactly what the corner search refuses, naming
+    the same vertex in the same words."""
+
+    @pytest.mark.parametrize("f, pattern", [
+        (delta321, Pattern((3, 2, 1))),
+        (delta321_by_switch, Pattern((3, 2, 1))),
+        (delta213, Pattern((2, 1, 3))),
+    ], ids=["delta321", "delta321_by_switch", "delta213"])
+    def test_refuse_where_offending_vertex_does(self, every_placement, f, pattern):
+        refused = 0
+        for p in every_placement:
+            v = offending_vertex(p, pattern)
+            want = None if v is None else (
+                f"{f.__name__} needs a {pattern.to_text()}-avoiding placement; "
+                f"the restriction at border vertex V_{v} contains it",
+                (v,),
+            )
+            assert _verdict(f, p) == want, p
+            refused += v is not None
+        assert refused == len(every_placement) - sum(
+            count("placement", n, avoid=(pattern,)).total for n in range(7)
+        )
 
 
 class TestDelta213:
@@ -282,9 +324,9 @@ def _check_fixed_point_class_by_positions(m, tau):
                     )
 
 
-def _verdict(check, m, tau):
+def _verdict(check, *args):
     try:
-        check(m, tau)
+        check(*args)
     except PatternViolationError as e:
         return str(e), e.vertices
     return None

@@ -44,6 +44,19 @@ class TestDyckPath:
         assert d.to_text() == "ESEESS"
         assert DyckPath.from_heights(d.heights) == d
 
+    def test_from_heights_is_the_path_of_its_steps(self):
+        # the path built from checked heights keeps them and reads every
+        # lazy attribute as the path built from its steps does
+        for n in range(7):
+            for d in dyck_paths(n):
+                e = DyckPath.from_heights(list(d.heights))
+                assert e == d and type(e) is DyckPath
+                assert e.heights == d.heights and type(e.heights) is tuple
+                assert e.column_heights == d.column_heights
+                assert e.vertices == d.vertices
+                assert e.peak_indices() == d.peak_indices()
+                assert e.aligned_pairs() == d.aligned_pairs()
+
     def test_peaks_valleys(self):
         d = DyckPath("ESEESS")
         s = statistics(d)
@@ -69,7 +82,9 @@ class TestFerrersBoard:
 
     def test_column_heights_follow_the_border(self):
         # walking the border from (0, n), each E step tops a column as high
-        # as the walk stands, and each S step lowers the walk by one
+        # as the walk stands, and each S step lowers the walk by one; the E
+        # step leaving V_i, at distance d_i from the diagonal, tops a column
+        # of height n - (i - d_i)/2
         for n in range(7):
             for d in dyck_paths(n):
                 want, y = [], n
@@ -79,6 +94,9 @@ class TestFerrersBoard:
                     else:
                         y -= 1
                 assert d.column_heights == tuple(want), d
+                hs = d.heights
+                by_distance = [n - (i - hs[i]) // 2 for i, ch in enumerate(d.steps) if ch == "E"]
+                assert d.column_heights == tuple(by_distance), d
 
 
 class TestRookPlacement:
@@ -249,6 +267,8 @@ VALIDATOR_MESSAGES = [
     (lambda: DyckPath("SE"), "path 'SE' crosses the diagonal"),
     (lambda: DyckPath("SEE"), "path 'SEE' crosses the diagonal"),
     (lambda: DyckPath("EES"), "path 'EES' is unbalanced"),
+    # heights are refused as the steps they spell would be
+    (lambda: DyckPath.from_heights([0, -1, 0, 1, 0]), "path 'SEES' crosses the diagonal"),
     (
         lambda: NoncrossingPathPair(DyckPath("ES"), DyckPath("EESS")),
         "paths in a pair must have equal semilength",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from matchboard.errors import DivisibilityError, SeriesError
 from matchboard.formulas import classII_III_cubic, m312_kernel_cubic
-from matchboard import series
+from matchboard import patterns, series
 from matchboard.series import (
     FE_NAMES,
     Series,
@@ -513,10 +513,14 @@ class TestFunctionalEquations:
                     assert not res.is_zero(), (name, n, key)
 
     def test_no_public_function_is_memoized(self):
-        # a memo would let one route read what another solved
+        # a memo would let one route read what another solved; patterns
+        # keeps each pattern's plan on the Pattern, so none of its functions,
+        # private ones included, has a memo either
         for name, obj in vars(series).items():
             if not name.startswith("_"):
                 assert not hasattr(obj, "cache_info"), name
+        for name, obj in vars(patterns).items():
+            assert not hasattr(obj, "cache_info"), f"patterns.{name}"
 
     def test_unknown_name(self):
         with pytest.raises(SeriesError):
