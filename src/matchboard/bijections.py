@@ -1,11 +1,12 @@
 """Bijections between pattern-avoiding placements and structured path sets.
 
 A 321-avoiding placement maps to a pair of noncrossing paths through the
-sequence j_i = 2*lis - height, read off an RSK walk along the border that
-also meets any 321 and, run back, inverts the map; a 213-avoiding placement
-maps through the minimal board containing its rooks, whose column heights
-also meet any 213.  312-avoiding placements map to labeled Dyck paths
-carrying increasing-subsequence lengths.  Matchings with fixed points and
+sequence j_i = 2*lis - height, its lis labels read off the RSK walk of
+``patterns`` that also meets any 321, and the growth diagram read back
+along the border inverts the map; a 213-avoiding placement maps through
+the minimal board containing its rooks, whose column heights also meet
+any 213.  312-avoiding placements map to labeled Dyck paths carrying
+increasing-subsequence lengths.  Matchings with fixed points and
 permutations enter through kappa_prime and chi.
 """
 
@@ -26,6 +27,7 @@ from .model import (
     kappa,
 )
 from .patterns import Pattern, as_patterns, find_arc_occurrence, lis_labels, offending_vertex
+from .patterns import _tableau_walk
 
 __all__ = [
     "NoncrossingPathPair",
@@ -96,31 +98,6 @@ def _refuse(map_name: str, pattern: Pattern, v: int | None) -> None:
         )
 
 
-def _two_row_labels(p: RookPlacement, map_name: str) -> list[int]:
-    """``lis_labels`` of a 321-avoiding placement: row 1's length in the RSK
-    tableau of the rooks under each border vertex.  An E step row-inserts the
-    new column's rook; an S step deletes row y, the largest value.  The rows
-    number the longest decreasing run (Schensted, Canad. J. Math. 1961), so a
-    bump out of row 2 is a 321, refused at the first peak from here on."""
-    steps, cols = p.border.steps, iter(p.rook_rows)
-    row1, row2, labels = [], [], [0]
-    for i, step in enumerate(steps, start=1):
-        if step == "S":
-            (row2 if row2 and row2[-1] > row1[-1] else row1).pop()
-        else:
-            r = next(cols)
-            for row in row1, row2:
-                k = bisect(row, r)
-                if k == len(row):
-                    row.append(r)
-                    break
-                r, row[k] = row[k], r
-            else:
-                _refuse(map_name, _P321, steps.index("S", i))
-        labels.append(len(row1))
-    return labels
-
-
 def j_sequence(p: RookPlacement) -> tuple[int, ...]:
     """The sequence 2*lis_i - h_i along the border."""
     hs = p.border.heights
@@ -129,7 +106,8 @@ def j_sequence(p: RookPlacement) -> tuple[int, ...]:
 
 def delta321(p: RookPlacement) -> NoncrossingPathPair:
     """Bottom path of heights 2*lis_i - h_i, the lis read off an RSK walk (Schensted)."""
-    labels = _two_row_labels(p, "delta321")
+    labels, peak = _tableau_walk(p)
+    _refuse("delta321", _P321, peak)
     bottom = DyckPath.from_heights([2 * l - h for l, h in zip(labels, p.border.heights)])
     return NoncrossingPathPair(bottom, p.border)
 
@@ -137,18 +115,20 @@ def delta321(p: RookPlacement) -> NoncrossingPathPair:
 def delta321_by_switch(p: RookPlacement) -> NoncrossingPathPair:
     """Same map as delta321, described by flipping every border step whose
     two endpoints carry the same lis label."""
-    labels = _two_row_labels(p, "delta321_by_switch")
+    labels, peak = _tableau_walk(p)
+    _refuse("delta321_by_switch", _P321, peak)
     flipped = (("S" if ch == "E" else "E") if a == b else ch
                for ch, a, b in zip(p.border.steps, labels, labels[1:]))
     return NoncrossingPathPair(DyckPath("".join(flipped)), p.border)
 
 
 def delta321_inv(pair: NoncrossingPathPair) -> RookPlacement:
-    """Inverse of delta321: ``_two_row_labels``'s walk run back from V_2n, the
-    growth diagram read along the border (Krattenthaler, Adv. Appl. Math.
-    2006).  The rooks under V_i have RSK shape (l, h - l), l = (h + j)/2 for
-    path heights h and j: a step on which the paths agree changes row 1, one
-    on which they part row 2.  A reversed S step appends row y to that row; a
+    """Inverse of delta321: the growth diagram read along the border from
+    V_2n back (Krattenthaler, Adv. Appl. Math. 2006), with the rooks under
+    each vertex held as their two-row RSK insertion tableau.  The rooks
+    under V_i have shape (l, h - l), l = (h + j)/2 for path heights h and
+    j: a step on which the paths agree changes row 1, one on which they
+    part row 2.  A reversed S step appends row y to that row; a
     reversed E step takes its last box; from row 2 it bumps back into row 1,
     where the largest entry below it comes out: the column's rook."""
     row1, row2, rook_rows, y = [], [], [], 0  # the rooks right to left

@@ -171,6 +171,12 @@ def valley_marked_classII_III(order: int) -> Series:
     return _returns(_at_u0("K_lt2", order).shift(1))
 
 
+def _narayana_root(v: Series) -> Series:
+    """The Narayana series C(v, z) to v's order: the root of
+    vzC^2 + ((1-v)z - 1)C + 1 = 0 from C(0) = 1."""
+    return algebraic_solve([Series.constant(1, v.order), (1 - v).shift(1) - 1, v.shift(1)], 1)
+
+
 def classII_III_cubic(order: int, v) -> list[Series]:
     """Coefficients (ascending in H) of the cubic satisfied by the
     valley-marked height-below-2 kernel H = K_lt2(0; v, z).  v is a
@@ -179,11 +185,11 @@ def classII_III_cubic(order: int, v) -> list[Series]:
     Derived by the kernel method from the functional equation: with
     W = 1-v+vH and D = 1-z+vz(1-C-H), setting u = zW/D kills the kernel
     and leaves 0 = D + z(1-v)C*D + z^2*W^2*C - H*D^2.  C is the Narayana
-    series, the root of vzC^2 + ((1-v)z - 1)C + 1 = 0 from C(0) = 1.
+    series (``_narayana_root``).
     """
     v = Series((), order) + v  # a series, also when v is given as a value
     u = 1 - v
-    C = algebraic_solve([Series.constant(1, order), u.shift(1) - 1, v.shift(1)], 1)
+    C = _narayana_root(v)
     zC = C.shift(1)
     a = 1 - (u + v * C).shift(1)
     d0 = a + (u * (C * a + u * zC)).shift(1)
@@ -239,7 +245,7 @@ def _s3124_series(order: int) -> Series:
 def returns_valleys_series(order: int) -> Series:
     """Border paths counted by returns (t) and valleys (v):
     1 + tzC(v,z) / (1 - tvzC(v,z))."""
-    zC = narayana_series(order).shift(1)
+    zC = _narayana_root(Series.var("v", ("v",), order)).shift(1)
     return _returns(zC.widen(("t", "v")).times_var("t"))
 
 
@@ -348,9 +354,10 @@ class Formula(namedtuple("Formula", "routes oracle")):
 
 # the route tuples of the sequences that two ids name; each id keeps its own
 # oracle.  Routes share the series kernel, and tests/test_formulas.py names
-# all else they share (route 2 of _CATALAN reads narayana_series, as route 0
-# does).  1342 pairs Bona's closed form with the kernel route of the 3124
-# labeled paths, and 123 Gouyou-Beauchamps's determinant with the pair walk.
+# all else they share.  1342 pairs Bona's closed form with the kernel route
+# of the 3124 labeled paths, 123 Gouyou-Beauchamps's determinant with the
+# pair walk, and route 2 of _CATALAN solves the Narayana quadratic that
+# route 0 iterates as a functional equation.
 _S1342 = (
     _s1342_closed,
     _s3124_series,

@@ -15,9 +15,9 @@ vertices V_0..V_2n are 0-indexed; matching vertices are 1-indexed.
 Value protocol: every type here (and ``bijections.NoncrossingPathPair``)
 is a slotted subclass of ``errors.Value``.  A constructor checks its input
 in one pass and refuses bad input with ``InvalidObjectError``; integer
-fields (rook rows, arcs, fixed points, block elements, labels) are read
-with ``operator.index``, so 1.5 or "1" is refused, never truncated or
-parsed.  ``PathStats``, the record ``statistics`` returns, checks nothing
+fields (rook rows, arcs, fixed points, block elements, labels, and the
+heights ``DyckPath.from_heights`` reads) are read with ``operator.index``,
+so 1.5 or "1" is refused, never truncated or parsed.  ``PathStats``, the record ``statistics`` returns, checks nothing
 and keeps its fields as given.  The fields cannot be assigned or
 deleted.  ``==`` holds between objects of the same class with equal
 fields, ``hash`` is the hash of the tuple of fields, ``repr`` names every
@@ -173,17 +173,17 @@ class DyckPath(Value):
 
     @classmethod
     def from_heights(cls, heights) -> "DyckPath":
-        hs = list(heights)
+        hs = _ints(heights, "height")
         if not hs or hs[0] != 0 or hs[-1] != 0:
-            raise InvalidObjectError(f"height sequence {hs} must start and end at 0")
+            raise InvalidObjectError(f"height sequence {list(hs)} must start and end at 0")
         try:
             steps = "".join(map(_LETTER.__getitem__, map(sub, hs[1:], hs)))
         except KeyError:
             jump = next(b - a for a, b in zip(hs, hs[1:]) if b - a not in _LETTER)
-            raise InvalidObjectError(f"height sequence {hs} has a jump of {jump}") from None
+            raise InvalidObjectError(f"height sequence {list(hs)} has a jump of {jump}") from None
         if min(hs) < 0:
             raise InvalidObjectError(f"path {steps!r} crosses the diagonal")
-        return cls.__new__(cls)._fill(steps, tuple(hs))
+        return cls.__new__(cls)._fill(steps, hs)
 
     def to_text(self) -> str:
         return self.steps
@@ -467,26 +467,14 @@ def partition_to_matching(p: SetPartition) -> Matching:
     """Drop singletons and split every interior block element into a closer
     followed by an opener; a partition of [n] with b blocks maps to a
     perfect matching with n - b arcs, with arc occurrences preserved."""
-    opener_idx: dict[int, int] = {}
-    closer_idx: dict[int, int] = {}
-    first = {b[0] for b in p.blocks if len(b) >= 2}
-    last = {b[-1] for b in p.blocks if len(b) >= 2}
-    pos = 0
-    for v in range(1, p.n + 1):
-        is_first, is_last = v in first, v in last
-        if is_first:
-            pos += 1
-            opener_idx[v] = pos
-        elif is_last:
-            pos += 1
-            closer_idx[v] = pos
-        elif any(v in b for b in p.blocks if len(b) >= 2):
-            pos += 1
-            closer_idx[v] = pos
-            pos += 1
-            opener_idx[v] = pos
-    arcs = tuple((opener_idx[a], closer_idx[b]) for a, b in p.arcs)
-    return Matching(arcs)
+    roles = [0] * (p.n + 1)  # an arc (a, b) gives a an opener, b a closer
+    for a, b in p.arcs:
+        roles[a] += 1
+        roles[b] += 1
+    # numbered in vertex order, an element's closer before its opener: last[v]
+    # is v's last role, so a's opener is last[a] and b's closer last[b - 1] + 1
+    last = list(accumulate(roles))
+    return Matching(tuple((last[a], last[b - 1] + 1) for a, b in p.arcs))
 
 
 def gamma_restriction(p: RookPlacement, v: int) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 """Pattern containment for permutations, placements, matchings, and
-partitions, plus the increasing-subsequence labels used downstream.
+partitions, plus the increasing-subsequence labels used downstream, read
+off one RSK walk along the border that also meets the first 321.
 
 Arc-diagram containment: a matching or partition contains a pattern t of
 length k when 2k distinct vertices x_1 < ... < x_2k carry the arcs
@@ -181,13 +182,15 @@ def placement_avoids(p, t) -> bool:
 def offending_vertex(p, t) -> int | None:
     """Index of the first peak of the rook placement p whose restriction
     contains one of the patterns, or None: the first peak at or right of
-    column e, where columns 1..e are the fewest holding an occurrence."""
+    column e, where columns 1..e are the fewest holding an occurrence.
+    Column e's E step follows n - h_e S steps, so that peak is the first S
+    step from vertex e + n - h_e on."""
     rows, ceiling = p.rook_rows, p.border.column_heights
     t = t if isinstance(t, Pattern) else tuple(t)  # several searches read it
     if not _in_board(rows, ceiling, t):
         return None
     e = bisect.bisect(range(len(rows)), False, key=lambda e: _in_board(rows[:e], ceiling, t))
-    return next(v for v in p.border.peak_indices() if p.border.vertices[v][0] >= e)
+    return p.border.steps.index("S", e + len(rows) - ceiling[e - 1])
 
 
 def _in_board(rows, ceiling, t) -> bool:
@@ -248,20 +251,34 @@ def lis_labels(p) -> tuple[int, ...]:
     """For each border vertex V_i = (x, y) of the rook placement p, the
     length of the longest increasing rook sequence inside the rectangle
     under V_i, read from the rook rows as they stand (``gamma_restriction``
-    ranks them, which keeps every increasing run).  One patience sort reads
-    a column at each E step: once it has read x columns, tails[l] is the
-    lowest row at which an increasing run of length l + 1 among them ends,
-    so the longest run with every row <= y is as long as the number of
-    tails <= y."""
-    rows = p.rook_rows
-    tails: list[int] = []
-    labels = []
-    read = 0
-    for x, y in p.border.vertices:
-        if x > read:  # the E step into V_i brings in column x
-            r = rows[read]
-            i = bisect.bisect_left(tails, r)
-            tails[i:i + 1] = (r,)
-            read = x
-        labels.append(bisect.bisect_right(tails, y))
-    return tuple(labels)
+    ranks them, which keeps every increasing run)."""
+    return _tableau_walk(p)[0]
+
+
+def _tableau_walk(p) -> tuple[tuple[int, ...], int | None]:
+    """``lis_labels`` of the rook placement p and the first peak whose
+    restriction contains 321, or None: one walk along the border with rows 1
+    and 2 of the RSK tableau of the rooks read so far, into which each E
+    step row-inserts its column's rook.  Its entries at most y are the
+    tableau of the rooks at most y (Schensted, Canad. J. Math. 1961), so
+    V_i = (x, y) is labeled with the number of row-1 entries at most y and
+    has a 321 under it once a value at most y leaves row 2 (row 3's least
+    entry and y only fall); the first S step from there is a peak."""
+    steps, cols = p.border.steps, iter(p.rook_rows)
+    row1, row2, labels, peak, y = [], [], [0], None, len(p.rook_rows)
+    for i, step in enumerate(steps, start=1):
+        if step == "S":
+            y -= 1
+        else:
+            r = next(cols)
+            for row in row1, row2:
+                k = bisect.bisect(row, r)
+                if k == len(row):
+                    row.append(r)
+                    break
+                r, row[k] = row[k], r
+            else:
+                if peak is None and r <= y:
+                    peak = steps.index("S", i)
+        labels.append(bisect.bisect(row1, y))
+    return tuple(labels), peak

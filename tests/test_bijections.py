@@ -42,11 +42,13 @@ from matchboard.model import (
     LabeledDyckPath,
     Matching,
     RookPlacement,
+    gamma_restriction,
 )
 from matchboard.patterns import (
     S3_PATTERNS,
     Pattern,
     find_arc_occurrence,
+    lis_length,
     offending_vertex,
     placement_avoids,
 )
@@ -90,10 +92,16 @@ class TestDelta321:
                     assert delta321_by_switch(p) == delta321(p)
 
     def test_bottom_is_j_sequence(self, every_placement):
-        # the RSK walk's labels against the patience sort of lis_labels
+        # the walk's labels against the definition: the lis of the ranked
+        # restriction under each vertex
+        avoiders = 0
         for p in every_placement:
             if placement_avoids(p, Pattern((3, 2, 1))):
-                assert delta321(p).bottom.heights == j_sequence(p), p
+                avoiders += 1
+                j = tuple(2 * lis_length(gamma_restriction(p, i)) - h
+                          for i, h in enumerate(p.border.heights))
+                assert delta321(p).bottom.heights == j, p
+        assert avoiders == sum(count("placement", n, avoid="321").total for n in range(7))
 
     def test_rejects_non_avoiding(self):
         p = RookPlacement.from_text("border:EEESSS;rooks:3,2,1")

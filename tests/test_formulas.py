@@ -157,12 +157,7 @@ SHARED = {
     "classIV_m": {},
     "classIV_p": {},
     "classV_m": {},
-    # route 2 reads the valley series that route 0 specializes, so it is no
-    # independent check of route 0
-    "catalan_v": {
-        (0, 2): (series.narayana_series, series._solve, series._Product,
-                 series._same, series._marked),
-    },
+    "catalan_v": {},
     "gouyou_m123": {},
 }
 

@@ -8,7 +8,7 @@ import pytest
 
 from matchboard.bijections import NoncrossingPathPair, kappa_prime
 from matchboard.errors import InvalidObjectError, ParseError
-from matchboard.families import count_fixed_point_class, dyck_paths
+from matchboard.families import count_fixed_point_class, dyck_paths, set_partitions
 from matchboard.model import (
     DyckPath,
     LabeledDyckPath,
@@ -22,7 +22,7 @@ from matchboard.model import (
     partition_to_matching,
     statistics,
 )
-from matchboard.patterns import Pattern
+from matchboard.patterns import S3_PATTERNS, Pattern, find_arc_occurrence
 
 
 class TestDyckPath:
@@ -56,6 +56,15 @@ class TestDyckPath:
                 assert e.vertices == d.vertices
                 assert e.peak_indices() == d.peak_indices()
                 assert e.aligned_pairs() == d.aligned_pairs()
+
+    def test_from_heights_reads_integers(self):
+        # heights are read as every integer field is: 1.0 and "1" are
+        # refused, and True reads as the int 1
+        for bad in (1.0, "1"):
+            with pytest.raises(InvalidObjectError, match="is not an integer"):
+                DyckPath.from_heights([0, bad, 0])
+        hs = DyckPath.from_heights([0, True, 0]).heights
+        assert hs == (0, 1, 0) and type(hs[1]) is int
 
     def test_peaks_valleys(self):
         d = DyckPath("ESEESS")
@@ -232,6 +241,17 @@ class TestPartitionToMatching:
     def test_one_block(self):
         p = SetPartition.from_text("{1,2,3}")
         assert partition_to_matching(p).arcs == ((1, 2), (3, 4))
+
+    def test_arcs_and_occurrences_every_partition(self):
+        # the docstring's claims on every partition of [n], n <= 8: n - b
+        # arcs, and each length-3 pattern contained exactly when it was
+        for n in range(9):
+            for p in set_partitions(n):
+                m = partition_to_matching(p)
+                assert m.n == len(m.arcs) == n - len(p.blocks) and not m.fixed_points, p
+                for t in S3_PATTERNS:
+                    assert (find_arc_occurrence(m.arcs, t) is None) == (
+                        find_arc_occurrence(p.arcs, t) is None), (p, t)
 
 
 class TestGammaRestriction:
