@@ -13,7 +13,7 @@ from functools import partial
 
 from . import families
 from .bijections import delta213, delta213_inv, delta321, delta321_by_switch, delta321_inv
-from .errors import MatchboardError
+from .errors import MatchboardError, _ints
 from .model import kappa, kappa_inv, statistics
 from .patterns import Pattern, placement_avoids
 from .reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
@@ -188,6 +188,7 @@ def run(suite: str, max_n: int) -> list[dict]:
     at its row's end before max_n names that n in ``published_to``."""
     if suite != "all" and suite not in SUITES:
         raise MatchboardError(f"unknown suite {suite!r}")
+    (max_n,) = _ints((max_n,), "max-n")
     if max_n < 1:
         raise MatchboardError(f"max-n must be at least 1, got {max_n}")
     results = []

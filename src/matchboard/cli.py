@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from collections.abc import Sequence
-from functools import cache
 
 from . import __version__
 from .errors import MatchboardError, ResourceCapError
@@ -139,7 +138,6 @@ def _parse_permutation(text: str) -> tuple[int, ...]:
     return parse_int_list(text, f"permutation {text!r}")
 
 
-@cache
 def _maps() -> dict:
     """Map name -> (parser of --input, map), for every map but kappa-prime."""
     from .bijections import (
@@ -238,7 +236,6 @@ def _family_names():
     return FAMILY_NAMES
 
 
-@cache
 def _map_names():
     return tuple(sorted([*_maps(), "kappa-prime"]))
 

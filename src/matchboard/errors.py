@@ -81,8 +81,8 @@ class Value:
     """Base of the immutable value classes.  A subclass names its fields,
     in constructor order, in ``_fields``, and lists them in its slots with
     any attribute derived from them: an eager one such as
-    ``DyckPath.heights``, or the private slot of a lazy one, which holds
-    None until the first read fills it."""
+    ``DyckPath.heights``, or the private slot of the one lazy attribute,
+    ``DyckPath.column_heights``, which holds None until the first read."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

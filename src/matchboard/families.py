@@ -27,7 +27,7 @@ from collections import namedtuple
 from itertools import accumulate, combinations, permutations as iter_permutations, product
 from math import comb
 
-from .errors import InvalidObjectError, ResourceCapError
+from .errors import InvalidObjectError, ResourceCapError, _ints
 from .patterns import (
     Pattern,
     _inserting_max_forms,
@@ -512,7 +512,8 @@ class CountTable(namedtuple("CountTable", "total by_valleys by_shape", defaults=
 
 
 def _arcs_avoid(obj, pats) -> bool:
-    return all(find_arc_occurrence(obj.arcs, p) is None for p in pats)
+    arcs = obj.arcs
+    return all(find_arc_occurrence(arcs, p) is None for p in pats)
 
 
 class _Family(
@@ -611,7 +612,7 @@ _SCAN_CAPS = {"matching": 10, "partition": 11, "matching-fp": 8}
 
 
 def _refuse_negative(n: int, k: int = 0) -> None:
-    for name, value in (("n", n), ("k", k)):
+    for name, value in zip("nk", _ints((n, k), "size")):
         if value < 0:
             raise InvalidObjectError(f"{name} must be nonnegative, got {value}")
 

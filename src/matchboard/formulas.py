@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, factorial
+from operator import index
 
 from .errors import MatchboardError, ResourceCapError, SeriesError
 from .series import (
@@ -53,11 +54,17 @@ __all__ = [
 ORDER_CAP = 30
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int) -> int:
+    """n as an int; a non-integer, negative n or n past ORDER_CAP is refused."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise SeriesError(f"order {n!r} is not an integer") from None
     if n < 0:
         raise SeriesError("order must be nonnegative")
     if n > ORDER_CAP:
         raise ResourceCapError(f"order {n} exceeds the cap {ORDER_CAP}")
+    return n
 
 
 def _catalan(n: int) -> int:
@@ -427,21 +434,22 @@ def _route(formula_id: str, index: int, order: int) -> tuple[int, ...]:
     """c_0..c_order of a formula id by its route ``index``.  The only memo
     in ``series`` and ``formulas``: ``classV_m`` has one route, so a caller
     that compares ``coefficients`` with ``secondary_coefficients`` reads it
-    twice, and the memo keeps that from solving G_classV twice."""
-    _check_order(order)
+    twice, and the memo keeps that from solving G_classV twice.  Its
+    callers check the order first, so the memo keys only checked ints."""
     return _ints(_formula(formula_id).routes[index](order))
 
 
 def coefficients(formula_id: str, order: int) -> tuple[int, ...]:
     """Coefficient sequence c_0..c_order of a formula id, by route 0."""
-    return _route(formula_id, 0, order)
+    return _route(formula_id, 0, _check_order(order))
 
 
 def secondary_coefficients(formula_id: str, order: int) -> tuple[int, ...]:
     """Route 1 of a formula id, for route-agreement checks.  ``classV_m``
     has one route, so for it this reads route 0 and a comparison with
     ``coefficients`` is vacuous."""
-    return _route(formula_id, min(1, len(_formula(formula_id).routes) - 1), order)
+    routes = _formula(formula_id).routes
+    return _route(formula_id, min(1, len(routes) - 1), _check_order(order))
 
 
 def oracle_value(formula_id: str, n: int) -> int:

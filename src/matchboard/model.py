@@ -22,14 +22,15 @@ and keeps its fields as given.  The fields cannot be assigned or
 deleted.  ``==`` holds between objects of the same class with equal
 fields, ``hash`` is the hash of the tuple of fields, ``repr`` names every
 field, and pickling or copying rebuilds the object through its
-constructor.  An attribute such as ``DyckPath.vertices`` is lazy: its slot
-holds None until the first read, which computes it once.
+constructor.  ``DyckPath.column_heights`` is lazy, since all the placements
+on a board read it through their one border: its slot holds None until the
+first read, which computes it once.  The other views are computed per read.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate, chain, zip_longest
+from itertools import accumulate, chain
 from operator import gt, index, sub
 
 from .errors import InvalidObjectError, ParseError, Value, _decoded, _ints
@@ -56,12 +57,6 @@ _LETTER = {1: "E", -1: "S"}
 _JUMPS = {("E", 0), ("E", 1), ("S", 0), ("S", -1)}
 # the constructors fill slots past the refusing __setattr__ of Value
 _set = object.__setattr__
-
-
-def _keep(obj: Value, slot: str, value):
-    """Fill the slot of a lazy attribute on its first read; returns value."""
-    _set(obj, slot, value)
-    return value
 
 
 def _arc(arc) -> tuple[int, int]:
@@ -91,7 +86,7 @@ class DyckPath(Value):
     distances d_0..d_2n from each vertex to the diagonal; it is not a field."""
 
     _fields = ("steps",)
-    __slots__ = _fields + ("heights", "_vertices", "_peaks", "_aligned", "_column_heights")
+    __slots__ = _fields + ("heights", "_column_heights")
 
     def __init__(self, steps: str = ""):
         if not isinstance(steps, str):
@@ -107,9 +102,9 @@ class DyckPath(Value):
         self._fill(steps, hs)
 
     def _fill(self, steps: str, hs: tuple[int, ...]) -> "DyckPath":
-        # the lazy slots start empty
-        for slot, value in zip_longest(self.__slots__, (steps, hs)):
-            _set(self, slot, value)
+        _set(self, "steps", steps)
+        _set(self, "heights", hs)
+        _set(self, "_column_heights", None)
         return self
 
     @property
@@ -119,8 +114,6 @@ class DyckPath(Value):
     @property
     def vertices(self) -> tuple[tuple[int, int], ...]:
         """Cartesian coordinates of V_0..V_2n."""
-        if self._vertices is not None:
-            return self._vertices
         x, y = 0, self.n
         out = [(x, y)]
         for ch in self.steps:
@@ -129,28 +122,25 @@ class DyckPath(Value):
             else:
                 y -= 1
             out.append((x, y))
-        return _keep(self, "_vertices", tuple(out))
+        return tuple(out)
 
     @property
     def column_heights(self) -> tuple[int, ...]:
         """Heights of the board columns, left to right: the y of each E step."""
-        if self._column_heights is not None:
-            return self._column_heights
-        y, out = self.n, []
-        for ch in self.steps:
-            if ch == "E":
-                out.append(y)
-            else:
-                y -= 1
-        return _keep(self, "_column_heights", tuple(out))
+        if self._column_heights is None:
+            y, out = self.n, []
+            for ch in self.steps:
+                if ch == "E":
+                    out.append(y)
+                else:
+                    y -= 1
+            _set(self, "_column_heights", tuple(out))
+        return self._column_heights
 
     def peak_indices(self) -> tuple[int, ...]:
         """Vertex indices i with an E step arriving and an S step leaving."""
-        if self._peaks is not None:
-            return self._peaks
         s = self.steps
-        peaks = tuple(i for i in range(1, len(s)) if s[i - 1] == "E" and s[i] == "S")
-        return _keep(self, "_peaks", peaks)
+        return tuple(i for i in range(1, len(s)) if s[i - 1] == "E" and s[i] == "S")
 
     def valley_indices(self) -> tuple[int, ...]:
         s = self.steps
@@ -160,8 +150,6 @@ class DyckPath(Value):
         """Pairs (i, j) of vertex indices at equal height where the segment
         between them runs strictly under the path: each E step's start vertex
         paired with the end vertex of the matching S step."""
-        if self._aligned is not None:
-            return self._aligned
         stack: list[int] = []
         out = []
         for idx, ch in enumerate(self.steps):
@@ -169,7 +157,7 @@ class DyckPath(Value):
                 stack.append(idx)
             else:
                 out.append((stack.pop(), idx + 1))
-        return _keep(self, "_aligned", tuple(sorted(out)))
+        return tuple(sorted(out))
 
     @classmethod
     def from_heights(cls, heights) -> "DyckPath":
@@ -248,7 +236,7 @@ class Matching(Value):
     points (vertices of degree 0); perfect when fixed_points is empty."""
 
     _fields = ("arcs", "fixed_points")
-    __slots__ = _fields + ("_shape",)
+    __slots__ = _fields
 
     def __init__(self, arcs, fixed_points=()):
         arcs = tuple(sorted(map(_arc, arcs)))
@@ -269,7 +257,6 @@ class Matching(Value):
             free[v] = False
         _set(self, "arcs", arcs)
         _set(self, "fixed_points", fps)
-        _set(self, "_shape", None)
 
     @property
     def n(self) -> int:
@@ -282,14 +269,12 @@ class Matching(Value):
     @property
     def shape(self) -> DyckPath:
         """Border path read off the opener/closer word, fixed points skipped."""
-        if self._shape is not None:
-            return self._shape
         # vertex v writes word[v]; a fixed point, and the unused word[0], write ""
         word = [""] * (self.size + 1)
         for i, j in self.arcs:
             word[i] = "E"
             word[j] = "S"
-        return _keep(self, "_shape", DyckPath("".join(word)))
+        return DyckPath("".join(word))
 
     def to_text(self) -> str:
         arc_part = "".join(f"({i},{j})" for i, j in self.arcs)
@@ -331,7 +316,7 @@ class SetPartition(Value):
     elements inside each block."""
 
     _fields = ("blocks",)
-    __slots__ = _fields + ("_arcs",)
+    __slots__ = _fields
 
     def __init__(self, blocks):
         blocks = tuple(sorted(tuple(sorted(_ints(b, "block element"))) for b in blocks if b))
@@ -339,7 +324,6 @@ class SetPartition(Value):
         if elems != list(range(1, len(elems) + 1)):
             raise InvalidObjectError(f"blocks {blocks} do not partition [{len(elems)}]")
         _set(self, "blocks", blocks)
-        _set(self, "_arcs", None)
 
     @property
     def n(self) -> int:
@@ -347,12 +331,10 @@ class SetPartition(Value):
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        if self._arcs is not None:
-            return self._arcs
         out = []
         for b in self.blocks:
             out.extend(zip(b, b[1:]))
-        return _keep(self, "_arcs", tuple(sorted(out)))
+        return tuple(sorted(out))
 
     def to_text(self) -> str:
         return "".join("{" + ",".join(str(v) for v in b) + "}" for b in self.blocks)

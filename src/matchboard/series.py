@@ -565,6 +565,8 @@ def catalan_series(order: int) -> Series:
 
 def poly_eval(polys, s: Series) -> Series:
     """Evaluate sum p_i * s^i by Horner's rule."""
+    if not polys:
+        raise SeriesError("a polynomial needs a coefficient")
     res = Series((), min(s.order, min(p.order for p in polys)))
     for p in reversed(polys):
         res = res * s + p
@@ -592,6 +594,8 @@ def algebraic_solve(polys, seed) -> Series:
     iteration, through the lowest order of the p_i.  The p_i may be over
     any nested variable sets, but their z^0 coefficients must be constants.
     The seed must be a simple root of the z = 0 polynomial."""
+    if not polys:
+        raise SeriesError("a polynomial needs a coefficient")
     order = min(p.order for p in polys)
     if any(any(k) for p in polys for k in p.coeffs[0]):
         raise SeriesError("a z^0 coefficient depends on a variable")

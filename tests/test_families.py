@@ -10,7 +10,7 @@ import pytest
 from matchboard import bijections, checks, families, model
 from matchboard.bijections import LabeledPathClass
 from matchboard.checks import board_difference, run
-from matchboard.errors import InvalidObjectError, ResourceCapError
+from matchboard.errors import InvalidObjectError, MatchboardError, ResourceCapError
 from matchboard.families import (
     FAMILY_NAMES,
     _pair_groups,
@@ -33,7 +33,7 @@ from matchboard.families import (
     placements_on_board,
     set_partitions,
 )
-from matchboard.formulas import _gouyou_determinant, coefficients
+from matchboard.formulas import _gouyou_determinant, coefficients, secondary_coefficients
 from matchboard.model import DyckPath, LabeledDyckPath, statistics
 from matchboard.patterns import S3_PATTERNS, Pattern, as_patterns, perm_contains
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
@@ -133,6 +133,28 @@ def test_generators_refuse_negative_sizes(name, size):
     with pytest.raises(InvalidObjectError, match=f"{size} must be nonnegative"):
         # a count refuses when called, a generator on its first step
         next(iter(f(**{p: args[p] for p in params})))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        partial(count, "matching", 2.5, avoid="123"),
+        partial(count, "dyck", 2.5),
+        partial(count, "matching-fp", 2, 0.5),
+        lambda: next(dyck_paths(1.5)),
+        partial(pair_count_ending_south, 1.5, 0),
+        partial(coefficients, "m312", 3.0),
+        partial(coefficients, "m312", 2.0),
+        partial(secondary_coefficients, "m312", 2.0),
+        partial(run, "all", 2.5),
+    ],
+    ids=["scan", "dyck", "k", "generator", "walk", "order", "memo", "route-1", "max-n"],
+)
+def test_non_integer_sizes_refused(call):
+    # with order 2 in _route's memo, 2.0 (which hashes as 2) must not read it
+    coefficients("m312", 2)
+    with pytest.raises(MatchboardError):
+        call()
 
 
 def _dyck_words(n):

@@ -443,3 +443,11 @@ def test_path_equality_ignores_heights_and_lazy_attributes():
     assert a == b and hash(a) == hash(b) == hash(("EESESS",))
     assert Matching(((1, 2),)) != ((1, 2),)
     assert PathStats(0, 1, 1, 1, 0) == statistics(DyckPath("ES"))
+
+
+def test_slots_hold_the_fields_heights_and_column_heights_only():
+    # column_heights is the one view every placement on a board rereads
+    # through their shared border; the other views have no slot to keep them
+    assert DyckPath.__slots__ == ("steps", "heights", "_column_heights")
+    assert Matching.__slots__ == Matching._fields == ("arcs", "fixed_points")
+    assert SetPartition.__slots__ == SetPartition._fields == ("blocks",)

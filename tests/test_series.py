@@ -1,7 +1,10 @@
 """Truncated exact-rational power series and functional-equation solvers."""
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import add
 
@@ -11,7 +14,8 @@ from hypothesis import strategies as st
 
 from matchboard.errors import DivisibilityError, SeriesError
 from matchboard.formulas import classII_III_cubic, m312_kernel_cubic
-from matchboard import patterns, series
+import matchboard
+from matchboard import series
 from matchboard.series import (
     FE_NAMES,
     Series,
@@ -276,6 +280,12 @@ class TestAlgebraicSolve:
         assert tuple(f)[:5] == (0, 1, 1, 2, 5)
         assert poly_eval([z, -one, one], f).is_zero()
 
+    def test_no_coefficients_refused(self):
+        with pytest.raises(SeriesError):
+            algebraic_solve([], 0)
+        with pytest.raises(SeriesError):
+            poly_eval([], Series.z(5))
+
     def test_seed_must_be_root(self):
         z = Series.z(5)
         with pytest.raises(SeriesError):
@@ -513,14 +523,20 @@ class TestFunctionalEquations:
                     assert not res.is_zero(), (name, n, key)
 
     def test_no_public_function_is_memoized(self):
-        # a memo would let one route read what another solved; patterns
-        # keeps each pattern's plan on the Pattern, so none of its functions,
-        # private ones included, has a memo either
-        for name, obj in vars(series).items():
-            if not name.startswith("_"):
-                assert not hasattr(obj, "cache_info"), name
-        for name, obj in vars(patterns).items():
-            assert not hasattr(obj, "cache_info"), f"patterns.{name}"
+        # a memo would let one route read what another solved, and a memo
+        # no workload reads twice is only state; the one memo in the package
+        # is formulas._route, which lets a classV_m route check read its one
+        # route once.  Methods and cached properties are searched too
+        memos = set()
+        for info in pkgutil.iter_modules(matchboard.__path__):
+            module = importlib.import_module(f"matchboard.{info.name}")
+            for obj in vars(module).values():
+                members = vars(obj).values() if isinstance(obj, type) else ()
+                for f in (obj, *members):
+                    if hasattr(f, "cache_info") or isinstance(f, cached_property):
+                        f = getattr(f, "func", f)  # a cached property's getter
+                        memos.add(f"{f.__module__}.{f.__qualname__}")
+        assert memos == {"matchboard.formulas._route"}
 
     def test_unknown_name(self):
         with pytest.raises(SeriesError):
