@@ -24,7 +24,7 @@ the lengths of the suffix lists that the step-word walk groups by prefix
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, combinations, permutations as iter_permutations, product
+from itertools import accumulate, combinations, islice, permutations as iter_permutations, product
 from math import comb
 
 from .errors import InvalidObjectError, ResourceCapError, _ints
@@ -712,37 +712,37 @@ def count_fixed_point_class(n: int, k: int, tau) -> int:
     return sum(_scan(n, pats, fixed_points=k).values())
 
 
-def _pair_walk(steps: int):
+def _pair_walk(steps: int, a2: bool = False):
     """Noncrossing pairs read one synchronized step at a time: the dicts
-    from (bottom height, top height) to the number of pairs of prefixes,
-    after 0, 1, ..., steps steps."""
-    states = {(0, 0): 1}
+    from (bottom height, top height, e) to the number of pairs of prefixes
+    whose top can still return to height 0, after 0, 1, ..., steps steps.
+    With ``a2``, e marks a bottom that last stepped E, and the bottom steps
+    S after an E only where it touches the top: a bottom peak lies strictly
+    south-west of a top vertex (``bijections.a2_member``) exactly when the
+    top is above it at the same step.  Without ``a2``, e is always False."""
+    states = {(0, 0, False): 1}
     yield states
-    for _ in range(steps):
-        nxt: dict[tuple[int, int], int] = {}
-        for (j, h), c in states.items():
-            for dj in (1, -1):
+    for left in range(steps - 1, -1, -1):
+        nxt: dict[tuple[int, int, bool], int] = {}
+        for (j, h, e), c in states.items():
+            for dj in (1, -1) if j == h or not e else (1,):
                 jj = j + dj
-                if jj < 0:
-                    continue
                 for dh in (1, -1):
                     hh = h + dh
-                    if hh < 0 or jj > hh:
-                        continue
-                    key = (jj, hh)
-                    nxt[key] = nxt.get(key, 0) + c
+                    if 0 <= jj <= hh <= left:
+                        key = (jj, hh, a2 and dj > 0)
+                        nxt[key] = nxt.get(key, 0) + c
         states = nxt
         yield states
 
 
 def pair_count_ending_south(n: int, k: int) -> int:
     """Number of noncrossing pairs of semilength n + k with both paths
-    ending in k south steps: the pairs of prefixes at heights (k, k) after
-    2n + k steps of ``_pair_walk`` (no enumeration, so no cap applies)."""
+    ending in k south steps: the prefixes at heights (k, k) after 2n + k of
+    ``_pair_walk``'s 2n + 2k steps (no enumeration, so no cap applies)."""
     _refuse_negative(n, k)
-    for states in _pair_walk(2 * n + k):
-        pass
-    return states.get((k, k), 0)
+    states = next(islice(_pair_walk(2 * n + 2 * k), 2 * n + k, None))
+    return states.get((k, k, False), 0)
 
 
 # ---------------------------------------------------------------------------

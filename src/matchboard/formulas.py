@@ -4,8 +4,8 @@
 must agree, and a brute-force oracle from the families module.  The 17 ids
 name 13 sequences: ids that name one sequence list one route tuple, the same
 object, rather than read each other, and each keeps its own oracle.
-``coefficients`` reads route 0 and ``secondary_coefficients`` route 1
-(route 0 for ``classV_m``, its only route).  ``cross_check`` compares
+``coefficients`` reads route 0 and ``secondary_coefficients`` route 1;
+every id has at least two.  ``cross_check`` compares
 formula output against the oracle for every n up to the cap that
 ``families`` sets on the oracle's route: the scan's for the matching and
 partition ids, the family's enumeration cap for the rest.  Only the oracles
@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import comb, factorial
-from operator import index
 
-from .errors import MatchboardError, ResourceCapError, SeriesError
+from .errors import ResourceCapError, SeriesError
 from .series import (
     Series,
+    _order,
     algebraic_solve,
     catalan_series,
     fe_iterate,
@@ -54,16 +53,11 @@ __all__ = [
 ORDER_CAP = 30
 
 
-def _check_order(n: int) -> int:
-    """n as an int; a non-integer, negative n or n past ORDER_CAP is refused."""
-    try:
-        n = index(n)
-    except TypeError:
-        raise SeriesError(f"order {n!r} is not an integer") from None
-    if n < 0:
-        raise SeriesError("order must be nonnegative")
+def _check_order(n: int, name: str = "order") -> int:
+    """n read by ``series._order``, and refused past ORDER_CAP."""
+    n = _order(n, name)
     if n > ORDER_CAP:
-        raise ResourceCapError(f"order {n} exceeds the cap {ORDER_CAP}")
+        raise ResourceCapError(f"{name} {n} exceeds the cap {ORDER_CAP}")
     return n
 
 
@@ -323,13 +317,16 @@ def _maps_oracle(n: int) -> int:
     )
 
 
-def _dnk_pairs_walk(order: int) -> tuple[int, ...]:
+def _walk_origin(order: int, a2: bool = False) -> tuple[int, ...]:
+    """The pair walk's origin after 2n steps: the noncrossing pairs of
+    semilength n, or with ``a2`` the A2 pairs, which are equinumerous with
+    the class V matchings (the claim that makes ``pair-a2`` an oracle;
+    checked against the G_classV route to ORDER_CAP)."""
     from . import families
 
-    # the walk's origin after 2n steps counts the pairs of semilength n
     return tuple(
-        states.get((0, 0), 0)
-        for states in islice(families._pair_walk(2 * order), 0, None, 2)
+        states.get((0, 0, False), 0)
+        for states in islice(families._pair_walk(2 * order, a2), 0, None, 2)
     )
 
 
@@ -372,7 +369,7 @@ _S1342 = (
 )
 _CLASS_IV = (_classIV_closed, _classIV_rational, _classIV_valleys)
 _CATALAN = (catalan_series, _catalan_closed, _catalan_returns_valleys)
-_GOUYOU = (_gouyou_determinant, _dnk_pairs_walk)
+_GOUYOU = (_gouyou_determinant, _walk_origin)
 
 FORMULAS: dict[str, Formula] = {
     "m312": Formula(
@@ -410,9 +407,10 @@ FORMULAS: dict[str, Formula] = {
         _counted("partition", "123", "321"),
     ),
     "classIV_exact": Formula(_CLASS_IV, _counted("matching", "123", "321")),
-    # no second closed route; the residual of the functional equation is
-    # the independent check
-    "classV_m": Formula((_classV_series,), _counted("matching", "213", "321")),
+    "classV_m": Formula(
+        (_classV_series, lambda order: _walk_origin(order, a2=True)),
+        _counted("matching", "213", "321"),
+    ),
     "catalan_v": Formula(_CATALAN, _counted("dyck")),
     "dyck_rv": Formula(_CATALAN, _counted("dyck")),
     "gouyou_m123": Formula(_GOUYOU, _counted("matching", "123")),
@@ -429,13 +427,8 @@ def _formula(formula_id: str) -> Formula:
         raise SeriesError(f"unknown formula id {formula_id!r}") from None
 
 
-@lru_cache(maxsize=None)
 def _route(formula_id: str, index: int, order: int) -> tuple[int, ...]:
-    """c_0..c_order of a formula id by its route ``index``.  The only memo
-    in ``series`` and ``formulas``: ``classV_m`` has one route, so a caller
-    that compares ``coefficients`` with ``secondary_coefficients`` reads it
-    twice, and the memo keeps that from solving G_classV twice.  Its
-    callers check the order first, so the memo keys only checked ints."""
+    """c_0..c_order of a formula id by its route ``index``."""
     return _ints(_formula(formula_id).routes[index](order))
 
 
@@ -445,11 +438,8 @@ def coefficients(formula_id: str, order: int) -> tuple[int, ...]:
 
 
 def secondary_coefficients(formula_id: str, order: int) -> tuple[int, ...]:
-    """Route 1 of a formula id, for route-agreement checks.  ``classV_m``
-    has one route, so for it this reads route 0 and a comparison with
-    ``coefficients`` is vacuous."""
-    routes = _formula(formula_id).routes
-    return _route(formula_id, min(1, len(routes) - 1), _check_order(order))
+    """Route 1 of a formula id, for route-agreement checks."""
+    return _route(formula_id, 1, _check_order(order))
 
 
 def oracle_value(formula_id: str, n: int) -> int:
@@ -459,11 +449,8 @@ def oracle_value(formula_id: str, n: int) -> int:
 
 def cross_check(formula_id: str, n_max: int) -> dict:
     """Compare the formula against its oracle for n = 0..n_max."""
-    if n_max < 0:
-        raise MatchboardError(f"max-n must be nonnegative, got {n_max}")
-    if n_max > ORDER_CAP:
-        raise ResourceCapError(f"max-n {n_max} exceeds the cap {ORDER_CAP}")
-    seq = coefficients(formula_id, n_max)
+    n_max = _check_order(n_max, "max-n")
+    seq = _route(formula_id, 0, n_max)
     # largest n first, so that a request past a cap fails before any of the
     # smaller enumerations run
     oracle = {n: oracle_value(formula_id, n) for n in range(n_max, -1, -1)}

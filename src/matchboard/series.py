@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import comb, lcm, prod
-from operator import add, ge, mul
+from operator import add, ge, index, mul
 
 from .errors import DivisibilityError, SeriesError
 
@@ -737,12 +737,23 @@ _FE = {
 FE_NAMES = tuple(_FE)
 
 
+def _order(n: int, name: str = "order") -> int:
+    """n as an int; a non-integer or negative n is refused with a message
+    that calls n ``name``."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise SeriesError(f"{name} {n!r} is not an integer") from None
+    if n < 0:
+        raise SeriesError(f"{name} must be nonnegative, got {n}")
+    return n
+
+
 def fe_iterate(name: str, order: int) -> Series:
     """Solve one of the built-in functional equations through z^order."""
     if name not in _FE:
         raise SeriesError(f"unknown functional equation {name!r}")
-    if order < 0:
-        raise SeriesError("order must be nonnegative")
+    order = _order(order)
     solve, within = _FE[name]
     sol = solve(order)
     for n, poly in enumerate(sol.coeffs):

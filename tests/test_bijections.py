@@ -37,6 +37,7 @@ from matchboard.families import (
     pairs_ending_south,
     placements_on_board,
 )
+from matchboard.formulas import _walk_origin
 from matchboard.model import (
     DyckPath,
     LabeledDyckPath,
@@ -263,6 +264,19 @@ class TestRestrictedImages:
                     if pr.top == board and a2_member(pr)
                 }
                 assert images == expected
+
+    def test_a2_rule_is_local(self):
+        # a bottom peak lies strictly south-west of a top vertex exactly when
+        # the top is above it at the same step, so the pair walk keeps the
+        # A2 pairs by a rule it reads one step at a time
+        touching = [0] * 7
+        for n in range(7):
+            for pr in noncrossing_pairs(n):
+                bottom, top = pr.bottom, pr.top
+                touch = all(bottom.heights[i] == top.heights[i] for i in bottom.peak_indices())
+                assert a2_member(pr) == touch, pr.to_text()
+                touching[n] += touch
+        assert tuple(touching) == _walk_origin(6, a2=True)
 
 
 def _e2_of(board):

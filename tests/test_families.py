@@ -33,7 +33,12 @@ from matchboard.families import (
     placements_on_board,
     set_partitions,
 )
-from matchboard.formulas import _gouyou_determinant, coefficients, secondary_coefficients
+from matchboard.formulas import (
+    _gouyou_determinant,
+    coefficients,
+    cross_check,
+    secondary_coefficients,
+)
 from matchboard.model import DyckPath, LabeledDyckPath, statistics
 from matchboard.patterns import S3_PATTERNS, Pattern, as_patterns, perm_contains
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
@@ -147,11 +152,16 @@ def test_generators_refuse_negative_sizes(name, size):
         partial(coefficients, "m312", 2.0),
         partial(secondary_coefficients, "m312", 2.0),
         partial(run, "all", 2.5),
+        partial(cross_check, "m312", "3"),
+        partial(fe_iterate, "K_Ll", 2.5),
     ],
-    ids=["scan", "dyck", "k", "generator", "walk", "order", "memo", "route-1", "max-n"],
+    ids=[
+        "scan", "dyck", "k", "generator", "walk", "order", "memo", "route-1", "max-n",
+        "cross-check", "fe",
+    ],
 )
 def test_non_integer_sizes_refused(call):
-    # with order 2 in _route's memo, 2.0 (which hashes as 2) must not read it
+    # order 2 first, so that a memo keyed on 2 would answer 2.0 (equal hash)
     coefficients("m312", 2)
     with pytest.raises(MatchboardError):
         call()
@@ -304,7 +314,7 @@ class TestStepWordCounts:
                 assert list(pairs_ending_south(n, k)) == want, (n, k)
 
     def test_pairs_equal_the_walk_origin(self):
-        origin = [states.get((0, 0), 0) for states in _pair_walk(16)][::2]
+        origin = [states.get((0, 0, False), 0) for states in _pair_walk(16)][::2]
         assert [count("pair", n).total for n in range(9)] == origin
 
     def test_pairs_ending_south_equal_the_walk(self):
@@ -699,7 +709,7 @@ class TestFixedPointClasses:
 
     def test_walk_origin_equals_gouyou_determinant(self):
         # the determinant shares no code with the walk
-        origin = [states.get((0, 0), 0) for states in _pair_walk(120)][::2]
+        origin = [states.get((0, 0, False), 0) for states in _pair_walk(120)][::2]
         assert tuple(origin) == _gouyou_determinant(60)
 
 

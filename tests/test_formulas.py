@@ -227,9 +227,10 @@ class TestSecondaryRoutes:
         for fid, f in FORMULAS.items():
             assert len(set(f.routes)) == len(f.routes), fid
 
-    def test_only_classV_lacks_a_second_route(self):
+    def test_every_id_has_a_second_route(self):
+        # secondary_coefficients reads route 1, which route 0 must not be
         single = {fid for fid, f in FORMULAS.items() if len(f.routes) < 2}
-        assert single == {"classV_m"}
+        assert single == set()
 
     # the refusal tests these names come from each pinned one or two rows of
     # the tables, now checked from the trace; the last test checks them all

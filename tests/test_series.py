@@ -524,9 +524,8 @@ class TestFunctionalEquations:
 
     def test_no_public_function_is_memoized(self):
         # a memo would let one route read what another solved, and a memo
-        # no workload reads twice is only state; the one memo in the package
-        # is formulas._route, which lets a classV_m route check read its one
-        # route once.  Methods and cached properties are searched too
+        # no workload reads twice is only state.  Methods and cached
+        # properties are searched too
         memos = set()
         for info in pkgutil.iter_modules(matchboard.__path__):
             module = importlib.import_module(f"matchboard.{info.name}")
@@ -536,7 +535,7 @@ class TestFunctionalEquations:
                     if hasattr(f, "cache_info") or isinstance(f, cached_property):
                         f = getattr(f, "func", f)  # a cached property's getter
                         memos.add(f"{f.__module__}.{f.__qualname__}")
-        assert memos == {"matchboard.formulas._route"}
+        assert memos == set()
 
     def test_unknown_name(self):
         with pytest.raises(SeriesError):
