@@ -13,7 +13,7 @@ from functools import partial
 
 from . import families
 from .bijections import delta213, delta213_inv, delta321, delta321_by_switch, delta321_inv
-from .errors import MatchboardError, _ints
+from .errors import InvalidObjectError, MatchboardError, _ints
 from .model import kappa, kappa_inv, statistics
 from .patterns import Pattern, placement_avoids
 from .reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
@@ -35,6 +35,8 @@ def board_difference(avoid_a, avoid_b, n_max: int):
     """The first board, for n = 1..n_max and borders in sorted order, on
     which the matchings avoiding the two pattern sets differ in number, as
     (n, border, count_a, count_b); None when every board agrees."""
+    if _ints((n_max,), "n_max")[0] < 0:
+        raise InvalidObjectError(f"n_max must be nonnegative, got {n_max}")
     for n in range(1, n_max + 1):
         a = families.count("matching", n, avoid=avoid_a, by_shape=True).by_shape
         b = families.count("matching", n, avoid=avoid_b, by_shape=True).by_shape
@@ -52,12 +54,9 @@ def _separated(avoid_a, avoid_b, sizes) -> dict:
     """Equal totals up to the last size, and a first unequal board there."""
     top = sizes[-1]
     n, border, a, b = board_difference(avoid_a, avoid_b, top) or (None,) * 4
-    totals_equal = all(
-        families.count("matching", m, avoid=avoid_a).total
-        == families.count("matching", m, avoid=avoid_b).total
-        for m in range(1, top + 1)
-    )
-    return {"pass": n == top and totals_equal, "board": border, "counts": [a, b]}
+    # n == top: every board, so every total, agrees below top; compare top's totals
+    totals = {families.count("matching", top, avoid=p).total for p in (avoid_a, avoid_b)}
+    return {"pass": n == top and len(totals) == 1, "board": border, "counts": [a, b]}
 
 
 def _kappa_roundtrip(sizes) -> dict:

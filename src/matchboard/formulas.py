@@ -23,7 +23,6 @@ from math import comb, factorial
 from .errors import ResourceCapError, SeriesError
 from .series import (
     Series,
-    _order,
     algebraic_solve,
     catalan_series,
     fe_iterate,
@@ -54,8 +53,8 @@ ORDER_CAP = 30
 
 
 def _check_order(n: int, name: str = "order") -> int:
-    """n read by ``series._order``, and refused past ORDER_CAP."""
-    n = _order(n, name)
+    """n read by ``Series._order``, and refused past ORDER_CAP."""
+    n = Series._order(n, name)
     if n > ORDER_CAP:
         raise ResourceCapError(f"{name} {n} exceeds the cap {ORDER_CAP}")
     return n
@@ -254,8 +253,8 @@ def returns_valleys_series(order: int) -> Series:
 # the id table
 
 
-def _ints(seq) -> tuple[int, ...]:
-    """The coefficients of a series, or a sequence, as a tuple of ints."""
+def _integer_coefficients(seq) -> tuple[int, ...]:
+    """The coefficients of a series, or a sequence, as a tuple; a Fraction is refused."""
     coeffs = tuple(seq)
     for c in coeffs:
         if isinstance(c, Fraction):
@@ -429,7 +428,7 @@ def _formula(formula_id: str) -> Formula:
 
 def _route(formula_id: str, index: int, order: int) -> tuple[int, ...]:
     """c_0..c_order of a formula id by its route ``index``."""
-    return _ints(_formula(formula_id).routes[index](order))
+    return _integer_coefficients(_formula(formula_id).routes[index](order))
 
 
 def coefficients(formula_id: str, order: int) -> tuple[int, ...]:

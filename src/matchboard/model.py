@@ -462,6 +462,7 @@ def partition_to_matching(p: SetPartition) -> Matching:
 def gamma_restriction(p: RookPlacement, v: int) -> tuple[int, ...]:
     """Permutation induced by the rooks inside the rectangle spanned by the
     origin and border vertex V_v, empty rows and columns disregarded."""
+    (v,) = _ints((v,), "vertex index")
     vertices = p.border.vertices
     if not 0 <= v < len(vertices):
         raise InvalidObjectError(f"vertex index {v} out of range 0..{2 * p.n}")

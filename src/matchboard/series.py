@@ -15,7 +15,9 @@ regrids, with a fixed headroom, only when an order outgrows the grid),
 residual checks for those equations (G_classV's multiplied through by
 1 - u), and the substitution that turns a valley-marked matching series
 into a set-partition series.  Nothing is memoized: each call computes what
-it returns.
+it returns.  One static method, ``Series._order``, reads every order and
+every power of z that shift and unshift take, and refuses a non-integer or
+negative one with a SeriesError.
 """
 
 from __future__ import annotations
@@ -280,9 +282,8 @@ class Series:
     def __init__(self, variables, order: int, coeffs=()):
         """``coeffs`` gives the coefficients of z^0, z^1, ... as dicts from
         exponent tuple to value; missing ones are zero, and those past
-        ``order`` are dropped."""
-        if order < 0:
-            raise SeriesError("order must be nonnegative")
+        ``order`` are dropped; ``_order`` reads the order."""
+        order = Series._order(order)
         polys = [
             {k: _norm(c) for k, c in p.items() if c}
             for p in tuple(coeffs)[: order + 1]
@@ -291,6 +292,18 @@ class Series:
         self.variables = tuple(variables)
         self.order = order
         self.coeffs = tuple(polys)
+
+    @staticmethod
+    def _order(n: int, name: str = "order") -> int:
+        """n as an int: the series layer's one reader of an order or a power of
+        z.  A non-integer or negative n is a SeriesError that calls n ``name``."""
+        try:
+            n = index(n)
+        except TypeError:
+            raise SeriesError(f"{name} {n!r} is not an integer") from None
+        if n < 0:
+            raise SeriesError(f"{name} must be nonnegative, got {n}")
+        return n
 
     # construction -----------------------------------------------------
 
@@ -481,15 +494,13 @@ class Series:
         )
 
     def shift(self, k: int) -> "Series":
-        """Multiply by z^k, keeping the order."""
-        if k < 0:
-            raise SeriesError("shift needs k >= 0; unshift divides by z^k")
+        """Multiply by z^k (k >= 0; unshift divides), keeping the order."""
+        k = self._order(k, "k")
         return Series(self.variables, self.order, ({},) * k + self.coeffs)
 
     def unshift(self, k: int) -> "Series":
-        """Divide by z^k; the low-order coefficients must vanish."""
-        if k < 0:
-            raise SeriesError("unshift needs k >= 0; shift multiplies by z^k")
+        """Divide by z^k (k >= 0); the low-order coefficients must vanish."""
+        k = self._order(k, "k")
         if any(self.coeffs[:k]):
             raise DivisibilityError(f"series is not divisible by z^{k}")
         return Series(self.variables, self.order - k, self.coeffs[k:])
@@ -628,6 +639,7 @@ def _solve(variables, terms, order: int) -> Series:
     A term (f, None) has G = 1: it adds F_(n-1) alone, and keeps no F_j.
     Each product keeps its F_j and G_j packed across orders (``_Product``),
     regridding with a fixed headroom only when an order outgrows the grid."""
+    order = Series._order(order)
     nvars = len(variables)
     K = [{(0,) * nvars: 1}]
     sides = [(f, g, _Product(nvars)) for f, g in terms]
@@ -737,23 +749,11 @@ _FE = {
 FE_NAMES = tuple(_FE)
 
 
-def _order(n: int, name: str = "order") -> int:
-    """n as an int; a non-integer or negative n is refused with a message
-    that calls n ``name``."""
-    try:
-        n = index(n)
-    except TypeError:
-        raise SeriesError(f"{name} {n!r} is not an integer") from None
-    if n < 0:
-        raise SeriesError(f"{name} must be nonnegative, got {n}")
-    return n
-
-
 def fe_iterate(name: str, order: int) -> Series:
     """Solve one of the built-in functional equations through z^order."""
     if name not in _FE:
         raise SeriesError(f"unknown functional equation {name!r}")
-    order = _order(order)
+    order = Series._order(order)
     solve, within = _FE[name]
     sol = solve(order)
     for n, poly in enumerate(sol.coeffs):
@@ -820,6 +820,7 @@ def substitution_sum(a, order: int, extra_denominator: int = 1) -> Series:
     a = sum c_{n,k} v^k z^n; requires the valley bound k <= n - 1 for n >= 1
     and k = 0 for n = 0, and a.order >= order - 1.  Each monomial adds one
     binomial coefficient to each output coefficient from z^(2n-k) on."""
+    order = Series._order(order)
     a = a.widen(("v",))
     if a.order < max(0, order - 1):
         raise SeriesError(

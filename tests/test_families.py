@@ -1,13 +1,14 @@
 """Enumeration of object families, counting tables, and per-board checks."""
 
 import inspect
+import re
 from functools import partial
 from itertools import accumulate, combinations, permutations as iter_permutations, product
 from math import comb, prod
 
 import pytest
 
-from matchboard import bijections, checks, families, model
+from matchboard import bijections, checks, families, formulas, model, series
 from matchboard.bijections import LabeledPathClass
 from matchboard.checks import board_difference, run
 from matchboard.errors import InvalidObjectError, MatchboardError, ResourceCapError
@@ -42,7 +43,7 @@ from matchboard.formulas import (
 from matchboard.model import DyckPath, LabeledDyckPath, statistics
 from matchboard.patterns import S3_PATTERNS, Pattern, as_patterns, perm_contains
 from matchboard.reference import TABLE_MATCHINGS, TABLE_PAIR_CLASSES, TABLE_PARTITIONS
-from matchboard.series import fe_iterate
+from matchboard.series import Series, fe_iterate
 
 # count(family, 3) for every family, with k = 1 for the two that take k
 TOTALS_AT_3 = {
@@ -165,6 +166,59 @@ def test_non_integer_sizes_refused(call):
     coefficients("m312", 2)
     with pytest.raises(MatchboardError):
         call()
+
+
+SIZE_NAMES = ("n", "k", "order", "n_max", "max_n")
+
+
+def _public_sizes():
+    """(label, function, size) for each parameter named as a size or an
+    order of each public function of series, formulas and checks, of each
+    Series constructor and of shift and unshift; and gamma_restriction's
+    vertex index v."""
+    calls = [
+        (f"{m.__name__.rpartition('.')[2]}.{name}", getattr(m, name))
+        for m in (series, formulas, checks)
+        for name in m.__all__
+    ]
+    calls += [(f"Series.{name}", getattr(Series, name)) for name in ("from_coeffs", "constant", "z", "var")]
+    calls += [("Series.shift", Series.z(3).shift), ("Series.unshift", Series.z(3).unshift)]
+    for label, f in calls:
+        if inspect.isfunction(f) or inspect.ismethod(f) or f is Series:
+            params = inspect.signature(f).parameters
+            yield from ((label, f, size) for size in SIZE_NAMES if size in params)
+    yield "model.gamma_restriction", model.gamma_restriction, "v"
+
+
+PUBLIC_SIZES = list(_public_sizes())
+
+# a value for each other parameter without a default
+OTHER_ARGS = {
+    "a": Series.from_coeffs([1, 1, 2, 5]),
+    "avoid_a": ("123",),
+    "avoid_b": ("321",),
+    "coeffs": [1, 2],
+    "formula_id": "m312",
+    "p": next(placements(2)),
+    "suite": "all",
+    "v": 1,
+    "value": 1,
+    "variables": ("v",),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, -1])
+@pytest.mark.parametrize(
+    "label, f, size", PUBLIC_SIZES, ids=[f"{label}-{size}" for label, _, size in PUBLIC_SIZES]
+)
+def test_public_sizes_refused(label, f, size, value):
+    # a non-integer or negative size or order is a MatchboardError that
+    # names the value, never a bare TypeError or a vacuous answer
+    params = inspect.signature(f).parameters
+    args = {**OTHER_ARGS, "name": "v" if label == "Series.var" else "K_Ll", size: value}
+    kwargs = {p: args[p] for p, prm in params.items() if p == size or prm.default is prm.empty}
+    with pytest.raises(MatchboardError, match=re.escape(repr(value))):
+        f(**kwargs)
 
 
 def _dyck_words(n):
